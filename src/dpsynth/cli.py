@@ -4,8 +4,10 @@ Subcommands: ``synth`` (privatize a CSV), ``test`` (classical two-sample
 test on a CSV), ``dp-test`` (the DP Mann-Whitney baseline), ``experiment``
 (run an error-rate grid from a JSON config), and ``report`` (re-render
 saved reports). Exit codes: 0 success, 1 usage error, 2 data or config
-error. Every run prints a reproducibility header with the resolved seed
-and the effective configuration.
+error. Every run prints a reproducibility header with the effective
+configuration, and with the resolved seed when the command draws randomness.
+Input CSVs with a ``group,value`` header are read as grouped records; any
+other header is read as the cardiovascular file.
 """
 
 from __future__ import annotations
@@ -20,19 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, report as report_mod
-from .data import (
-    IngestionError,
-    build_histogram,
-    load_cardio_csv,
-    load_grouped_csv,
-    save_grouped_csv,
-    table_from_grouped,
-)
+from .data import BINNINGS, IngestionError, load_csv, resolve_binning, save_grouped_csv
 from .dpmw import DPMWConfig, dp_mann_whitney
-from .harness import ConfigError, GeneratorSpec
+from .harness import ConfigError
 from .rng import RandomSource
-from .stattests import chi_squared, mann_whitney_u, median_test, t_test
-from .synth import PrivacyBudget, marginal_ipf, mwem, perturbed_histogram, smoothed_histogram
+from .stattests import TESTS
+from .synth import SYNTHESIZERS, PrivacyBudget, synthesize
 
 __all__ = ["main"]
 
@@ -58,14 +53,11 @@ def _resolve_seed(seed: int | None) -> int:
     return secrets.randbits(63) if seed is None else seed
 
 
-def _print_header(command: str, seed: int, config: dict) -> None:
+def _print_header(command: str, seed: int | None, config: dict) -> None:
     print(f"# dpsynth {command}")
-    print(f"# seed: {seed}")
+    if seed is not None:
+        print(f"# seed: {seed}")
     print(f"# config: {json.dumps(config, sort_keys=True, default=str)}")
-
-
-def _load_input(path: str, cardio: bool):
-    return load_cardio_csv(path) if cardio else load_grouped_csv(path)
 
 
 def _binning_from_args(args) -> object:
@@ -79,7 +71,7 @@ def _binning_from_args(args) -> object:
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
     binning = _binning_from_args(args)
-    spec = GeneratorSpec(kind="csv", mode="null", csv_path=args.input, binning=binning).binning_spec()
+    spec = resolve_binning(binning)
     _print_header(
         "synth",
         seed,
@@ -94,19 +86,16 @@ def _cmd_synth(args) -> int:
             "out": str(args.out),
         },
     )
-    data = _load_input(args.input, args.cardio)
-    budget = PrivacyBudget(args.epsilon)
-    rng = RandomSource(seed)
-    if args.method == "smoothed":
-        if args.m is None:
-            raise ConfigError("--m (synthetic size) is required for the smoothed method")
-        synthetic = smoothed_histogram(build_histogram(data, spec), budget, args.m, rng)
-    elif args.method == "perturbed":
-        synthetic = perturbed_histogram(build_histogram(data, spec), budget, rng, normalize=args.normalize)
-    elif args.method == "mwem":
-        synthetic = mwem(build_histogram(data, spec), budget, args.iterations, rng)
-    else:
-        synthetic = marginal_ipf(table_from_grouped(data, spec), budget, rng)
+    synthetic = synthesize(
+        args.method,
+        load_csv(args.input),
+        PrivacyBudget(args.epsilon),
+        RandomSource(seed),
+        binning=spec,
+        m=args.m,
+        iterations=args.iterations,
+        normalize=args.normalize,
+    )
     out = _outdir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_grouped_csv(synthetic.data, out)
@@ -120,26 +109,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-_TEST_FNS = {"mw_u": mann_whitney_u, "t": t_test, "median": median_test}
-
-
 def _cmd_test(args) -> int:
-    seed = _resolve_seed(args.seed)
-    _print_header("test", seed, {"input": args.input, "test": args.test, "variable": args.variable})
-    data = _load_input(args.input, args.cardio)
+    _print_header("test", None, {"input": args.input, "test": args.test, "variable": args.variable})
+    data = load_csv(args.input)
     x = data.group_values(0, args.variable)
     y = data.group_values(1, args.variable)
-    if args.test == "chi2":
-        # Distinct observed values become the table categories.
-        levels = np.unique(np.concatenate((x, y))) if (x.size or y.size) else np.array([])
-        if levels.size > 20:
-            raise ConfigError(
-                "chi2 on the CLI expects a categorical column (<= 20 distinct values)"
-            )
-        table = np.array([[(vals == lv).sum() for lv in levels] for vals in (x, y)])
-        outcome = chi_squared(table)
-    else:
-        outcome = _TEST_FNS[args.test](x, y)
+    # Distinct observed values become the chi-squared table's categories.
+    levels = np.unique(np.concatenate((x, y)))
+    if args.test == "chi2" and levels.size > 20:
+        raise ConfigError("chi2 on the CLI expects a categorical column (<= 20 distinct values)")
+    outcome = TESTS[args.test](x, y, levels)
     print(json.dumps(outcome.to_dict(), sort_keys=True))
     return 0
 
@@ -162,8 +141,7 @@ def _cmd_dp_test(args) -> int:
             "null_samples": args.null_samples,
         },
     )
-    data = _load_input(args.input, args.cardio)
-    outcome = dp_mann_whitney(data, cfg, RandomSource(seed))
+    outcome = dp_mann_whitney(load_csv(args.input), cfg, RandomSource(seed))
     print(json.dumps(outcome.to_dict(), sort_keys=True))
     return 0
 
@@ -183,7 +161,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_report(args) -> int:
     reports, alpha = report_mod.load_reports_json(args.reports)
-    _print_header("report", 0, {"reports": args.reports, "formats": args.formats})
+    _print_header("report", None, {"reports": args.reports, "formats": args.formats})
     outdir = _outdir(args.out)
     formats = tuple(args.formats.split(","))
     for path in report_mod.emit_report(reports, outdir, formats=formats, alpha=alpha):
@@ -197,12 +175,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[], help="generate DP-synthetic data from a CSV")
     p.add_argument("--input", required=True, help="input CSV (group,value header, or a cardio file)")
-    p.add_argument("--cardio", action="store_true", help="treat the input as the cardiovascular CSV")
-    p.add_argument("--method", required=True, choices=["perturbed", "smoothed", "mwem", "marginal-ipf"])
+    p.add_argument("--method", required=True, choices=list(SYNTHESIZERS))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--m", type=int, help="synthetic size (smoothed method only)")
     p.add_argument("--iterations", type=int, default=10, help="MWEM rounds")
-    p.add_argument("--binning", choices=["gaussian100", "bmi24", "psa40"], default="bmi24")
+    p.add_argument("--binning", choices=list(BINNINGS), default="bmi24")
     p.add_argument("--bins", type=int, help="custom bin count (with --lo/--hi)")
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
@@ -213,15 +190,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test", help="run a classical two-sample test on a CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--cardio", action="store_true")
-    p.add_argument("--test", required=True, choices=list(harness.TESTS))
+    p.add_argument("--test", required=True, choices=list(TESTS))
     p.add_argument("--variable", help="extra column to test instead of 'value'")
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_test)
 
     p = sub.add_parser("dp-test", help="run the DP Mann-Whitney U test on a CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--cardio", action="store_true")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=1e-6)
     p.add_argument("--size-fraction", type=float, default=0.65)

@@ -27,11 +27,14 @@ __all__ = [
     "samples_from_counts",
     "load_cardio_csv",
     "load_grouped_csv",
+    "load_csv",
     "save_grouped_csv",
     "gaussian_unit_bins",
     "bmi_bins",
     "psa_bins",
     "uniform_bins",
+    "BINNINGS",
+    "resolve_binning",
     "build_table",
     "table_from_grouped",
 ]
@@ -89,6 +92,24 @@ def uniform_bins(lo: float, hi: float, count: int) -> BinningSpec:
     if count < 2:
         raise ValueError("count must be at least 2")
     return BinningSpec(tuple(np.linspace(lo, hi, count + 1)))
+
+
+BINNINGS = {"gaussian100": gaussian_unit_bins, "bmi24": bmi_bins, "psa40": psa_bins}
+
+
+def resolve_binning(binning) -> BinningSpec:
+    """A named binning (a key of :data:`BINNINGS`) or a ``{count, lo, hi}`` mapping of uniform bins."""
+    if isinstance(binning, str):
+        try:
+            return BINNINGS[binning]()
+        except KeyError:
+            raise ValueError(f"binning {binning!r} is not one of {sorted(BINNINGS)}") from None
+    if isinstance(binning, Mapping):
+        try:
+            return uniform_bins(float(binning["lo"]), float(binning["hi"]), int(binning["count"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"binning mapping needs numeric lo/hi/count: {exc}") from None
+    raise ValueError("binning must be a named spec or a {count, lo, hi} mapping")
 
 
 @dataclass(frozen=True)
@@ -284,6 +305,21 @@ def load_grouped_csv(path) -> GroupedDataset:
     arr = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(header)))
     extras = {name: arr[:, 2 + j] for j, name in enumerate(extra_names)}
     return GroupedDataset(arr[:, 0].astype(np.int64), arr[:, 1], extras)
+
+
+def load_csv(path) -> GroupedDataset:
+    """Read a CSV whose format its header names.
+
+    A header starting with ``group,value`` is read by
+    :func:`load_grouped_csv`; any other header is taken for the
+    cardiovascular file and read by :func:`load_cardio_csv`.
+    """
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        head = fh.read(4096)
+    header = next(csv.reader(head.splitlines()[:1], delimiter=_sniff_delimiter(head)), [])
+    if [h.strip().lower() for h in header[:2]] == ["group", "value"]:
+        return load_grouped_csv(path)
+    return load_cardio_csv(path)
 
 
 @dataclass(frozen=True)

@@ -12,30 +12,18 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import (
-    BinningSpec,
-    GroupedDataset,
-    bmi_bins,
-    build_histogram,
-    build_table,
-    gaussian_unit_bins,
-    load_cardio_csv,
-    load_grouped_csv,
-    psa_bins,
-    table_from_grouped,
-    uniform_bins,
-)
+from .data import BinningSpec, GroupedDataset, bmi_bins, build_table, gaussian_unit_bins, load_csv, resolve_binning
 from .dpmw import DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
-from .stattests import FailureReason, TestOutcome, chi_squared, mann_whitney_u, median_test, t_test
-from .synth import PrivacyBudget, marginal_ipf, mwem, perturbed_histogram, smoothed_histogram
+from .stattests import TESTS, TestOutcome
+from .synth import SYNTHESIZERS, PrivacyBudget, synthesize
 
 __all__ = [
     "ConfigError",
@@ -51,9 +39,9 @@ __all__ = [
     "load_config",
 ]
 
-SYNTHESIZERS = ("none", "perturbed", "smoothed", "mwem", "marginal_ipf", "dp_mw_baseline")
-TESTS = ("mw_u", "t", "chi2", "median")
-_BINNING_NAMES = {"gaussian100": gaussian_unit_bins, "bmi24": bmi_bins, "psa40": psa_bins}
+# The synthesizers plus two baselines: the test on the original data, and
+# the DP Mann-Whitney test on the original data.
+METHODS = ("none", *SYNTHESIZERS, "dp_mw_baseline")
 
 
 class ConfigError(ValueError):
@@ -89,24 +77,18 @@ class GeneratorSpec:
                 raise ConfigError("generator.copula is required for the copula generator")
             if self.variable is not None:
                 self.copula.variable(self.variable)
-        if self.kind != "copula" and self.variable is not None:
-            raise ConfigError("generator.variable only applies to the copula generator")
+        if self.kind != "copula" and (self.variable is not None or self.copula is not None):
+            raise ConfigError("generator.variable and generator.copula only apply to the copula generator")
+        self.binning_spec()
 
     def binning_spec(self) -> BinningSpec:
         """Discretization used by the bivariate histogram synthesizers."""
         if self.binning is None:
             return gaussian_unit_bins() if self.kind == "gaussian" else bmi_bins()
-        if isinstance(self.binning, str):
-            try:
-                return _BINNING_NAMES[self.binning]()
-            except KeyError:
-                raise ConfigError(f"generator.binning {self.binning!r} is not one of {sorted(_BINNING_NAMES)}") from None
-        if isinstance(self.binning, Mapping):
-            try:
-                return uniform_bins(float(self.binning["lo"]), float(self.binning["hi"]), int(self.binning["count"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"generator.binning mapping needs numeric lo/hi/count: {exc}") from None
-        raise ConfigError("generator.binning must be a named spec or a {count, lo, hi} mapping")
+        try:
+            return resolve_binning(self.binning)
+        except ValueError as exc:
+            raise ConfigError(f"generator.{exc}") from None
 
     def category_domain(self) -> np.ndarray | None:
         """Fixed category levels of the tested variable, when it has any."""
@@ -135,10 +117,10 @@ class ExperimentConfig:
     dp_mw_null_samples: int = 10_000
 
     def __post_init__(self):
-        if self.synthesizer not in SYNTHESIZERS:
-            raise ConfigError(f"synthesizer must be one of {SYNTHESIZERS}, got {self.synthesizer!r}")
+        if self.synthesizer not in METHODS:
+            raise ConfigError(f"synthesizer must be one of {METHODS}, got {self.synthesizer!r}")
         if self.test not in TESTS:
-            raise ConfigError(f"test must be one of {TESTS}, got {self.test!r}")
+            raise ConfigError(f"test must be one of {tuple(TESTS)}, got {self.test!r}")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if not 0.0 < self.alpha < 1.0:
@@ -149,6 +131,12 @@ class ExperimentConfig:
             raise ConfigError("epsilons must be positive")
         if not self.original_sizes or any(n < 2 for n in self.original_sizes):
             raise ConfigError("original_sizes must be non-empty with entries >= 2")
+        odd = [n for n in self.original_sizes if n % 2]
+        if self.generator.kind != "csv" and odd:
+            raise ConfigError(
+                f"original_sizes must be even for the {self.generator.kind} generator, "
+                f"which splits n into two equal groups; got {odd}"
+            )
         if self.min_feasible < 1:
             raise ConfigError("min_feasible must be at least 1")
         if self.synthesizer == "smoothed":
@@ -169,10 +157,12 @@ class ExperimentConfig:
             )
         if self.synthesizer == "dp_mw_baseline" and self.test != "mw_u":
             raise ConfigError("the dp_mw_baseline runs the DP Mann-Whitney test; set test to mw_u")
-        if self.generator.kind == "copula" and self.synthesizer in ("perturbed", "smoothed", "mwem"):
+        histogram = self.synthesizer in SYNTHESIZERS and SYNTHESIZERS[self.synthesizer][0] == "histogram"
+        if self.generator.kind == "copula" and histogram:
+            tables = [name for name, (kind, _) in SYNTHESIZERS.items() if kind == "table"]
             raise ConfigError(
                 f"synthesizer {self.synthesizer!r} operates on bivariate histograms; "
-                "multivariate copula data requires marginal_ipf (or a baseline)"
+                f"multivariate copula data requires {' or '.join(tables)} (or a baseline)"
             )
 
     @property
@@ -243,18 +233,6 @@ def grid_cells(config: ExperimentConfig) -> list[Cell]:
     return cells
 
 
-def _load_source(config: ExperimentConfig) -> GroupedDataset | None:
-    if config.generator.kind != "csv":
-        return None
-    path = Path(config.generator.csv_path)
-    if path.suffix == ".csv" and path.name.startswith("cardio"):
-        return load_cardio_csv(path)
-    try:
-        return load_grouped_csv(path)
-    except ValueError:
-        return load_cardio_csv(path)
-
-
 def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, rng: RandomSource) -> GroupedDataset:
     gen = config.generator
     if gen.kind == "gaussian":
@@ -269,22 +247,19 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
 
 
 def _synthesize(config: ExperimentConfig, original: GroupedDataset, cell: Cell, rng: RandomSource) -> GroupedDataset:
-    budget = PrivacyBudget(cell.epsilon)
-    if config.generator.kind == "copula":
-        table = _copula_table(config.generator.copula, original)
-        return marginal_ipf(table, budget, rng).data
-    spec = config.generator.binning_spec()
-    if config.synthesizer == "perturbed":
-        hist = build_histogram(original, spec)
-        return perturbed_histogram(hist, budget, rng, normalize=config.normalize_perturbed).data
-    if config.synthesizer == "smoothed":
-        hist = build_histogram(original, spec)
-        return smoothed_histogram(hist, budget, cell.n_synthetic, rng).data
-    if config.synthesizer == "mwem":
-        hist = build_histogram(original, spec)
-        return mwem(hist, budget, config.mwem_iterations, rng).data
-    table = table_from_grouped(original, spec)
-    return marginal_ipf(table, budget, rng).data
+    gen = config.generator
+    copula = gen.kind == "copula"
+    return synthesize(
+        config.synthesizer,
+        original,
+        PrivacyBudget(cell.epsilon),
+        rng,
+        binning=None if copula else gen.binning_spec(),
+        table=_copula_table(gen.copula, original) if copula else None,
+        m=cell.n_synthetic,
+        iterations=config.mwem_iterations,
+        normalize=config.normalize_perturbed,
+    ).data
 
 
 def _copula_table(spec: CopulaSpec, data: GroupedDataset):
@@ -296,44 +271,17 @@ def _copula_table(spec: CopulaSpec, data: GroupedDataset):
     return build_table(columns)
 
 
-def _quartile_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    edges = np.quantile(np.concatenate((x, y)), [0.25, 0.5, 0.75])
-    return np.array(
-        [
-            np.bincount(np.searchsorted(edges, x, side="right"), minlength=4),
-            np.bincount(np.searchsorted(edges, y, side="right"), minlength=4),
-        ]
-    )
-
-
-def _level_table(x: np.ndarray, y: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    table = np.empty((2, levels.size))
-    for row, vals in enumerate((x, y)):
-        table[row] = [(vals == lv).sum() for lv in levels]
-    return table
-
-
 def run_test(config: ExperimentConfig, data: GroupedDataset) -> TestOutcome:
     """Run the configured classical test on the configured column."""
     name = config.generator.variable
     x = data.group_values(0, name)
     y = data.group_values(1, name)
-    if config.test == "mw_u":
-        return mann_whitney_u(x, y)
-    if config.test == "t":
-        return t_test(x, y)
-    if config.test == "median":
-        return median_test(x, y)
-    if x.size == 0 or y.size == 0:
-        return chi_squared(np.array([[x.size], [y.size]]))
-    domain = config.generator.category_domain()
-    table = _level_table(x, y, domain) if domain is not None else _quartile_table(x, y)
-    return chi_squared(table)
+    return TESTS[config.test](x, y, config.generator.category_domain())
 
 
 def run_cell(config: ExperimentConfig, cell: Cell, rng: RandomSource) -> ErrorRateReport:
     """R repetitions of generate, synthesize, test for one grid cell."""
-    source = _load_source(config)
+    source = load_csv(config.generator.csv_path) if config.generator.kind == "csv" else None
     feasible = 0
     rejections = 0
     failures: dict[str, int] = {}
@@ -401,118 +349,72 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
 
 
 def config_from_dict(payload: Mapping) -> ExperimentConfig:
-    """Build a validated config from parsed JSON, naming the offending field."""
+    """Build a validated config from parsed JSON, naming the offending field.
+
+    Every :class:`ExperimentConfig` field except ``generator`` is cast to its
+    annotated type; fields without a default are required.
+    """
     if not isinstance(payload, Mapping):
         raise ConfigError("experiment config must be a JSON object")
-    known = {
-        "generator",
-        "synthesizer",
-        "epsilons",
-        "original_sizes",
-        "synthetic_sizes",
-        "repetitions",
-        "alpha",
-        "test",
-        "seed",
-        "min_feasible",
-        "mwem_iterations",
-        "normalize_perturbed",
-        "dp_mw_delta",
-        "dp_mw_size_fraction",
-        "dp_mw_null_samples",
-    }
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
+    _reject_unknown(payload, ExperimentConfig, "")
     gen = payload.get("generator")
     if not isinstance(gen, Mapping):
         raise ConfigError("field 'generator' must be an object")
-    copula = None
-    if gen.get("kind") == "copula":
-        copula_source = gen.get("copula_path", "default")
-        try:
-            copula = (
-                default_prostate_spec()
-                if copula_source in (None, "default")
-                else load_copula_spec(copula_source)
-            )
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"field 'generator.copula_path': {exc}") from exc
+    _reject_unknown(gen, GeneratorSpec, "generator.", extra={"copula_path"})
+    copula = _load_copula(gen) if gen.get("kind") == "copula" or {"copula", "copula_path"} & set(gen) else None
+    spec = {"kind": "gaussian", "mode": "null", **gen, "copula": copula}
+    spec.pop("copula_path", None)
     try:
-        generator = GeneratorSpec(
-            kind=gen.get("kind", "gaussian"),
-            mode=gen.get("mode", "null"),
-            variable=gen.get("variable"),
-            csv_path=gen.get("csv_path"),
-            copula=copula,
-            binning=gen.get("binning"),
-        )
+        generator = GeneratorSpec(**spec)
     except KeyError as exc:
         raise ConfigError(f"field 'generator.variable': unknown variable {exc}") from exc
-
-    def _require(name, caster, default=None):
-        if name not in payload:
-            if default is None:
-                raise ConfigError(f"field {name!r} is required")
-            return default
+    hints = get_type_hints(ExperimentConfig)
+    values = {}
+    for f in fields(ExperimentConfig)[1:]:
+        if f.name not in payload:
+            if f.default is MISSING:
+                raise ConfigError(f"field {f.name!r} is required")
+            continue
+        kind = hints[f.name]
         try:
-            return caster(payload[name])
+            if get_origin(kind) is tuple:
+                values[f.name] = tuple(get_args(kind)[0](v) for v in payload[f.name])
+            else:
+                values[f.name] = kind(payload[f.name])
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"field {name!r} is malformed: {exc}") from exc
+            raise ConfigError(f"field {f.name!r} is malformed: {exc}") from exc
+    return ExperimentConfig(generator=generator, **values)
 
-    def _int_tuple(value):
-        return tuple(int(v) for v in value)
 
-    def _float_tuple(value):
-        return tuple(float(v) for v in value)
+def _reject_unknown(payload: Mapping, cls, prefix: str, extra=frozenset()) -> None:
+    unknown = set(payload) - {f.name for f in fields(cls)} - set(extra)
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {sorted(prefix + name for name in unknown)}")
 
-    return ExperimentConfig(
-        generator=generator,
-        synthesizer=_require("synthesizer", str),
-        epsilons=_require("epsilons", _float_tuple),
-        original_sizes=_require("original_sizes", _int_tuple),
-        synthetic_sizes=_require("synthetic_sizes", _int_tuple, default=()),
-        repetitions=_require("repetitions", int, default=200),
-        alpha=_require("alpha", float, default=0.05),
-        test=_require("test", str, default="mw_u"),
-        seed=_require("seed", int, default=0),
-        min_feasible=_require("min_feasible", int, default=50),
-        mwem_iterations=_require("mwem_iterations", int, default=10),
-        normalize_perturbed=_require("normalize_perturbed", bool, default=False),
-        dp_mw_delta=_require("dp_mw_delta", float, default=1e-6),
-        dp_mw_size_fraction=_require("dp_mw_size_fraction", float, default=0.65),
-        dp_mw_null_samples=_require("dp_mw_null_samples", int, default=10_000),
-    )
+
+def _load_copula(gen: Mapping) -> CopulaSpec:
+    """The copula spec given inline (``copula``), by path (``copula_path``), or the default."""
+    if "copula" in gen and "copula_path" in gen:
+        raise ConfigError("fields 'generator.copula' and 'generator.copula_path' exclude each other")
+    name = "copula" if "copula" in gen else "copula_path"
+    try:
+        if name == "copula":
+            return CopulaSpec.from_dict(gen["copula"])
+        source = gen.get("copula_path", "default")
+        return default_prostate_spec() if source in (None, "default") else load_copula_spec(source)
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"field 'generator.{name}': {exc}") from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
+    """The JSON form of a config, which :func:`config_from_dict` reads back."""
     gen = config.generator
-    generator = {
-        "kind": gen.kind,
-        "mode": gen.mode,
-        "variable": gen.variable,
-        "csv_path": gen.csv_path,
-        "binning": gen.binning,
-    }
+    generator = {f.name: getattr(gen, f.name) for f in fields(gen) if f.name != "copula"}
     if gen.kind == "copula":
         generator["copula"] = gen.copula.to_dict()
-    return {
-        "generator": generator,
-        "synthesizer": config.synthesizer,
-        "epsilons": list(config.epsilons),
-        "original_sizes": list(config.original_sizes),
-        "synthetic_sizes": list(config.synthetic_sizes),
-        "repetitions": config.repetitions,
-        "alpha": config.alpha,
-        "test": config.test,
-        "seed": config.seed,
-        "min_feasible": config.min_feasible,
-        "mwem_iterations": config.mwem_iterations,
-        "normalize_perturbed": config.normalize_perturbed,
-        "dp_mw_delta": config.dp_mw_delta,
-        "dp_mw_size_fraction": config.dp_mw_size_fraction,
-        "dp_mw_null_samples": config.dp_mw_null_samples,
-    }
+    payload = {f.name: getattr(config, f.name) for f in fields(config)}
+    payload["generator"] = generator
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in payload.items()}
 
 
 def load_config(path, seed: int | None = None) -> ExperimentConfig:

@@ -23,7 +23,9 @@ __all__ = [
     "u_statistic",
     "t_test",
     "chi_squared",
+    "two_sample_chi_squared",
     "median_test",
+    "TESTS",
 ]
 
 
@@ -172,6 +174,25 @@ def chi_squared(table, yates: bool = True) -> TestOutcome:
     return TestOutcome(stat, min(1.0, p), True)
 
 
+def two_sample_chi_squared(x, y, levels=None) -> TestOutcome:
+    """Chi-squared test of group against value on a 2 x k table.
+
+    With ``levels`` the table has one column per level, counting the values
+    equal to it; without, one column per pooled quartile interval. An empty
+    group makes the outcome single-class.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size == 0 or y.size == 0:
+        return chi_squared(np.array([[x.size], [y.size]]))
+    if levels is None:
+        edges = np.quantile(np.concatenate((x, y)), [0.25, 0.5, 0.75])
+        table = [np.bincount(np.searchsorted(edges, v, side="right"), minlength=4) for v in (x, y)]
+    else:
+        table = [[(v == level).sum() for level in levels] for v in (x, y)]
+    return chi_squared(np.array(table))
+
+
 def median_test(x, y, yates: bool = True) -> TestOutcome:
     """Test for equal medians: 2x2 table of counts above vs at-or-below the
     grand median per group, evaluated as a chi-squared statistic.
@@ -197,3 +218,13 @@ def median_test(x, y, yates: bool = True) -> TestOutcome:
     stat, df, _ = _chi2_from_table(table, yates)
     p = regularized_upper_gamma(df / 2.0, stat / 2.0)
     return TestOutcome(stat, min(1.0, p), True)
+
+
+# The two-sample tests by name, each called as test(x, y, levels). Only the
+# chi-squared test builds a table over the levels; the others ignore them.
+TESTS = {
+    "mw_u": lambda x, y, levels=None: mann_whitney_u(x, y),
+    "t": lambda x, y, levels=None: t_test(x, y),
+    "chi2": two_sample_chi_squared,
+    "median": lambda x, y, levels=None: median_test(x, y),
+}

@@ -26,7 +26,15 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import DiscreteTable, GroupedDataset, GroupedHistogram, samples_from_counts
+from .data import (
+    BinningSpec,
+    DiscreteTable,
+    GroupedDataset,
+    GroupedHistogram,
+    build_histogram,
+    samples_from_counts,
+    table_from_grouped,
+)
 from .rng import RandomSource, categorical_sample, discrete_laplace_sample, laplace_sample
 
 __all__ = [
@@ -42,6 +50,8 @@ __all__ = [
     "fit_marginal_joint",
     "marginal_ipf",
     "all_low_order_marginals",
+    "SYNTHESIZERS",
+    "synthesize",
 ]
 
 
@@ -395,3 +405,44 @@ def _decode_table(table: DiscreteTable, codes: np.ndarray) -> GroupedDataset:
         {name: columns[name] for name in extra_names},
         value_name=value_name,
     )
+
+
+# The synthesizers by name: (input kind, call). The input is a
+# GroupedHistogram for "histogram" methods and a DiscreteTable for "table"
+# methods; each call picks the options it uses.
+SYNTHESIZERS = {
+    "perturbed": (
+        "histogram",
+        lambda hist, budget, rng, normalize, **_: perturbed_histogram(hist, budget, rng, normalize=normalize),
+    ),
+    "smoothed": ("histogram", lambda hist, budget, rng, m, **_: smoothed_histogram(hist, budget, m, rng)),
+    "mwem": ("histogram", lambda hist, budget, rng, iterations, **_: mwem(hist, budget, iterations, rng)),
+    "marginal_ipf": ("table", lambda table, budget, rng, **_: marginal_ipf(table, budget, rng)),
+}
+
+
+def synthesize(
+    method: str,
+    data: GroupedDataset,
+    budget: PrivacyBudget,
+    rng: RandomSource,
+    binning: BinningSpec | None = None,
+    table: DiscreteTable | None = None,
+    m: int | None = None,
+    iterations: int = 10,
+    normalize: bool = False,
+) -> SyntheticDataset:
+    """Run the synthesizer registered as ``method`` on ``data``.
+
+    Histogram methods count ``data`` over ``binning``. Table methods take
+    ``table`` when it is given (a multi-variable encoding of ``data``) and
+    otherwise the (group, binned value) table. ``m`` is the smoothed
+    histogram's synthetic size, ``iterations`` MWEM's rounds, and
+    ``normalize`` the perturbed histogram's resampling switch.
+    """
+    kind, call = SYNTHESIZERS[method]
+    if kind == "histogram":
+        source = build_histogram(data, binning)
+    else:
+        source = table if table is not None else table_from_grouped(data, binning)
+    return call(source, budget, rng, m=m, iterations=iterations, normalize=normalize)

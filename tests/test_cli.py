@@ -96,6 +96,15 @@ class TestSynthCommand:
         header = capsys.readouterr().out
         assert "# seed: 3" in header
 
+    def test_marginal_ipf_spelled_as_in_reports(self, toy_csv, tmp_path):
+        out = tmp_path / "syn.csv"
+        code = main(
+            ["synth", "--input", str(toy_csv), "--method", "marginal_ipf", "--epsilon", "5", "--seed", "1", "--out", str(out)]
+        )
+        assert code == 0
+        sidecar = json.loads((tmp_path / "syn.csv.provenance.json").read_text())
+        assert sidecar["method"] == "marginal_ipf"
+
     def test_seed_resolved_and_printed_when_omitted(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "syn.csv"
         code = main(
@@ -111,6 +120,33 @@ class TestTestCommands:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         payload = json.loads(line)
         assert payload["feasible"] is True
+
+    def test_chi2_on_categorical_column(self, tmp_path, capsys):
+        g = np.random.default_rng(2)
+        data = GroupedDataset(np.repeat([0, 1], 100), g.normal(50, 2, 200), {"grade": g.integers(1, 4, 200)})
+        path = tmp_path / "cat.csv"
+        save_grouped_csv(data, path)
+        assert main(["test", "--input", str(path), "--test", "chi2", "--variable", "grade"]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["feasible"] is True
+        assert main(["test", "--input", str(path), "--test", "chi2"]) == 2
+        assert "categorical" in capsys.readouterr().err
+
+    def test_cardio_format_detected_from_header(self, tmp_path, capsys):
+        g = np.random.default_rng(4)
+        rows = [f"{i};{g.integers(150, 190)};{g.integers(50, 110)};{i % 2}" for i in range(40)]
+        path = tmp_path / "heart.csv"
+        path.write_text("id;height;weight;cardio\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert main(["test", "--input", str(path), "--test", "mw_u"]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["feasible"] is True
+
+    def test_no_seed_where_nothing_is_random(self, toy_csv, experiment_config, tmp_path, capsys):
+        assert main(["test", "--input", str(toy_csv), "--test", "t"]) == 0
+        assert "# seed" not in capsys.readouterr().out
+        assert main(["experiment", "--config", str(experiment_config), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        assert main(["report", "--reports", str(tmp_path / "run" / "reports.json"), "--out", str(tmp_path / "re")]) == 0
+        assert "# seed" not in capsys.readouterr().out
+        assert main(["test", "--input", str(toy_csv), "--test", "t", "--seed", "1"]) == 1
 
     def test_dp_test_outputs_json(self, toy_csv, capsys):
         code = main(

@@ -15,8 +15,10 @@ from dpsynth.data import (
     discretize,
     gaussian_unit_bins,
     load_cardio_csv,
+    load_csv,
     load_grouped_csv,
     psa_bins,
+    resolve_binning,
     samples_from_counts,
     save_grouped_csv,
     table_from_grouped,
@@ -195,6 +197,34 @@ class TestGroupedCsvRoundTrip:
         with pytest.raises(IngestionError) as err:
             load_grouped_csv(path)
         assert err.value.rows == (2, 3)
+
+
+class TestLoadCsv:
+    def test_grouped_header_read_as_grouped(self, tmp_path):
+        path = _write(tmp_path, "cardio.csv", "group;value;age\n0;1.5;60\n1;2.5;61\n")
+        data = load_csv(path)
+        assert np.array_equal(data.values, [1.5, 2.5])
+        assert np.array_equal(data.extras["age"], [60.0, 61.0])
+
+    def test_other_header_read_as_cardio(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "id;height;weight;cardio\n1;170;70;0\n2;160;80;1\n")
+        assert load_csv(path).values[0] == pytest.approx(24.2215, abs=1e-4)
+
+    def test_grouped_file_reports_malformed_rows(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "group,value\n0,1.0\n1,x\n")
+        with pytest.raises(IngestionError, match="malformed rows: 2"):
+            load_csv(path)
+
+
+class TestResolveBinning:
+    def test_named_and_mapping(self):
+        assert resolve_binning("psa40") == psa_bins()
+        assert resolve_binning({"count": 4, "lo": 0, "hi": 8}) == uniform_bins(0.0, 8.0, 4)
+
+    @pytest.mark.parametrize("bad", ["bmi25", {"count": 4, "lo": 0}, 3])
+    def test_bad_binning_rejected(self, bad):
+        with pytest.raises(ValueError, match="binning"):
+            resolve_binning(bad)
 
 
 class TestDiscreteTable:

@@ -1,10 +1,12 @@
 """Harness: grid construction, error accounting, determinism, report emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dpsynth.data import IngestionError
 from dpsynth.harness import (
     Cell,
     ConfigError,
@@ -84,6 +86,50 @@ class TestConfigValidation:
     def test_copula_variable_checked(self):
         with pytest.raises(KeyError):
             GeneratorSpec(kind="copula", mode="null", copula=default_prostate_spec(), variable="bmi")
+
+    def test_custom_copula_replays_from_printed_header(self):
+        spec = replace(default_prostate_spec(), class_effect={})
+        config = gaussian_config(
+            generator=GeneratorSpec(kind="copula", mode="null", copula=spec),
+            synthesizer="marginal_ipf",
+        )
+        printed = config_to_dict(config)
+        replayed = config_to_dict(config_from_dict(json.loads(json.dumps(printed))))
+        assert replayed == printed
+        assert replayed["generator"]["copula"]["class_effect"] == {}
+
+    def test_inline_copula_excludes_copula_path(self):
+        payload = config_to_dict(
+            gaussian_config(
+                generator=GeneratorSpec(kind="copula", mode="null", copula=default_prostate_spec()),
+                synthesizer="marginal_ipf",
+            )
+        )
+        payload["generator"]["copula_path"] = "default"
+        with pytest.raises(ConfigError, match="copula_path"):
+            config_from_dict(payload)
+
+    def test_unknown_generator_field_named(self):
+        payload = config_to_dict(gaussian_config())
+        payload["generator"] = {"kind": "gaussian", "mode": "null", "binnig": "bmi24"}
+        with pytest.raises(ConfigError, match="generator.binnig"):
+            config_from_dict(payload)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "copula"])
+    def test_odd_original_size_named_at_load(self, kind):
+        payload = {"generator": {"kind": kind, "mode": "null"}, "synthesizer": "none", "epsilons": [1.0]}
+        with pytest.raises(ConfigError, match="original_sizes"):
+            config_from_dict({**payload, "original_sizes": [50, 51]})
+
+    def test_unknown_binning_named_at_load(self):
+        with pytest.raises(ConfigError, match="generator.binning"):
+            GeneratorSpec(kind="gaussian", mode="null", binning="bmi25")
+
+    def test_copula_fields_rejected_for_other_generators(self):
+        payload = config_to_dict(gaussian_config())
+        payload["generator"]["copula_path"] = "default"
+        with pytest.raises(ConfigError, match="copula"):
+            config_from_dict(payload)
 
 
 class TestErrorRateReport:
@@ -186,6 +232,18 @@ class TestGrid:
         )
         (report,) = run_grid(config)
         assert report.repetitions == 5
+
+    def test_malformed_grouped_csv_reports_its_rows(self, tmp_path):
+        path = tmp_path / "src.csv"
+        path.write_text("group,value\n0,1.5\n1,abc\n1,2.5\n", encoding="utf-8")
+        config = gaussian_config(
+            generator=GeneratorSpec(kind="csv", mode="null", csv_path=str(path)),
+            epsilons=(5.0,),
+            original_sizes=(2,),
+            repetitions=1,
+        )
+        with pytest.raises(IngestionError, match="malformed rows: 2"):
+            run_grid(config)
 
     def test_multivariate_cell_runs(self):
         config = ExperimentConfig(

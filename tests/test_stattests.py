@@ -14,6 +14,7 @@ from dpsynth.stattests import (
     mann_whitney_u,
     median_test,
     t_test,
+    two_sample_chi_squared,
     u_statistic,
 )
 
@@ -144,6 +145,24 @@ class TestChiSquared:
         out = chi_squared(table)
         assert out.statistic == 0.0
         assert out.p_value == 1.0
+
+
+class TestTwoSampleChiSquared:
+    def test_levels_give_one_column_each(self):
+        x = [1.0] * 12 + [2.0] * 8
+        y = [1.0] * 6 + [2.0] * 14
+        assert two_sample_chi_squared(x, y, levels=[1.0, 2.0]) == chi_squared([[12, 8], [6, 14]])
+
+    def test_quartile_columns_without_levels(self):
+        x = np.arange(0.0, 40.0, 2.0)
+        y = np.arange(1.0, 41.0, 2.0)
+        edges = np.quantile(np.concatenate((x, y)), [0.25, 0.5, 0.75])
+        table = [[(np.searchsorted(edges, v, side="right") == k).sum() for k in range(4)] for v in (x, y)]
+        assert two_sample_chi_squared(x, y) == chi_squared(table)
+
+    def test_empty_group_single_class(self):
+        out = two_sample_chi_squared([], [1.0, 2.0], levels=[1.0, 2.0])
+        assert out.failure_reason is FailureReason.SINGLE_CLASS
 
 
 class TestMedianTest:

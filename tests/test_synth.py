@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsynth import synth as synth_mod
-from dpsynth.data import GroupedHistogram, build_table, table_from_grouped, uniform_bins
+from dpsynth.data import GroupedHistogram, build_histogram, build_table, table_from_grouped, uniform_bins
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import gaussian_bivariate
 from dpsynth.synth import (
@@ -25,7 +25,27 @@ from dpsynth.synth import (
     perturbed_histogram,
     smoothed_histogram,
     smoothed_probabilities,
+    synthesize,
 )
+
+
+class TestSynthesize:
+    def test_registry_matches_direct_calls(self):
+        data = gaussian_bivariate(200, "signal", RandomSource(1))
+        spec = uniform_bins(45.0, 55.0, 10)
+        hist = build_histogram(data, spec)
+        budget = PrivacyBudget(2.0)
+        direct = {
+            "perturbed": perturbed_histogram(hist, budget, RandomSource(2), normalize=True),
+            "smoothed": smoothed_histogram(hist, budget, 50, RandomSource(2)),
+            "mwem": mwem(hist, budget, 3, RandomSource(2)),
+            "marginal_ipf": marginal_ipf(table_from_grouped(data, spec), budget, RandomSource(2)),
+        }
+        for method, expected in direct.items():
+            got = synthesize(method, data, budget, RandomSource(2), binning=spec, m=50, iterations=3, normalize=True)
+            assert got.provenance == expected.provenance
+            assert np.array_equal(got.data.groups, expected.data.groups)
+            assert np.array_equal(got.data.values, expected.data.values)
 
 
 def hist_2x2(c00, c01, c10, c11) -> GroupedHistogram:
