@@ -246,16 +246,21 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
     return GroupedDataset(source.groups[idx], source.values[idx], extras, source.value_name)
 
 
-def _synthesize(config: ExperimentConfig, original: GroupedDataset, cell: Cell, rng: RandomSource) -> GroupedDataset:
+def _synthesize(
+    config: ExperimentConfig,
+    original: GroupedDataset,
+    cell: Cell,
+    binning: BinningSpec | None,
+    rng: RandomSource,
+) -> GroupedDataset:
     gen = config.generator
-    copula = gen.kind == "copula"
     return synthesize(
         config.synthesizer,
         original,
         PrivacyBudget(cell.epsilon),
         rng,
-        binning=None if copula else gen.binning_spec(),
-        table=_copula_table(gen.copula, original) if copula else None,
+        binning=binning,
+        table=_copula_table(gen.copula, original) if gen.kind == "copula" else None,
         m=cell.n_synthetic,
         iterations=config.mwem_iterations,
         normalize=config.normalize_perturbed,
@@ -281,7 +286,9 @@ def run_test(config: ExperimentConfig, data: GroupedDataset) -> TestOutcome:
 
 def run_cell(config: ExperimentConfig, cell: Cell, rng: RandomSource) -> ErrorRateReport:
     """R repetitions of generate, synthesize, test for one grid cell."""
-    source = load_csv(config.generator.csv_path) if config.generator.kind == "csv" else None
+    gen = config.generator
+    source = load_csv(gen.csv_path) if gen.kind == "csv" else None
+    binning = None if gen.kind == "copula" else gen.binning_spec()
     feasible = 0
     rejections = 0
     failures: dict[str, int] = {}
@@ -298,7 +305,7 @@ def run_cell(config: ExperimentConfig, cell: Cell, rng: RandomSource) -> ErrorRa
             )
             outcome = dp_mann_whitney(original, cfg, rep_rng.child(1))
         else:
-            synthetic = _synthesize(config, original, cell, rep_rng.child(1))
+            synthetic = _synthesize(config, original, cell, binning, rep_rng.child(1))
             outcome = run_test(config, synthetic)
         if outcome.feasible:
             feasible += 1

@@ -1,9 +1,12 @@
 """DP Mann-Whitney baseline: budget split, noiseless limit, null validity."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from dpsynth import dpmw as dpmw_mod
 from dpsynth.data import GroupedDataset
@@ -120,3 +123,88 @@ class TestMechanism:
             out = dp_mann_whitney(data, cfg, root.child(rep, 1))
             rejections += out.p_value <= 0.05
         assert rejections / reps <= 0.12
+
+
+def exact_rank_sum_pmf(n_total: int, m: int) -> np.ndarray:
+    """P(rank sum = s) of a uniform m-subset of 1..n_total, indexed by s.
+
+    Enumerates the subsets when there are few; otherwise counts them with
+    the one-rank-at-a-time recurrence over all n_total ranks in float64,
+    with no blocks, so it shares nothing with the sampler's decomposition.
+    """
+    top = n_total * (n_total + 1) // 2
+    if math.comb(n_total, m) <= 10_000:
+        counts = np.zeros(top + 1)
+        for subset in itertools.combinations(range(1, n_total + 1), m):
+            counts[sum(subset)] += 1
+    else:
+        table = np.zeros((m + 1, top + 1))
+        table[0, 0] = 1.0
+        for rank in range(1, n_total + 1):
+            table[1:, rank:] += table[:-1, : top + 1 - rank]
+        counts = table[m]
+    return counts / counts.sum()
+
+
+class TestNullSampler:
+    @pytest.mark.parametrize("b", [63, 20])
+    def test_tables_are_exact_integers(self, b):
+        cdf, first, size = dpmw_mod._subset_sum_cdf(b)
+        assert cdf.dtype == np.uint64
+        counts = np.diff(cdf, prepend=np.uint64(0)).reshape(b + 1, -1)
+        assert [int(x) for x in counts.sum(axis=1, dtype=np.uint64)] == [math.comb(b, c) for c in range(b + 1)]
+        assert [int(x) for x in size] == [math.comb(b, c) for c in range(b + 1)]
+        assert int(first[0]) == 0 and int(first[-1] + size[-1]) == 2**b
+        assert int(cdf[-1]) == 2**b
+
+    def test_table_matches_enumeration(self):
+        b = 10
+        cdf, _, _ = dpmw_mod._subset_sum_cdf(b)
+        counts = np.diff(cdf, prepend=np.uint64(0)).reshape(b + 1, -1)
+        expected = np.zeros_like(counts)
+        for c in range(b + 1):
+            for subset in itertools.combinations(range(1, b + 1), c):
+                expected[c, sum(subset)] += 1
+        assert np.array_equal(counts, expected)
+
+    # N < 63 is one short block; 70 = 63 + 7 and 130 = 2*63 + 4 add a remainder.
+    @pytest.mark.parametrize("n_total", [12, 70, 130])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_matches_exact_pmf(self, n_total, half):
+        m = n_total // 2 if half else 1
+        k = 100_000
+        sums = dpmw_mod._null_rank_sums(n_total, m, k, RandomSource(n_total + m))
+        pmf = exact_rank_sum_pmf(n_total, m)
+        observed = np.bincount(sums, minlength=pmf.size)
+        assert observed.size == pmf.size
+        # Pool consecutive sums until each cell expects at least 20 draws.
+        obs_cells, exp_cells = [], []
+        obs_acc = exp_acc = 0.0
+        for o, e in zip(observed, k * pmf):
+            obs_acc += o
+            exp_acc += e
+            if exp_acc >= 20:
+                obs_cells.append(obs_acc)
+                exp_cells.append(exp_acc)
+                obs_acc = exp_acc = 0.0
+        obs_cells[-1] += obs_acc
+        exp_cells[-1] += exp_acc
+        assert len(exp_cells) > 5
+        p = scipy.stats.chisquare(obs_cells, exp_cells).pvalue
+        assert p > 1e-4
+
+    @pytest.mark.parametrize("m", [137, 10_000])
+    def test_wilcoxon_moments_at_large_n(self, m):
+        n_total, k = 20_000, 10_000
+        sums = dpmw_mod._null_rank_sums(n_total, m, k, RandomSource(m)).astype(float)
+        mean = m * (n_total + 1) / 2
+        var = m * (n_total - m) * (n_total + 1) / 12
+        assert abs(sums.mean() - mean) < 4 * math.sqrt(var / k)
+        assert abs(sums.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (k - 1))
+
+    def test_deterministic_given_seed(self):
+        a = dpmw_mod._null_rank_sums(1000, 400, 5000, RandomSource(3))
+        b = dpmw_mod._null_rank_sums(1000, 400, 5000, RandomSource(3))
+        c = dpmw_mod._null_rank_sums(1000, 400, 5000, RandomSource(4))
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)

@@ -101,7 +101,69 @@ class TestBudgetLedger:
             assert ledger.spent == 1
 
 
+def clamped_log_pmf(count: int, scale: float, top: int) -> np.ndarray:
+    """log P(max(count + Z, 0) = y) for y = 0..top, Z ~ discrete Laplace(scale).
+
+    P(Z = k) = ((1 - q)/(1 + q)) q^|k| with q = exp(-1/scale), as in
+    ``rng.discrete_laplace_sample``; the clamped atom at 0 collects every
+    Z <= -count, the geometric series q^count/(1 - q).
+    """
+    q = math.exp(-1.0 / scale)
+    log_norm = math.log((1 - q) / (1 + q))
+    log_p = log_norm - np.abs(np.arange(top + 1) - count) / scale
+    log_p[0] = log_norm - count / scale - math.log1p(-q)
+    return log_p
+
+
+def perturbed_worst_log_ratio(scale: float, n: int = 3) -> float:
+    """Worst output log-ratio of the clamped noisy 2x2 histogram over every
+    replace-one neighbour pair of n records (group flips included).
+
+    Cells are noised independently, so the cells a replacement leaves alone
+    cancel and the ratio is a sum over the source and destination cells.
+    Outputs above n + 1 repeat the ratio at n + 1, so y <= n + 2 covers them.
+    """
+    k, top = 4, n + 2
+    log_pmf = [clamped_log_pmf(c, scale, top) for c in range(n + 1)]
+    worst = 0.0
+    for cells in itertools.combinations_with_replacement(range(k), n):
+        counts = np.bincount(cells, minlength=k)
+        for src, dst in itertools.permutations(range(k), 2):
+            if counts[src] == 0:
+                continue
+            ratio_src = log_pmf[counts[src]] - log_pmf[counts[src] - 1]
+            ratio_dst = log_pmf[counts[dst]] - log_pmf[counts[dst] + 1]
+            worst = max(worst, float(np.max(np.abs(ratio_src[:, None] + ratio_dst[None, :]))))
+    return worst
+
+
 class TestPerturbedHistogram:
+    def test_clamped_pmf_sums_to_one(self):
+        for count in range(4):
+            assert math.isclose(np.exp(clamped_log_pmf(count, 20.0, 2000)).sum(), 1.0, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, 10.0])
+    def test_exact_privacy_audit_spends_whole_budget(self, eps, monkeypatch):
+        # The audit uses the scale the mechanism actually passes to its noise.
+        scales = []
+        original = synth_mod.discrete_laplace_sample
+
+        def capture(scale, rng, size=None):
+            scales.append(scale)
+            return original(scale, rng, size)
+
+        monkeypatch.setattr(synth_mod, "discrete_laplace_sample", capture)
+        perturbed_histogram(hist_2x2(1, 1, 0, 1), PrivacyBudget(eps), RandomSource(0))
+        (scale,) = scales
+        worst = perturbed_worst_log_ratio(scale)
+        assert worst <= eps * (1 + 1e-9)
+        assert worst >= eps * (1 - 1e-9)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+    def test_audit_rejects_scale_that_misses_the_sensitivity(self, eps):
+        # A replacement moves two cells by one each, so scale 1/eps spends 2 eps.
+        assert perturbed_worst_log_ratio(1.0 / eps) > eps * (1 + 1e-9)
+
     def test_huge_epsilon_is_identity(self):
         hist = hist_2x2(7, 3, 2, 8)
         out = perturbed_histogram(hist, PrivacyBudget(1e6), RandomSource(1))
