@@ -284,10 +284,17 @@ def run_test(config: ExperimentConfig, data: GroupedDataset) -> TestOutcome:
     return TESTS[config.test](x, y, config.generator.category_domain())
 
 
-def run_cell(config: ExperimentConfig, cell: Cell, rng: RandomSource) -> ErrorRateReport:
-    """R repetitions of generate, synthesize, test for one grid cell."""
+def run_cell(
+    config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None = None
+) -> ErrorRateReport:
+    """R repetitions of generate, synthesize, test for one grid cell.
+
+    A csv generator subsamples ``source``, the loaded CSV; :func:`run_grid`
+    loads it once for all cells, and a lone call loads it when not given.
+    """
     gen = config.generator
-    source = load_csv(gen.csv_path) if gen.kind == "csv" else None
+    if source is None and gen.kind == "csv":
+        source = load_csv(gen.csv_path)
     binning = None if gen.kind == "copula" else gen.binning_spec()
     feasible = 0
     rejections = 0
@@ -336,16 +343,23 @@ def run_cell(config: ExperimentConfig, cell: Cell, rng: RandomSource) -> ErrorRa
     )
 
 
-def _cell_task(payload: tuple[ExperimentConfig, Cell, int]) -> tuple[int, ErrorRateReport]:
-    config, cell, index = payload
-    report = run_cell(config, cell, RandomSource(config.seed).child(index))
+def _cell_task(
+    payload: tuple[ExperimentConfig, Cell, int, GroupedDataset | None],
+) -> tuple[int, ErrorRateReport]:
+    config, cell, index, source = payload
+    report = run_cell(config, cell, RandomSource(config.seed).child(index), source)
     return index, report
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport]:
-    """Run every grid cell; results are identical for any worker count."""
+    """Run every grid cell; results are identical for any worker count.
+
+    A csv source is read once here and handed to every cell.
+    """
+    gen = config.generator
+    source = load_csv(gen.csv_path) if gen.kind == "csv" else None
     cells = grid_cells(config)
-    payloads = [(config, cell, i) for i, cell in enumerate(cells)]
+    payloads = [(config, cell, i, source) for i, cell in enumerate(cells)]
     if workers <= 1:
         indexed = [_cell_task(p) for p in payloads]
     else:

@@ -204,18 +204,47 @@ def _mw_update(weights: np.ndarray, measurements: dict[int, float], n: int, swee
     with a single noiseless measurement this drives the approximating count
     to its fixed point. Only noisy measurements are consulted, never the
     real histogram.
+
+    The sweeps run on an exact compact state: the weights of the t measured
+    cells, in the order they were measured, plus the one weight ``w`` shared
+    by all B - t unmeasured cells. The state is exact because the unmeasured
+    cells enter with equal weights (MWEM starts from the uniform 1/B) and
+    the queries are disjoint cells: a step multiplies one measured weight,
+    then every cell is divided by the same normaliser, so the unmeasured
+    cells stay bitwise equal. Within a sweep the weights are left
+    unnormalised under a running total, so a step reads its cell as
+    ``weight / total`` and costs O(1); one division per weight at the end of
+    the sweep normalises them. The stop test is still the largest absolute
+    change over every cell, that is over the t measured weights and ``w``.
     """
-    a = weights
+    cells = list(measurements)
+    rest = np.delete(weights, cells)
+    if rest.size and np.any(rest != rest[0]):
+        raise ValueError("unmeasured cells must share one weight")
+    targets = [float(value) for value in measurements.values()]
+    m = weights[cells].tolist()
+    unmeasured = rest.size
+    # With every cell measured there is no shared weight; w = 0 then adds
+    # nothing to the total or to the change.
+    w = float(rest[0]) if unmeasured else 0.0
+    two_n = 2.0 * n
     for _ in range(sweeps):
-        prev = a
-        for cell, measured in measurements.items():
-            exponent = (measured - n * a[cell]) / (2.0 * n)
-            a = a.copy()
-            a[cell] *= math.exp(min(max(exponent, -600.0), 600.0))
-            a /= a.sum()
-        if np.max(np.abs(a - prev)) < tol:
+        prev, prev_w = m, w
+        m = m.copy()
+        total = math.fsum(m) + unmeasured * w
+        for j, measured in enumerate(targets):
+            old = m[j]
+            exponent = (measured - n * (old / total)) / two_n
+            m[j] = old * math.exp(min(max(exponent, -600.0), 600.0))
+            total += m[j] - old
+        m = [x / total for x in m]
+        w /= total
+        change = max(abs(w - prev_w), max(abs(x - p) for x, p in zip(m, prev)))
+        if change < tol:
             break
-    return a
+    out = np.full(weights.size, w)
+    out[cells] = m
+    return out
 
 
 def mwem_weights(
@@ -235,6 +264,13 @@ def mwem_weights(
     Queries are selected without replacement. Returns the fitted cell
     distribution (flattened); consumes the whole budget, so sampling from
     it is post-processing.
+
+    The distribution starts uniform and each query is one cell, so every
+    update rescales the unmeasured cells by one shared normaliser and they
+    keep one common weight. :func:`_mw_update` therefore sweeps over the
+    measured weights plus that one weight, exactly and with its stop test
+    still over every cell; the full vector is built once per iteration for
+    the selection scores and returned at the end.
     """
     cells = hist.counts.size
     if not isinstance(iterations, (int, np.integer)) or iterations < 1:

@@ -233,6 +233,37 @@ class TestGrid:
         (report,) = run_grid(config)
         assert report.repetitions == 5
 
+    def test_csv_source_loaded_once_per_grid(self, tmp_path, monkeypatch):
+        from dpsynth import harness
+        from dpsynth.data import GroupedDataset, save_grouped_csv
+
+        g = np.random.default_rng(1)
+        path = tmp_path / "src.csv"
+        save_grouped_csv(GroupedDataset(g.integers(0, 2, 400), g.normal(25, 3, 400)), path)
+        config = gaussian_config(
+            generator=GeneratorSpec(kind="csv", mode="signal", csv_path=str(path), binning="bmi24"),
+            epsilons=(1.0, 5.0),
+            original_sizes=(50, 100),
+            repetitions=3,
+        )
+        # Each load appends a line to a file, so loads in forked workers count too.
+        log = tmp_path / "loads.log"
+        load = harness.load_csv
+
+        def counting_load(csv_path):
+            with log.open("a") as fh:
+                fh.write(f"{csv_path}\n")
+            return load(csv_path)
+
+        monkeypatch.setattr(harness, "load_csv", counting_load)
+        serial = run_grid(config, workers=1)
+        assert log.read_text().splitlines() == [str(path)]
+        parallel = run_grid(config, workers=2)
+        assert log.read_text().splitlines() == [str(path)] * 2
+        assert len(serial) == 4 and serial == parallel
+        lone = run_cell(config, grid_cells(config)[3], RandomSource(config.seed).child(3))
+        assert lone == serial[3]
+
     def test_malformed_grouped_csv_reports_its_rows(self, tmp_path):
         path = tmp_path / "src.csv"
         path.write_text("group,value\n0,1.5\n1,abc\n1,2.5\n", encoding="utf-8")

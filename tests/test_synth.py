@@ -294,7 +294,75 @@ class TestSmoothedHistogram:
         assert ks.pvalue > 0.01
 
 
+def dense_mw_update(weights, measurements, n, sweeps, tol):
+    """Reference multiplicative-weights update on the full B-vector.
+
+    Copies and renormalises every cell after each measured cell's step; the
+    compact ``synth._mw_update`` must agree with it to rounding.
+    """
+    a = weights
+    for _ in range(sweeps):
+        prev = a
+        for cell, measured in measurements.items():
+            exponent = (measured - n * a[cell]) / (2.0 * n)
+            a = a.copy()
+            a[cell] *= math.exp(min(max(exponent, -600.0), 600.0))
+            a /= a.sum()
+        if np.max(np.abs(a - prev)) < tol:
+            break
+    return a
+
+
 class TestMwem:
+    @pytest.mark.parametrize("sweeps", [1, 7, 2000])
+    @pytest.mark.parametrize("case", ["t1", "t3", "t10", "negative", "over_n"])
+    def test_compact_update_matches_dense_reference(self, case, sweeps):
+        # MWEM's sequence on B = 200 cells, n = 500: each round measures one
+        # more cell and updates from the previous round's weights, so the
+        # starting states are the uniform 1/B and then non-uniform ones.
+        cells, n, tol = 200, 500, 1e-10
+        g = np.random.default_rng(sweeps)
+        t = {"t1": 1, "t3": 3, "t10": 10}.get(case, 3)
+        order = [int(c) for c in g.choice(cells, size=t, replace=False)]
+        values = g.normal(n / cells, 4.0, size=t)
+        if case == "negative":
+            # The second exponent is about -1000, past the clamp at -600.
+            values[1:] = [-40.0, -1e6]
+        if case == "over_n":
+            # Targets summing to 1.01 n cannot all be met: the unmeasured
+            # cells drain slowly towards 0, and the last update runs to the
+            # sweep cap.
+            values[:] = np.array([0.5, 0.3, 0.2]) * 1.01 * n
+        a = np.full(cells, 1.0 / cells)
+        measurements = {}
+        for cell, value in zip(order, values):
+            measurements[cell] = float(value)
+            expected = dense_mw_update(a, measurements, n, sweeps, tol)
+            got = synth_mod._mw_update(a, measurements, n, sweeps, tol)
+            assert np.max(np.abs(got - expected)) <= 1e-12
+            a = expected
+        if case == "over_n":
+            assert np.max(np.abs(dense_mw_update(a, measurements, n, 1, tol) - a)) >= tol
+
+    @pytest.mark.parametrize("sweeps", [1, 7, 2000])
+    @pytest.mark.parametrize("cells,t", [(200, 200), (4, 3)])
+    def test_compact_update_with_few_or_no_unmeasured_cells(self, cells, t, sweeps):
+        # t = B leaves no unmeasured cell, so there is no shared weight. On
+        # B = 4 with t = 3 the shared weight moves by the sum of the measured
+        # cells' changes, so the stop test turns on it.
+        n = 500
+        g = np.random.default_rng(100 + sweeps)
+        values = g.dirichlet(np.ones(cells))[:t] * n
+        measurements = {int(c): float(v) for c, v in zip(g.permutation(cells)[:t], values)}
+        a = np.full(cells, 1.0 / cells)
+        expected = dense_mw_update(a, measurements, n, sweeps, 1e-10)
+        got = synth_mod._mw_update(a, measurements, n, sweeps, 1e-10)
+        assert np.max(np.abs(got - expected)) <= 1e-12
+
+    def test_update_rejects_unequal_unmeasured_cells(self):
+        with pytest.raises(ValueError, match="share one weight"):
+            synth_mod._mw_update(np.array([0.4, 0.3, 0.2, 0.1]), {0: 60.0}, 100, sweeps=10, tol=1e-10)
+
     def test_iteration_bounds(self):
         hist = hist_2x2(1, 1, 1, 1)
         with pytest.raises(ValueError):
@@ -412,3 +480,45 @@ class TestMarginalIpf:
             joint = fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed))
             assert np.all(np.isfinite(joint))
             assert joint.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNoiseScale:
+    """The Laplace scale each mechanism passes to its noise is the stated
+    one: its query's L1 sensitivity under replace-one neighbours (1 for one
+    MWEM cell, 2 for a marginal table) over the budget share it books."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        scales, ledgers = [], []
+        laplace, ledger_cls = synth_mod.laplace_sample, synth_mod.BudgetLedger
+
+        def record_scale(scale, rng, size=None):
+            scales.append(scale)
+            return laplace(scale, rng, size)
+
+        def record_ledger(epsilon):
+            ledgers.append(ledger_cls(epsilon))
+            return ledgers[-1]
+
+        monkeypatch.setattr(synth_mod, "laplace_sample", record_scale)
+        monkeypatch.setattr(synth_mod, "BudgetLedger", record_ledger)
+        return scales, ledgers
+
+    @pytest.mark.parametrize("eps,iterations", [(0.1, 1), (1.0, 3), (10.0, 10)])
+    def test_mwem_measures_with_scale_2t_over_epsilon(self, recorded, eps, iterations):
+        scales, ledgers = recorded
+        hist = GroupedHistogram(uniform_bins(0.0, 10.0, 10), np.arange(20).reshape(2, 10), 190)
+        mwem_weights(hist, PrivacyBudget(eps), iterations, RandomSource(3))
+        assert scales == pytest.approx([2 * iterations / eps] * iterations, rel=1e-12)
+        (ledger,) = ledgers
+        assert [share for _, share in ledger.entries] == [Fraction(1, 2 * iterations)] * (2 * iterations)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+    def test_marginal_ipf_uses_scale_2k_over_epsilon(self, recorded, eps):
+        scales, ledgers = recorded
+        table = table_from_grouped(gaussian_bivariate(100, "null", RandomSource(4)), uniform_bins(40, 60, 5))
+        k = len(all_low_order_marginals(len(table.variables)))
+        fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(5), max_sweeps=1)
+        assert scales == pytest.approx([2 * k / eps] * k, rel=1e-12)
+        (ledger,) = ledgers
+        assert [share for _, share in ledger.entries] == [Fraction(1, k)] * k
