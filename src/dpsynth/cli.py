@@ -2,7 +2,7 @@
 
 Subcommands: ``synth`` (privatize a CSV), ``test`` (classical two-sample
 test on a CSV), ``dp-test`` (the DP Mann-Whitney baseline), ``experiment``
-(run an error-rate grid from a JSON config), and ``report`` (re-render
+(run the error-rate grids of a JSON config), and ``report`` (re-render
 saved reports). Exit codes: 0 success, 1 usage error, 2 data or config
 error. Every run prints a reproducibility header with the effective
 configuration, and with the resolved seed when the command draws randomness.
@@ -147,16 +147,24 @@ def _cmd_dp_test(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    config = harness.load_config(args.config, seed=args.seed)
-    _print_header("experiment", config.seed, harness.config_to_dict(config))
-    reports = harness.run_grid(config, workers=args.workers)
+    configs = harness.load_configs(args.config, seed=args.seed)
+    # A one-experiment file prints its object, a longer one the whole array.
+    printed = [harness.config_to_dict(config) for config in configs]
+    _print_header("experiment", _distinct(c.seed for c in configs), printed if len(printed) > 1 else printed[0])
+    reports = [r for config in configs for r in harness.run_grid(config, workers=args.workers)]
     outdir = _outdir(args.out)
-    written = report_mod.emit_report(reports, outdir, alpha=config.alpha)
+    written = report_mod.emit_report(reports, outdir, alpha=configs[0].alpha)
     for path in written:
         print(f"wrote {path}")
     suppressed = sum(r.suppressed for r in reports)
-    print(f"{len(reports)} cells, {suppressed} suppressed (feasible < {config.min_feasible})")
+    threshold = _distinct(c.min_feasible for c in configs)
+    print(f"{len(reports)} cells, {suppressed} suppressed (feasible < {threshold})")
     return 0
+
+
+def _distinct(values) -> str:
+    """The distinct values in first-seen order, comma-separated."""
+    return ", ".join(dict.fromkeys(str(v) for v in values))
 
 
 def _cmd_report(args) -> int:
@@ -203,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_dp_test)
 
-    p = sub.add_parser("experiment", help="run an error-rate grid from a JSON config")
+    p = sub.add_parser("experiment", help="run the error-rate grids of a JSON config (one experiment or an array)")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="overrides the seed in the config file")
     p.add_argument("--workers", type=int, default=1)

@@ -126,7 +126,7 @@ class GroupedDataset:
         v = np.asarray(self.values, dtype=float)
         if g.ndim != 1 or v.ndim != 1 or g.shape != v.shape:
             raise ValueError("groups and values must be 1-d arrays of equal length")
-        if g.size and not np.isin(g, (0, 1)).all():
+        if g.size and (g.min() < 0 or g.max() > 1):
             raise ValueError("group labels must be 0 or 1")
         if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")

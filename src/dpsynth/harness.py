@@ -37,6 +37,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "load_config",
+    "load_configs",
 ]
 
 # The synthesizers plus two baselines: the test on the original data, and
@@ -438,14 +439,41 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return {name: list(v) if isinstance(v, tuple) else v for name, v in payload.items()}
 
 
-def load_config(path, seed: int | None = None) -> ExperimentConfig:
-    """Load an experiment config JSON file; an explicit seed overrides the file's."""
+def load_configs(path, seed: int | None = None) -> tuple[ExperimentConfig, ...]:
+    """Load a config file holding one experiment object or a JSON array of them.
+
+    Errors in an array name the experiment (1-based, in file order) and the
+    field. Every experiment must share one ``alpha``, because their reports
+    are written together under a single significance level. An explicit seed
+    overrides every experiment's.
+    """
     try:
         with Path(path).open(encoding="utf-8") as fh:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    config = config_from_dict(payload)
+    if not isinstance(payload, list):
+        configs = [config_from_dict(payload)]
+    elif not payload:
+        raise ConfigError("config file holds an empty experiment list")
+    else:
+        configs = []
+        for number, item in enumerate(payload, start=1):
+            try:
+                configs.append(config_from_dict(item))
+            except ConfigError as exc:
+                raise ConfigError(f"experiment {number}: {exc}") from exc
+    alphas = sorted({config.alpha for config in configs})
+    if len(alphas) > 1:
+        raise ConfigError(f"field 'alpha' must be equal in every experiment, got {alphas}")
     if seed is not None:
-        config = replace(config, seed=seed)
-    return config
+        configs = [replace(config, seed=seed) for config in configs]
+    return tuple(configs)
+
+
+def load_config(path, seed: int | None = None) -> ExperimentConfig:
+    """Load a config file of exactly one experiment; an explicit seed overrides the file's."""
+    configs = load_configs(path, seed)
+    if len(configs) != 1:
+        raise ConfigError(f"config file holds {len(configs)} experiments, expected one")
+    return configs[0]

@@ -68,8 +68,13 @@ def _infeasible(reason: FailureReason) -> TestOutcome:
     return TestOutcome(float("nan"), None, False, reason)
 
 
-def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """1-based average ranks and the tie-run sizes of the pooled sample."""
+def _u_and_ties(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """U for group x and the tie-run sizes of the pooled sample.
+
+    U comes from the rank identity U = R1 - n1(n1+1)/2 with 1-based
+    midranks, so it stays exact (a multiple of 0.5) for large samples.
+    """
+    pooled = np.concatenate((x, y))
     order = np.argsort(pooled, kind="stable")
     n = pooled.size
     sorted_vals = pooled[order]
@@ -78,22 +83,17 @@ def _midranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     avg = (run_starts + run_ends + 1) / 2.0
     ranks = np.empty(n)
     ranks[order] = np.repeat(avg, run_ends - run_starts)
-    return ranks, (run_ends - run_starts).astype(np.int64)
+    u = float(ranks[: x.size].sum()) - x.size * (x.size + 1) / 2.0
+    return u, (run_ends - run_starts).astype(np.int64)
 
 
 def u_statistic(x, y) -> float:
-    """U for group x: cross-group pairs won by x, ties counted half.
-
-    Computed through the rank identity U = R1 - n1(n1+1)/2 with midranks, so
-    it stays exact (a multiple of 0.5) for large samples.
-    """
+    """U for group x: cross-group pairs won by x, ties counted half."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("both groups must be non-empty")
-    ranks, _ = _midranks(np.concatenate((x, y)))
-    r1 = float(ranks[: x.size].sum())
-    return r1 - x.size * (x.size + 1) / 2.0
+    return _u_and_ties(x, y)[0]
 
 
 def mann_whitney_u(x, y) -> TestOutcome:
@@ -107,10 +107,8 @@ def mann_whitney_u(x, y) -> TestOutcome:
     n1, n2 = x.size, y.size
     if n1 == 0 or n2 == 0:
         return _infeasible(FailureReason.SINGLE_CLASS)
-    pooled = np.concatenate((x, y))
-    ranks, tie_counts = _midranks(pooled)
+    u, tie_counts = _u_and_ties(x, y)
     n = n1 + n2
-    u = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts)) / (n * (n - 1))
     sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
     if sigma2 <= 0:

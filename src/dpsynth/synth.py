@@ -305,11 +305,9 @@ def mwem(
     budget: PrivacyBudget,
     iterations: int,
     rng: RandomSource,
-    update_sweeps: int = 2000,
-    update_tol: float = 1e-10,
 ) -> SyntheticDataset:
     """Draw ``total_n`` records from the MWEM-fitted cell distribution."""
-    a = mwem_weights(hist, budget, iterations, rng, update_sweeps, update_tol)
+    a = mwem_weights(hist, budget, iterations, rng)
     n = hist.total_n
     drawn = categorical_sample(a, rng, size=n)
     counts = np.bincount(drawn, minlength=a.size).reshape(hist.counts.shape)
@@ -414,12 +412,9 @@ def marginal_ipf(
     table: DiscreteTable,
     budget: PrivacyBudget,
     rng: RandomSource,
-    marginals: tuple[tuple[int, ...], ...] | None = None,
-    max_sweeps: int = 500,
-    tol: float = 1e-8,
 ) -> SyntheticDataset:
     """Sample ``table.n`` records from the IPF-fitted noisy-marginal joint."""
-    joint = fit_marginal_joint(table, budget, rng, marginals, max_sweeps, tol)
+    joint = fit_marginal_joint(table, budget, rng)
     n = table.n
     drawn = categorical_sample(joint.ravel(), rng, size=n)
     codes = np.stack(np.unravel_index(drawn, table.domains), axis=1)

@@ -7,6 +7,8 @@ import pytest
 
 from dpsynth.cli import main
 from dpsynth.data import GroupedDataset, save_grouped_csv
+from dpsynth.harness import load_configs, run_grid
+from dpsynth.report import emit_report
 
 
 @pytest.fixture()
@@ -178,3 +180,42 @@ class TestExperimentCommand:
         )
         assert code == 0
         assert (re_out / "reports.csv").read_bytes() == (out / "reports.csv").read_bytes()
+
+
+class TestExperimentList:
+    @pytest.fixture()
+    def two_experiments(self, tmp_path):
+        base = {"epsilons": [0.5, 5.0], "original_sizes": [100], "repetitions": 6, "seed": 3, "min_feasible": 5}
+        payload = [
+            {**base, "generator": {"kind": "gaussian", "mode": "null"}, "synthesizer": "perturbed"},
+            {**base, "generator": {"kind": "gaussian", "mode": "signal"}, "synthesizer": "none", "seed": 4},
+        ]
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    def test_reports_concatenate_each_grid(self, two_experiments, tmp_path):
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(two_experiments), "--workers", "2", "--out", str(out)]) == 0
+        reports = [r for config in load_configs(two_experiments) for r in run_grid(config)]
+        assert len(reports) == 4
+        emit_report(reports, tmp_path / "direct")
+        for name in ("reports.json", "reports.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+
+    def test_printed_array_replays(self, two_experiments, tmp_path, capsys):
+        assert main(["experiment", "--config", str(two_experiments), "--out", str(tmp_path / "run")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# seed: 3, 4" in lines
+        printed = next(line for line in lines if line.startswith("# config: "))
+        replay = tmp_path / "replay.json"
+        replay.write_text(printed.removeprefix("# config: "), encoding="utf-8")
+        assert isinstance(json.loads(replay.read_text()), list)
+        assert load_configs(replay) == load_configs(two_experiments)
+
+    def test_single_experiment_prints_its_object(self, experiment_config, tmp_path, capsys):
+        assert main(["experiment", "--config", str(experiment_config), "--out", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out
+        assert "# seed: 11\n" in out
+        printed = next(line for line in out.splitlines() if line.startswith("# config: "))
+        assert isinstance(json.loads(printed.removeprefix("# config: ")), dict)

@@ -114,8 +114,10 @@ class TestSamplesFromCounts:
 
 class TestGroupedDataset:
     def test_group_labels_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
             GroupedDataset([0, 2], [1.0, 2.0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            GroupedDataset([-1, 1], [1.0, 2.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from dpsynth.harness import (
     config_from_dict,
     config_to_dict,
     grid_cells,
+    load_config,
+    load_configs,
     run_cell,
     run_grid,
 )
@@ -130,6 +133,62 @@ class TestConfigValidation:
         payload["generator"]["copula_path"] = "default"
         with pytest.raises(ConfigError, match="copula"):
             config_from_dict(payload)
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def write_experiments(path, experiments) -> Path:
+    path.write_text(json.dumps(experiments), encoding="utf-8")
+    return path
+
+
+class TestExperimentList:
+    def two_experiments(self):
+        first = config_to_dict(gaussian_config())
+        second = config_to_dict(gaussian_config(synthesizer="none", generator=GeneratorSpec("gaussian", "signal")))
+        return [first, second]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_config_loads(self, path):
+        configs = load_configs(path)
+        assert configs
+        assert all(isinstance(config, ExperimentConfig) for config in configs)
+
+    def test_array_loads_in_file_order(self, tmp_path):
+        path = write_experiments(tmp_path / "list.json", self.two_experiments())
+        first, second = load_configs(path)
+        assert first == gaussian_config()
+        assert second.synthesizer == "none" and second.generator.mode == "signal"
+
+    def test_single_object_is_one_experiment(self, tmp_path):
+        path = write_experiments(tmp_path / "one.json", config_to_dict(gaussian_config()))
+        assert load_configs(path) == (load_config(path),) == (gaussian_config(),)
+
+    def test_seed_overrides_every_experiment(self, tmp_path):
+        path = write_experiments(tmp_path / "list.json", self.two_experiments())
+        assert [config.seed for config in load_configs(path, seed=99)] == [99, 99]
+
+    def test_empty_array_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="empty"):
+            load_configs(write_experiments(tmp_path / "empty.json", []))
+
+    def test_mismatched_alpha_rejected(self, tmp_path):
+        experiments = self.two_experiments()
+        experiments[1]["alpha"] = 0.1
+        with pytest.raises(ConfigError, match="alpha"):
+            load_configs(write_experiments(tmp_path / "alpha.json", experiments))
+
+    def test_bad_field_names_experiment_and_field(self, tmp_path):
+        experiments = self.two_experiments()
+        experiments[1]["repetitons"] = 5
+        with pytest.raises(ConfigError, match="experiment 2: .*repetitons"):
+            load_configs(write_experiments(tmp_path / "typo.json", experiments))
+
+    def test_load_config_requires_one_experiment(self, tmp_path):
+        path = write_experiments(tmp_path / "list.json", self.two_experiments())
+        with pytest.raises(ConfigError, match="2 experiments"):
+            load_config(path)
 
 
 class TestErrorRateReport:
