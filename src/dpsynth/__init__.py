@@ -13,13 +13,12 @@ from .data import (
 )
 from .dpmw import DPMWConfig, dp_mann_whitney
 from .harness import ConfigError, ErrorRateReport, ExperimentConfig, GeneratorSpec, run_cell, run_grid
-from .rng import RandomSource, categorical_sample, discrete_laplace_sample, gaussian_sample, laplace_sample
+from .rng import RandomSource, categorical_sample, discrete_laplace_sample, laplace_sample
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate
 from .stattests import FailureReason, TestOutcome, chi_squared, mann_whitney_u, median_test, t_test
 from .report import emit_report
 from .synth import (
     PrivacyBudget,
-    SyntheticDataset,
     fit_marginal_joint,
     marginal_ipf,
     mwem,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import harness, report as report_mod
 from .data import BINNINGS, IngestionError, load_csv, resolve_binning, save_grouped_csv
-from .dpmw import DPMWConfig, dp_mann_whitney
+from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .harness import ConfigError
 from .rng import RandomSource
 from .stattests import TESTS
@@ -82,29 +82,34 @@ def _cmd_synth(args) -> int:
             "m": args.m,
             "iterations": args.iterations,
             "binning": binning,
-            "normalize": args.normalize,
             "out": str(args.out),
         },
     )
+    original = load_csv(args.input)
     synthetic = synthesize(
         args.method,
-        load_csv(args.input),
+        original,
         PrivacyBudget(args.epsilon),
         RandomSource(seed),
         binning=spec,
         m=args.m,
         iterations=args.iterations,
-        normalize=args.normalize,
     )
     out = _outdir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_grouped_csv(synthetic.data, out)
+    save_grouped_csv(synthetic, out)
+    # The synthesizer drew from the seed's root stream, whose child path is empty.
+    provenance = {
+        "method": args.method,
+        "epsilon": args.epsilon,
+        "seed": seed,
+        "stream": [],
+        "original_n": original.n,
+        "synthetic_n": synthetic.n,
+    }
     sidecar = out.with_suffix(out.suffix + ".provenance.json")
-    sidecar.write_text(
-        json.dumps(synthetic.provenance.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    print(f"wrote {synthetic.data.n} records to {out}")
+    sidecar.write_text(json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {synthetic.n} records to {out}")
     print(f"wrote provenance to {sidecar}")
     return 0
 
@@ -191,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, help="custom bin count (with --lo/--hi)")
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
-    p.add_argument("--normalize", action="store_true", help="perturbed: resample to the original size")
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="output CSV path (under DPSYNTH_OUTDIR if relative)")
     p.set_defaults(func=_cmd_synth)
@@ -205,9 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dp-test", help="run the DP Mann-Whitney U test on a CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=1e-6)
-    p.add_argument("--size-fraction", type=float, default=0.65)
-    p.add_argument("--null-samples", type=int, default=10_000)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    p.add_argument("--size-fraction", type=float, default=DPMWConfig.size_fraction)
+    p.add_argument("--null-samples", type=int, default=DPMWConfig.null_samples)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_dp_test)
 

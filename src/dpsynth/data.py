@@ -221,6 +221,13 @@ def _sniff_delimiter(sample: str) -> str:
     return ";" if sample.count(";") >= sample.count(",") else ","
 
 
+def _malformed_rows(bad_rows: list[int]) -> IngestionError:
+    """The error naming the first 20 bad rows and how many more there are."""
+    shown = ", ".join(map(str, bad_rows[:20]))
+    more = "" if len(bad_rows) <= 20 else f" (+{len(bad_rows) - 20} more)"
+    return IngestionError(f"malformed rows: {shown}{more}", rows=bad_rows)
+
+
 def load_cardio_csv(path) -> GroupedDataset:
     """Ingest the public cardiovascular CSV; value = BMI, group = cardio label.
 
@@ -253,9 +260,7 @@ def load_cardio_csv(path) -> GroupedDataset:
             groups.append(cardio)
             values.append(weight / (height / 100.0) ** 2)
         if bad_rows:
-            shown = ", ".join(map(str, bad_rows[:20]))
-            more = "" if len(bad_rows) <= 20 else f" (+{len(bad_rows) - 20} more)"
-            raise IngestionError(f"malformed rows: {shown}{more}", rows=bad_rows)
+            raise _malformed_rows(bad_rows)
     return GroupedDataset(np.array(groups), np.array(values))
 
 
@@ -299,9 +304,7 @@ def load_grouped_csv(path) -> GroupedDataset:
                 continue
             rows.append(vals)
         if bad_rows:
-            raise IngestionError(
-                f"malformed rows: {', '.join(map(str, bad_rows[:20]))}", rows=bad_rows
-            )
+            raise _malformed_rows(bad_rows)
     arr = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(header)))
     extras = {name: arr[:, 2 + j] for j, name in enumerate(extra_names)}
     return GroupedDataset(arr[:, 0].astype(np.int64), arr[:, 1], extras)

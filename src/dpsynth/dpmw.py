@@ -34,12 +34,15 @@ from .rng import RandomSource, laplace_sample
 from .stattests import TestOutcome, u_statistic
 from .synth import BudgetLedger, PrivacyBudget
 
-__all__ = ["DPMWConfig", "dp_mann_whitney"]
+__all__ = ["DEFAULT_DELTA", "DPMWConfig", "dp_mann_whitney"]
 
 # Ranks per block of the null sampler; see the module docstring for the bound.
 _BLOCK = 63
 # (row, block) pairs drawn at once: 4 MB per 64-bit array of a chunk.
 _CHUNK_PAIRS = 1 << 19
+
+# The budget's delta when a caller sets none; only the size bound spends it.
+DEFAULT_DELTA = 1e-6
 
 
 @dataclass(frozen=True)

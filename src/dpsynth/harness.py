@@ -19,7 +19,7 @@ from typing import Mapping, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import BinningSpec, GroupedDataset, bmi_bins, build_table, gaussian_unit_bins, load_csv, resolve_binning
-from .dpmw import DPMWConfig, dp_mann_whitney
+from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
 from .stattests import TESTS, TestOutcome
@@ -112,10 +112,6 @@ class ExperimentConfig:
     seed: int = 0
     min_feasible: int = 50
     mwem_iterations: int = 10
-    normalize_perturbed: bool = False
-    dp_mw_delta: float = 1e-6
-    dp_mw_size_fraction: float = 0.65
-    dp_mw_null_samples: int = 10_000
 
     def __post_init__(self):
         if self.synthesizer not in METHODS:
@@ -204,21 +200,9 @@ class ErrorRateReport:
                 raise ValueError("error_rate inconsistent with rejections/feasible_count")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "test": self.test,
-            "error_kind": self.error_kind,
-            "epsilon": self.epsilon,
-            "n_original": self.n_original,
-            "n_synthetic": self.n_synthetic,
-            "repetitions": self.repetitions,
-            "feasible_count": self.feasible_count,
-            "rejections": self.rejections,
-            "error_rate": self.error_rate,
-            "suppressed": self.suppressed,
-            "failure_counts": dict(self.failure_counts),
-            "type1_context": self.type1_context,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["failure_counts"] = dict(self.failure_counts)
+        return payload
 
 
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
@@ -245,27 +229,6 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
     idx = rng.generator.choice(source.n, size=n, replace=False)
     extras = {name: col[idx] for name, col in source.extras.items()}
     return GroupedDataset(source.groups[idx], source.values[idx], extras, source.value_name)
-
-
-def _synthesize(
-    config: ExperimentConfig,
-    original: GroupedDataset,
-    cell: Cell,
-    binning: BinningSpec | None,
-    rng: RandomSource,
-) -> GroupedDataset:
-    gen = config.generator
-    return synthesize(
-        config.synthesizer,
-        original,
-        PrivacyBudget(cell.epsilon),
-        rng,
-        binning=binning,
-        table=_copula_table(gen.copula, original) if gen.kind == "copula" else None,
-        m=cell.n_synthetic,
-        iterations=config.mwem_iterations,
-        normalize=config.normalize_perturbed,
-    ).data
 
 
 def _copula_table(spec: CopulaSpec, data: GroupedDataset):
@@ -306,14 +269,19 @@ def run_cell(
         if config.synthesizer == "none":
             outcome = run_test(config, original)
         elif config.synthesizer == "dp_mw_baseline":
-            cfg = DPMWConfig(
-                PrivacyBudget(cell.epsilon, config.dp_mw_delta),
-                config.dp_mw_size_fraction,
-                config.dp_mw_null_samples,
-            )
+            cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
             outcome = dp_mann_whitney(original, cfg, rep_rng.child(1))
         else:
-            synthetic = _synthesize(config, original, cell, binning, rep_rng.child(1))
+            synthetic = synthesize(
+                config.synthesizer,
+                original,
+                PrivacyBudget(cell.epsilon),
+                rep_rng.child(1),
+                binning=binning,
+                table=_copula_table(gen.copula, original) if gen.kind == "copula" else None,
+                m=cell.n_synthetic,
+                iterations=config.mwem_iterations,
+            )
             outcome = run_test(config, synthetic)
         if outcome.feasible:
             feasible += 1

@@ -16,7 +16,6 @@ __all__ = [
     "RandomSource",
     "laplace_sample",
     "discrete_laplace_sample",
-    "gaussian_sample",
     "categorical_sample",
 ]
 
@@ -77,13 +76,6 @@ def discrete_laplace_sample(scale: float, rng: RandomSource, size=None):
     if size is None:
         return int(np.floor(scale * e1)) - int(np.floor(scale * e2))
     return np.floor(scale * e1).astype(np.int64) - np.floor(scale * e2).astype(np.int64)
-
-
-def gaussian_sample(mu: float, sigma: float, rng: RandomSource, size=None):
-    """N(mu, sigma^2) variate(s)."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return rng.generator.normal(mu, sigma, size)
 
 
 def categorical_sample(weights, rng: RandomSource, size=None):

@@ -39,8 +39,6 @@ from .rng import RandomSource, categorical_sample, discrete_laplace_sample, lapl
 
 __all__ = [
     "PrivacyBudget",
-    "Provenance",
-    "SyntheticDataset",
     "BudgetLedger",
     "perturbed_histogram",
     "smoothed_histogram",
@@ -69,36 +67,6 @@ class PrivacyBudget:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    method: str
-    epsilon: float
-    seed: int
-    stream: tuple[int, ...]
-    original_n: int
-    synthetic_n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "stream": list(self.stream),
-            "original_n": self.original_n,
-            "synthetic_n": self.synthetic_n,
-        }
-
-
-@dataclass(frozen=True)
-class SyntheticDataset:
-    data: GroupedDataset
-    provenance: Provenance
-
-    def __post_init__(self):
-        if self.provenance.synthetic_n != self.data.n:
-            raise ValueError("provenance synthetic_n must match the record count")
-
-
 class BudgetLedger:
     """Tracks mechanism invocations as exact fractions of the total epsilon."""
 
@@ -122,37 +90,18 @@ class BudgetLedger:
             )
 
 
-def _provenance(method, budget, rng, original_n, synthetic_n) -> Provenance:
-    return Provenance(method, budget.epsilon, rng.seed, rng.path, original_n, synthetic_n)
-
-
-def perturbed_histogram(
-    hist: GroupedHistogram,
-    budget: PrivacyBudget,
-    rng: RandomSource,
-    normalize: bool = False,
-) -> SyntheticDataset:
+def perturbed_histogram(hist: GroupedHistogram, budget: PrivacyBudget, rng: RandomSource) -> GroupedDataset:
     """Discrete Laplace(2/epsilon) noise per cell, negatives set to zero.
 
-    By default the clamped noisy counts are emitted directly, so the
-    synthetic size is similar to (not exactly) the original. With
-    ``normalize=True`` the clamped counts are renormalized to proportions
-    and the original number of records is resampled from them.
+    The clamped noisy counts are emitted directly, so the synthetic size is
+    similar to (not exactly) the original.
     """
     ledger = BudgetLedger(budget.epsilon)
     scale = 2.0 / ledger.spend(Fraction(1), "histogram release")
     noise = discrete_laplace_sample(scale, rng, size=hist.counts.shape)
     noisy = np.maximum(hist.counts + noise, 0)
     ledger.close()
-    if normalize:
-        total = noisy.sum()
-        if total > 0:
-            cells = categorical_sample(noisy.ravel(), rng, size=hist.total_n)
-            noisy = np.bincount(cells, minlength=noisy.size).reshape(noisy.shape)
-        else:
-            noisy = np.zeros_like(noisy)
-    data = samples_from_counts(noisy, hist.spec)
-    return SyntheticDataset(data, _provenance("perturbed", budget, rng, hist.total_n, data.n))
+    return samples_from_counts(noisy, hist.spec)
 
 
 def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
@@ -176,7 +125,7 @@ def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
 
 def smoothed_histogram(
     hist: GroupedHistogram, budget: PrivacyBudget, m: int, rng: RandomSource
-) -> SyntheticDataset:
+) -> GroupedDataset:
     """Draw exactly ``m`` records from the additively smoothed cell distribution.
 
     Smoothing is applied over the joint group-by-bin cells so that group
@@ -193,8 +142,7 @@ def smoothed_histogram(
     cells = categorical_sample(probs, rng, size=int(m))
     counts = np.bincount(cells, minlength=probs.size).reshape(hist.counts.shape)
     ledger.close()
-    data = samples_from_counts(counts, hist.spec)
-    return SyntheticDataset(data, _provenance("smoothed", budget, rng, hist.total_n, data.n))
+    return samples_from_counts(counts, hist.spec)
 
 
 def _mw_update(weights: np.ndarray, measurements: dict[int, float], n: int, sweeps: int, tol: float) -> np.ndarray:
@@ -305,14 +253,12 @@ def mwem(
     budget: PrivacyBudget,
     iterations: int,
     rng: RandomSource,
-) -> SyntheticDataset:
+) -> GroupedDataset:
     """Draw ``total_n`` records from the MWEM-fitted cell distribution."""
     a = mwem_weights(hist, budget, iterations, rng)
-    n = hist.total_n
-    drawn = categorical_sample(a, rng, size=n)
+    drawn = categorical_sample(a, rng, size=hist.total_n)
     counts = np.bincount(drawn, minlength=a.size).reshape(hist.counts.shape)
-    data = samples_from_counts(counts, hist.spec)
-    return SyntheticDataset(data, _provenance("mwem", budget, rng, n, data.n))
+    return samples_from_counts(counts, hist.spec)
 
 
 def all_low_order_marginals(n_variables: int) -> tuple[tuple[int, ...], ...]:
@@ -412,14 +358,12 @@ def marginal_ipf(
     table: DiscreteTable,
     budget: PrivacyBudget,
     rng: RandomSource,
-) -> SyntheticDataset:
+) -> GroupedDataset:
     """Sample ``table.n`` records from the IPF-fitted noisy-marginal joint."""
     joint = fit_marginal_joint(table, budget, rng)
-    n = table.n
-    drawn = categorical_sample(joint.ravel(), rng, size=n)
+    drawn = categorical_sample(joint.ravel(), rng, size=table.n)
     codes = np.stack(np.unravel_index(drawn, table.domains), axis=1)
-    data = _decode_table(table, codes)
-    return SyntheticDataset(data, _provenance("marginal_ipf", budget, rng, n, data.n))
+    return _decode_table(table, codes)
 
 
 def _decode_table(table: DiscreteTable, codes: np.ndarray) -> GroupedDataset:
@@ -442,10 +386,7 @@ def _decode_table(table: DiscreteTable, codes: np.ndarray) -> GroupedDataset:
 # GroupedHistogram for "histogram" methods and a DiscreteTable for "table"
 # methods; each call picks the options it uses.
 SYNTHESIZERS = {
-    "perturbed": (
-        "histogram",
-        lambda hist, budget, rng, normalize, **_: perturbed_histogram(hist, budget, rng, normalize=normalize),
-    ),
+    "perturbed": ("histogram", lambda hist, budget, rng, **_: perturbed_histogram(hist, budget, rng)),
     "smoothed": ("histogram", lambda hist, budget, rng, m, **_: smoothed_histogram(hist, budget, m, rng)),
     "mwem": ("histogram", lambda hist, budget, rng, iterations, **_: mwem(hist, budget, iterations, rng)),
     "marginal_ipf": ("table", lambda table, budget, rng, **_: marginal_ipf(table, budget, rng)),
@@ -461,19 +402,17 @@ def synthesize(
     table: DiscreteTable | None = None,
     m: int | None = None,
     iterations: int = 10,
-    normalize: bool = False,
-) -> SyntheticDataset:
-    """Run the synthesizer registered as ``method`` on ``data``.
+) -> GroupedDataset:
+    """Run the synthesizer registered as ``method`` on ``data``; returns its records.
 
     Histogram methods count ``data`` over ``binning``. Table methods take
     ``table`` when it is given (a multi-variable encoding of ``data``) and
     otherwise the (group, binned value) table. ``m`` is the smoothed
-    histogram's synthetic size, ``iterations`` MWEM's rounds, and
-    ``normalize`` the perturbed histogram's resampling switch.
+    histogram's synthetic size and ``iterations`` MWEM's rounds.
     """
     kind, call = SYNTHESIZERS[method]
     if kind == "histogram":
         source = build_histogram(data, binning)
     else:
         source = table if table is not None else table_from_grouped(data, binning)
-    return call(source, budget, rng, m=m, iterations=iterations, normalize=normalize)
+    return call(source, budget, rng, m=m, iterations=iterations)

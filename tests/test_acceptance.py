@@ -189,7 +189,7 @@ def test_c07_mechanism_limit_properties():
     identical = sum(
         np.array_equal(
             build_histogram(
-                perturbed_histogram(hist, PrivacyBudget(1e6), rng.child(1, run)).data,
+                perturbed_histogram(hist, PrivacyBudget(1e6), rng.child(1, run)),
                 gaussian_unit_bins(),
             ).counts,
             hist.counts,

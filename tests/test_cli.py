@@ -107,6 +107,24 @@ class TestSynthCommand:
         sidecar = json.loads((tmp_path / "syn.csv.provenance.json").read_text())
         assert sidecar["method"] == "marginal_ipf"
 
+    @pytest.mark.parametrize("method", ["perturbed", "smoothed", "mwem", "marginal_ipf"])
+    def test_provenance_sidecar_is_exact(self, toy_csv, tmp_path, method):
+        out = tmp_path / "syn.csv"
+        argv = ["synth", "--input", str(toy_csv), "--method", method, "--epsilon", "5", "--seed", "3", "--out", str(out)]
+        assert main(argv + (["--m", "120"] if method == "smoothed" else [])) == 0
+        rows = len(out.read_text().strip().splitlines()) - 1
+        sidecar = json.loads((tmp_path / "syn.csv.provenance.json").read_text())
+        assert sidecar == {
+            "method": method,
+            "epsilon": 5.0,
+            "seed": 3,
+            "stream": [],
+            "original_n": 300,
+            "synthetic_n": rows,
+        }
+        if method == "smoothed":
+            assert rows == 120
+
     def test_seed_resolved_and_printed_when_omitted(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "syn.csv"
         code = main(

@@ -200,6 +200,11 @@ class TestGroupedCsvRoundTrip:
             load_grouped_csv(path)
         assert err.value.rows == (2, 3)
 
+    def test_many_bad_rows_counted_past_the_first_20(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "group,value\n" + "0,x\n" * 25)
+        with pytest.raises(IngestionError, match=r"malformed rows: 1, 2, .*, 20 \(\+5 more\)$"):
+            load_grouped_csv(path)
+
 
 class TestLoadCsv:
     def test_grouped_header_read_as_grouped(self, tmp_path):

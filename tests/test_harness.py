@@ -112,6 +112,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="copula_path"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("normalize_perturbed", True), ("dp_mw_delta", 1e-6), ("dp_mw_size_fraction", 0.65), ("dp_mw_null_samples", 10_000)],
+    )
+    def test_removed_fields_named_at_load(self, name, value):
+        payload = {**config_to_dict(gaussian_config()), name: value}
+        with pytest.raises(ConfigError, match=name):
+            config_from_dict(payload)
+
     def test_unknown_generator_field_named(self):
         payload = config_to_dict(gaussian_config())
         payload["generator"] = {"kind": "gaussian", "mode": "null", "binnig": "bmi24"}

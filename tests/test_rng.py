@@ -10,7 +10,6 @@ from dpsynth.rng import (
     RandomSource,
     categorical_sample,
     discrete_laplace_sample,
-    gaussian_sample,
     laplace_sample,
 )
 
@@ -105,17 +104,6 @@ class TestDiscreteLaplace:
     def test_tiny_scale_always_zero(self):
         draws = discrete_laplace_sample(2e-6, RandomSource(7), size=10_000)
         assert np.all(draws == 0)
-
-
-class TestGaussian:
-    def test_null_population_moments(self):
-        draws = gaussian_sample(50.0, 2.0, RandomSource(8), size=N_BIG)
-        assert abs(draws.mean() - 50.0) < 0.01
-        assert abs(draws.var() - 4.0) < 0.05
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_sample(0.0, -1.0, RandomSource(0))
 
 
 class TestCategorical:

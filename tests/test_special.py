@@ -47,6 +47,12 @@ class TestIncompleteBeta:
         for x in np.linspace(0.005, 0.995, 100):
             assert abs(regularized_incomplete_beta(a, b, x) - beta_oracle(a, b, x)) < 1e-10
 
+    def test_large_df_t_tail_against_oracle(self):
+        # The t-test's tail at df = 37 880, t = -1.726 (two groups of n near 20 000).
+        df, t = 37880.0, -1.726
+        a, b, x = df / 2.0, 0.5, df / (df + t * t)
+        assert regularized_incomplete_beta(a, b, x) == pytest.approx(beta_oracle(a, b, x), rel=1e-12)
+
     def test_monotone_in_x(self):
         grid = [regularized_incomplete_beta(2.0, 3.0, x) for x in np.linspace(0, 1, 101)]
         assert all(b >= a for a, b in zip(grid, grid[1:]))

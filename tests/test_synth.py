@@ -36,16 +36,15 @@ class TestSynthesize:
         hist = build_histogram(data, spec)
         budget = PrivacyBudget(2.0)
         direct = {
-            "perturbed": perturbed_histogram(hist, budget, RandomSource(2), normalize=True),
+            "perturbed": perturbed_histogram(hist, budget, RandomSource(2)),
             "smoothed": smoothed_histogram(hist, budget, 50, RandomSource(2)),
             "mwem": mwem(hist, budget, 3, RandomSource(2)),
             "marginal_ipf": marginal_ipf(table_from_grouped(data, spec), budget, RandomSource(2)),
         }
         for method, expected in direct.items():
-            got = synthesize(method, data, budget, RandomSource(2), binning=spec, m=50, iterations=3, normalize=True)
-            assert got.provenance == expected.provenance
-            assert np.array_equal(got.data.groups, expected.data.groups)
-            assert np.array_equal(got.data.values, expected.data.values)
+            got = synthesize(method, data, budget, RandomSource(2), binning=spec, m=50, iterations=3)
+            assert np.array_equal(got.groups, expected.groups)
+            assert np.array_equal(got.values, expected.values)
 
 
 def hist_2x2(c00, c01, c10, c11) -> GroupedHistogram:
@@ -168,17 +167,16 @@ class TestPerturbedHistogram:
         hist = hist_2x2(7, 3, 2, 8)
         out = perturbed_histogram(hist, PrivacyBudget(1e6), RandomSource(1))
         assert np.array_equal(
-            np.sort(out.data.values[out.data.groups == 0]),
+            np.sort(out.values[out.groups == 0]),
             np.sort([0.5] * 7 + [1.5] * 3),
         )
-        assert out.data.n == hist.total_n
+        assert out.n == hist.total_n
 
     @given(st.integers(0, 2**32 - 1))
     def test_counts_never_negative(self, seed):
         hist = hist_2x2(3, 0, 0, 1)
         out = perturbed_histogram(hist, PrivacyBudget(0.05), RandomSource(seed))
-        assert np.all(out.data.groups >= 0)
-        assert out.provenance.synthetic_n == out.data.n
+        assert np.all(out.groups >= 0)
 
     def test_mean_size_under_heavy_noise(self):
         # Monte Carlo oracle over the stated noise distribution: clamping the
@@ -187,21 +185,16 @@ class TestPerturbedHistogram:
         hist = hist_2x2(100, 0, 0, 100)
         rng = RandomSource(42)
         sizes = [
-            perturbed_histogram(hist, PrivacyBudget(0.1), rng.child(i)).data.n
+            perturbed_histogram(hist, PrivacyBudget(0.1), rng.child(i)).n
             for i in range(2000)
         ]
         assert 160 <= np.mean(sizes) <= 240
-
-    def test_normalized_variant_matches_original_size(self):
-        hist = hist_2x2(100, 0, 0, 100)
-        out = perturbed_histogram(hist, PrivacyBudget(0.5), RandomSource(3), normalize=True)
-        assert out.data.n == hist.total_n
 
     def test_determinism(self):
         hist = hist_2x2(5, 5, 5, 5)
         a = perturbed_histogram(hist, PrivacyBudget(0.2), RandomSource(9))
         b = perturbed_histogram(hist, PrivacyBudget(0.2), RandomSource(9))
-        assert np.array_equal(a.data.values, b.data.values)
+        assert np.array_equal(a.values, b.values)
 
 
 class TestSmoothedHistogram:
@@ -219,7 +212,7 @@ class TestSmoothedHistogram:
     def test_output_size_exactly_m(self, m, seed):
         hist = hist_2x2(10, 5, 0, 3)
         out = smoothed_histogram(hist, PrivacyBudget(1.0), m, RandomSource(seed))
-        assert out.data.n == m
+        assert out.n == m
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_nonpositive_m_rejected(self, m):
@@ -290,7 +283,7 @@ class TestSmoothedHistogram:
         )
         out = smoothed_histogram(hist, PrivacyBudget(1e9), 5000, RandomSource(6))
         binned_original = spec.midpoints()[np.clip(np.digitize(data.values, spec.edges) - 1, 0, 99)]
-        ks = scipy.stats.ks_2samp(out.data.values, binned_original)
+        ks = scipy.stats.ks_2samp(out.values, binned_original)
         assert ks.pvalue > 0.01
 
 
@@ -416,7 +409,7 @@ class TestMwem:
         )
         a = mwem(hist, PrivacyBudget(1.0), 5, RandomSource(13))
         b = mwem(hist, PrivacyBudget(1.0), 5, RandomSource(13))
-        assert np.array_equal(a.data.values, b.data.values)
+        assert np.array_equal(a.values, b.values)
 
 
 class TestMarginalIpf:
@@ -468,8 +461,7 @@ class TestMarginalIpf:
         data = gaussian_bivariate(300, "null", RandomSource(28))
         table = table_from_grouped(data, uniform_bins(40, 60, 10))
         out = marginal_ipf(table, PrivacyBudget(1.0), RandomSource(29))
-        assert out.data.n == 300
-        assert out.provenance.method == "marginal_ipf"
+        assert out.n == 300
 
     def test_survives_contradictory_clamped_marginals(self):
         # At tiny epsilon, clamping can zero out whole marginals; the fit
