@@ -22,7 +22,15 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, report as report_mod
-from .data import BINNINGS, IngestionError, load_csv, resolve_binning, save_grouped_csv
+from .data import (
+    BINNINGS,
+    GroupedHistogram,
+    IngestionError,
+    load_csv,
+    resolve_binning,
+    samples_from_counts,
+    save_grouped_csv,
+)
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .harness import ConfigError
 from .rng import RandomSource
@@ -68,10 +76,27 @@ def _binning_from_args(args) -> object:
     return args.binning
 
 
+# The synth flags that one method alone reads: flag -> (method, default).
+_METHOD_FLAGS = {"m": ("smoothed", None), "iterations": ("mwem", 10)}
+
+
+def _method_options(args) -> dict:
+    """The method's own flags with their values; a flag another method reads is an error."""
+    options = {}
+    for flag, (method, default) in _METHOD_FLAGS.items():
+        value = getattr(args, flag)
+        if method == args.method:
+            options[flag] = default if value is None else value
+        elif value is not None:
+            raise ConfigError(f"--{flag} applies only to --method {method}, not to --method {args.method}")
+    return options
+
+
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
     binning = _binning_from_args(args)
     spec = resolve_binning(binning)
+    options = _method_options(args)
     _print_header(
         "synth",
         seed,
@@ -79,22 +104,17 @@ def _cmd_synth(args) -> int:
             "input": args.input,
             "method": args.method,
             "epsilon": args.epsilon,
-            "m": args.m,
-            "iterations": args.iterations,
+            **options,
             "binning": binning,
             "out": str(args.out),
         },
     )
     original = load_csv(args.input)
-    synthetic = synthesize(
-        args.method,
-        original,
-        PrivacyBudget(args.epsilon),
-        RandomSource(seed),
-        binning=spec,
-        m=args.m,
-        iterations=args.iterations,
-    )
+    budget = PrivacyBudget(args.epsilon)
+    synthetic = synthesize(args.method, original, budget, RandomSource(seed), binning=spec, **options)
+    # Histogram methods release counts; the file holds their records at the bin midpoints.
+    if isinstance(synthetic, GroupedHistogram):
+        synthetic = samples_from_counts(synthetic.counts, synthetic.spec)
     out = _outdir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_grouped_csv(synthetic, out)
@@ -123,7 +143,7 @@ def _cmd_test(args) -> int:
     levels = np.unique(np.concatenate((x, y)))
     if args.test == "chi2" and levels.size > 20:
         raise ConfigError("chi2 on the CLI expects a categorical column (<= 20 distinct values)")
-    outcome = TESTS[args.test](x, y, levels)
+    outcome = TESTS[args.test].records(x, y, levels)
     print(json.dumps(outcome.to_dict(), sort_keys=True))
     return 0
 
@@ -191,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=list(SYNTHESIZERS))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--m", type=int, help="synthetic size (smoothed method only)")
-    p.add_argument("--iterations", type=int, default=10, help="MWEM rounds")
+    p.add_argument("--iterations", type=int, help="MWEM rounds (mwem method only; default 10)")
     p.add_argument("--binning", choices=list(BINNINGS), default="bmi24")
     p.add_argument("--bins", type=int, help="custom bin count (with --lo/--hi)")
     p.add_argument("--lo", type=float)

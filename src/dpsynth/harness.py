@@ -2,10 +2,11 @@
 
 Each grid cell runs R independent repetitions: generate an original dataset,
 synthesize (unless the cell is a baseline), run the configured test, and
-record feasibility and rejection at the significance level. Every cell and
-repetition draws from a child stream derived from the master seed, so a
-full-grid run, a parallel run, and an isolated re-run of one cell all
-produce identical numbers.
+record feasibility and rejection at the significance level. The test runs
+on the synthetic counts of a histogram mechanism and on the records of any
+other dataset. Every cell and repetition draws from a child stream derived
+from the master seed, so a full-grid run, a parallel run, and an isolated
+re-run of one cell all produce identical numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,16 @@ from typing import Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import BinningSpec, GroupedDataset, bmi_bins, build_table, gaussian_unit_bins, load_csv, resolve_binning
+from .data import (
+    BinningSpec,
+    GroupedDataset,
+    GroupedHistogram,
+    bmi_bins,
+    build_table,
+    gaussian_unit_bins,
+    load_csv,
+    resolve_binning,
+)
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
@@ -240,12 +250,19 @@ def _copula_table(spec: CopulaSpec, data: GroupedDataset):
     return build_table(columns)
 
 
-def run_test(config: ExperimentConfig, data: GroupedDataset) -> TestOutcome:
-    """Run the configured classical test on the configured column."""
+def run_test(
+    config: ExperimentConfig, data: GroupedDataset | GroupedHistogram, levels: np.ndarray | None
+) -> TestOutcome:
+    """Run the configured classical test on a histogram's counts or on the configured column.
+
+    ``levels`` are the tested variable's category levels, when it has any
+    (:meth:`GeneratorSpec.category_domain`).
+    """
+    test = TESTS[config.test]
+    if isinstance(data, GroupedHistogram):
+        return test.counts(data.spec.midpoints(), data.counts, levels)
     name = config.generator.variable
-    x = data.group_values(0, name)
-    y = data.group_values(1, name)
-    return TESTS[config.test](x, y, config.generator.category_domain())
+    return test.records(data.group_values(0, name), data.group_values(1, name), levels)
 
 
 def run_cell(
@@ -260,29 +277,29 @@ def run_cell(
     if source is None and gen.kind == "csv":
         source = load_csv(gen.csv_path)
     binning = None if gen.kind == "copula" else gen.binning_spec()
+    levels = gen.category_domain()
     feasible = 0
     rejections = 0
     failures: dict[str, int] = {}
     for rep in range(config.repetitions):
-        rep_rng = rng.child(rep)
-        original = _generate(config, source, cell.n_original, rep_rng.child(0))
+        original = _generate(config, source, cell.n_original, rng.child(rep, 0))
         if config.synthesizer == "none":
-            outcome = run_test(config, original)
+            outcome = run_test(config, original, levels)
         elif config.synthesizer == "dp_mw_baseline":
             cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
-            outcome = dp_mann_whitney(original, cfg, rep_rng.child(1))
+            outcome = dp_mann_whitney(original, cfg, rng.child(rep, 1))
         else:
             synthetic = synthesize(
                 config.synthesizer,
                 original,
                 PrivacyBudget(cell.epsilon),
-                rep_rng.child(1),
+                rng.child(rep, 1),
                 binning=binning,
                 table=_copula_table(gen.copula, original) if gen.kind == "copula" else None,
                 m=cell.n_synthetic,
                 iterations=config.mwem_iterations,
             )
-            outcome = run_test(config, synthetic)
+            outcome = run_test(config, synthetic, levels)
         if outcome.feasible:
             feasible += 1
             if outcome.p_value <= config.alpha:

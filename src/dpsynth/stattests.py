@@ -3,14 +3,21 @@
 Synthetic data produced under strong privacy can be degenerate (one group
 empty, all values identical, sparse contingency cells). Rather than raising,
 every test reports ``feasible=False`` with a machine-readable reason so the
-experiment harness can count and classify failed repetitions. p-values always use the asymptotic approximations (normal, t,
-chi-squared); there is no silent switching to exact small-sample variants.
+experiment harness can count and classify failed repetitions. p-values
+always use the asymptotic approximations (normal, t, chi-squared); there is
+no silent switching to exact small-sample variants.
+
+Each test in :data:`TESTS` runs on records or on a 2 x k table of counts at
+distinct values, the form in which the histogram synthesizers release data.
+The Mann-Whitney U arithmetic works on counts, and its record form tabulates
+first; the other tests rebuild the records from counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,11 +27,13 @@ __all__ = [
     "FailureReason",
     "TestOutcome",
     "mann_whitney_u",
+    "mann_whitney_u_counts",
     "u_statistic",
     "t_test",
     "chi_squared",
     "two_sample_chi_squared",
     "median_test",
+    "TwoSampleTest",
     "TESTS",
 ]
 
@@ -68,23 +77,29 @@ def _infeasible(reason: FailureReason) -> TestOutcome:
     return TestOutcome(float("nan"), None, False, reason)
 
 
-def _u_and_ties(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """U for group x and the tie-run sizes of the pooled sample.
+def _u_and_tie_sum(counts: np.ndarray) -> tuple[float, float]:
+    """U for group 0 of a 2 x k count table, and the tie sum of the pooled sample.
 
-    U comes from the rank identity U = R1 - n1(n1+1)/2 with 1-based
-    midranks, so it stays exact (a multiple of 0.5) for large samples.
+    Column j holds the records at the j-th smallest distinct value, so its
+    records share the midrank (cumulative count before j) + (t_j + 1)/2,
+    where t_j is the column total, and the tie sum is the sum of t_j^3 - t_j.
+    U comes from the rank identity U = R1 - n1(n1+1)/2; every rank is a
+    multiple of 0.5 and every tie term an integer, so both stay exact.
     """
-    pooled = np.concatenate((x, y))
-    order = np.argsort(pooled, kind="stable")
-    n = pooled.size
-    sorted_vals = pooled[order]
-    run_starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_vals) != 0) + 1))
-    run_ends = np.concatenate((run_starts[1:], [n]))
-    avg = (run_starts + run_ends + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(avg, run_ends - run_starts)
-    u = float(ranks[: x.size].sum()) - x.size * (x.size + 1) / 2.0
-    return u, (run_ends - run_starts).astype(np.int64)
+    t = counts.sum(axis=0)
+    midranks = (np.cumsum(t) - t) + (t + 1) / 2.0
+    n1 = int(counts[0].sum())
+    u = float(counts[0] @ midranks) - n1 * (n1 + 1) / 2.0
+    ties = t[t > 0].astype(float)
+    return u, float(np.sum(ties**3 - ties))
+
+
+def _tabulate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pooled values, ascending, and each group's 2 x k counts at them."""
+    support, inverse = np.unique(np.concatenate((x, y)), return_inverse=True)
+    k = support.size
+    counts = np.stack((np.bincount(inverse[: x.size], minlength=k), np.bincount(inverse[x.size :], minlength=k)))
+    return support, counts
 
 
 def u_statistic(x, y) -> float:
@@ -93,23 +108,29 @@ def u_statistic(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.size == 0 or y.size == 0:
         raise ValueError("both groups must be non-empty")
-    return _u_and_ties(x, y)[0]
+    return _u_and_tie_sum(_tabulate(x, y)[1])[0]
 
 
 def mann_whitney_u(x, y) -> TestOutcome:
-    """Two-sided Mann-Whitney U test from the normal approximation.
+    """Two-sided Mann-Whitney U test on two samples; see :func:`mann_whitney_u_counts`."""
+    return mann_whitney_u_counts(*_tabulate(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
 
-    z uses the tie-corrected variance and a 0.5 continuity correction toward
-    the null mean.
+
+def mann_whitney_u_counts(support, counts) -> TestOutcome:
+    """Two-sided Mann-Whitney U test on a 2 x k table of counts at ``support``.
+
+    Row g counts group g's records at each value of ``support``, which must
+    be strictly increasing. z uses the normal approximation with the
+    tie-corrected variance and a 0.5 continuity correction toward the null
+    mean.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n1, n2 = x.size, y.size
+    counts = _count_table(support, counts)
+    n1, n2 = (int(c) for c in counts.sum(axis=1))
     if n1 == 0 or n2 == 0:
         return _infeasible(FailureReason.SINGLE_CLASS)
-    u, tie_counts = _u_and_ties(x, y)
+    u, tie_sum = _u_and_tie_sum(counts)
     n = n1 + n2
-    tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts)) / (n * (n - 1))
+    tie_term = tie_sum / (n * (n - 1))
     sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
     if sigma2 <= 0:
         return _infeasible(FailureReason.CONSTANT_VALUES)
@@ -119,6 +140,19 @@ def mann_whitney_u(x, y) -> TestOutcome:
     z = (shift - cc) / np.sqrt(sigma2)
     p = min(1.0, 2.0 * normal_cdf(-abs(z)))
     return TestOutcome(u, p, True)
+
+
+def _count_table(support, counts) -> np.ndarray:
+    """``counts`` as a checked 2 x k integer table over strictly increasing ``support``."""
+    support = np.asarray(support, dtype=float)
+    table = np.asarray(counts, dtype=np.int64)
+    if support.ndim != 1 or table.shape != (2, support.size):
+        raise ValueError(f"counts must have shape (2, {support.size}) to match the support")
+    if np.any(np.diff(support) <= 0):
+        raise ValueError("support values must be strictly increasing")
+    if np.any(table < 0):
+        raise ValueError("counts must be non-negative")
+    return table
 
 
 def t_test(x, y) -> TestOutcome:
@@ -218,11 +252,42 @@ def median_test(x, y, yates: bool = True) -> TestOutcome:
     return TestOutcome(stat, min(1.0, p), True)
 
 
-# The two-sample tests by name, each called as test(x, y, levels). Only the
-# chi-squared test builds a table over the levels; the others ignore them.
+class TwoSampleTest(NamedTuple):
+    """One test in its two forms, which give the same outcome on the same records.
+
+    ``records(x, y, levels)`` takes the two groups' values; ``counts(support,
+    counts, levels)`` takes a 2 x k table of each group's counts at strictly
+    increasing ``support`` values. Only the chi-squared test reads ``levels``.
+    """
+
+    records: Callable[..., TestOutcome]
+    counts: Callable[..., TestOutcome]
+
+
+def _from_records(records: Callable[..., TestOutcome]) -> TwoSampleTest:
+    """A test whose counts form rebuilds each group's values and runs ``records``.
+
+    Group g becomes ``np.repeat(support, counts[g])``, the values that
+    :func:`dpsynth.data.samples_from_counts` gives at bin midpoints.
+    """
+
+    def counts_form(support, counts, levels=None) -> TestOutcome:
+        support = np.asarray(support, dtype=float)
+        table = _count_table(support, counts)
+        return records(np.repeat(support, table[0]), np.repeat(support, table[1]), levels)
+
+    return TwoSampleTest(records, counts_form)
+
+
+# The two-sample tests by name. The lambdas look each test up by name when
+# called, so a function rebound on this module (a wrapper, a patch) is the
+# one that runs.
 TESTS = {
-    "mw_u": lambda x, y, levels=None: mann_whitney_u(x, y),
-    "t": lambda x, y, levels=None: t_test(x, y),
-    "chi2": two_sample_chi_squared,
-    "median": lambda x, y, levels=None: median_test(x, y),
+    "mw_u": TwoSampleTest(
+        lambda x, y, levels=None: mann_whitney_u(x, y),
+        lambda support, counts, levels=None: mann_whitney_u_counts(support, counts),
+    ),
+    "t": _from_records(lambda x, y, levels=None: t_test(x, y)),
+    "chi2": _from_records(lambda x, y, levels=None: two_sample_chi_squared(x, y, levels)),
+    "median": _from_records(lambda x, y, levels=None: median_test(x, y)),
 }

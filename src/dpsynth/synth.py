@@ -3,7 +3,7 @@
 Four mechanisms are provided:
 
 * ``perturbed_histogram`` - discrete Laplace noise on every cell count,
-  negatives clamped to zero, records emitted from the noisy counts.
+  negatives clamped to zero.
 * ``smoothed_histogram`` - draws exactly ``m`` records from cell
   probabilities proportional to ``count + alpha``, with
   ``alpha = 1/(exp(epsilon/m) - 1)``.
@@ -11,6 +11,11 @@ Four mechanisms are provided:
   measurements selected by the exponential mechanism.
 * ``marginal_ipf`` - noisy one-way/two-way marginal release reconciled into
   a joint distribution by iterative proportional fitting.
+
+The three histogram mechanisms release synthetic cell counts, a
+:class:`GroupedHistogram` over the input's bins, whose records would all sit
+at bin midpoints (:func:`dpsynth.data.samples_from_counts` expands them).
+``marginal_ipf`` releases records.
 
 Every mechanism accounts for its privacy budget through a
 :class:`BudgetLedger`; a run that would not consume exactly the configured
@@ -32,7 +37,6 @@ from .data import (
     GroupedDataset,
     GroupedHistogram,
     build_histogram,
-    samples_from_counts,
     table_from_grouped,
 )
 from .rng import RandomSource, categorical_sample, discrete_laplace_sample, laplace_sample
@@ -90,10 +94,10 @@ class BudgetLedger:
             )
 
 
-def perturbed_histogram(hist: GroupedHistogram, budget: PrivacyBudget, rng: RandomSource) -> GroupedDataset:
+def perturbed_histogram(hist: GroupedHistogram, budget: PrivacyBudget, rng: RandomSource) -> GroupedHistogram:
     """Discrete Laplace(2/epsilon) noise per cell, negatives set to zero.
 
-    The clamped noisy counts are emitted directly, so the synthetic size is
+    The clamped noisy counts are released directly, so the synthetic size is
     similar to (not exactly) the original.
     """
     ledger = BudgetLedger(budget.epsilon)
@@ -101,7 +105,7 @@ def perturbed_histogram(hist: GroupedHistogram, budget: PrivacyBudget, rng: Rand
     noise = discrete_laplace_sample(scale, rng, size=hist.counts.shape)
     noisy = np.maximum(hist.counts + noise, 0)
     ledger.close()
-    return samples_from_counts(noisy, hist.spec)
+    return GroupedHistogram(hist.spec, noisy, int(noisy.sum()))
 
 
 def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
@@ -125,8 +129,8 @@ def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
 
 def smoothed_histogram(
     hist: GroupedHistogram, budget: PrivacyBudget, m: int, rng: RandomSource
-) -> GroupedDataset:
-    """Draw exactly ``m`` records from the additively smoothed cell distribution.
+) -> GroupedHistogram:
+    """Counts of exactly ``m`` draws from the additively smoothed cell distribution.
 
     Smoothing is applied over the joint group-by-bin cells so that group
     membership is protected along with the values. Under replace-one
@@ -142,7 +146,7 @@ def smoothed_histogram(
     cells = categorical_sample(probs, rng, size=int(m))
     counts = np.bincount(cells, minlength=probs.size).reshape(hist.counts.shape)
     ledger.close()
-    return samples_from_counts(counts, hist.spec)
+    return GroupedHistogram(hist.spec, counts, int(m))
 
 
 def _mw_update(weights: np.ndarray, measurements: dict[int, float], n: int, sweeps: int, tol: float) -> np.ndarray:
@@ -253,12 +257,12 @@ def mwem(
     budget: PrivacyBudget,
     iterations: int,
     rng: RandomSource,
-) -> GroupedDataset:
-    """Draw ``total_n`` records from the MWEM-fitted cell distribution."""
+) -> GroupedHistogram:
+    """Counts of ``total_n`` draws from the MWEM-fitted cell distribution."""
     a = mwem_weights(hist, budget, iterations, rng)
     drawn = categorical_sample(a, rng, size=hist.total_n)
     counts = np.bincount(drawn, minlength=a.size).reshape(hist.counts.shape)
-    return samples_from_counts(counts, hist.spec)
+    return GroupedHistogram(hist.spec, counts, hist.total_n)
 
 
 def all_low_order_marginals(n_variables: int) -> tuple[tuple[int, ...], ...]:
@@ -402,13 +406,14 @@ def synthesize(
     table: DiscreteTable | None = None,
     m: int | None = None,
     iterations: int = 10,
-) -> GroupedDataset:
-    """Run the synthesizer registered as ``method`` on ``data``; returns its records.
+) -> GroupedHistogram | GroupedDataset:
+    """Run the synthesizer registered as ``method`` on ``data``; returns what it releases.
 
-    Histogram methods count ``data`` over ``binning``. Table methods take
-    ``table`` when it is given (a multi-variable encoding of ``data``) and
-    otherwise the (group, binned value) table. ``m`` is the smoothed
-    histogram's synthetic size and ``iterations`` MWEM's rounds.
+    Histogram methods count ``data`` over ``binning`` and release synthetic
+    counts over the same bins. Table methods take ``table`` when it is given
+    (a multi-variable encoding of ``data``) and otherwise the (group, binned
+    value) table, and release records. ``m`` is the smoothed histogram's
+    synthetic size and ``iterations`` MWEM's rounds.
     """
     kind, call = SYNTHESIZERS[method]
     if kind == "histogram":

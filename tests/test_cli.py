@@ -125,6 +125,43 @@ class TestSynthCommand:
         if method == "smoothed":
             assert rows == 120
 
+    @pytest.mark.parametrize("method", ["perturbed", "mwem", "marginal_ipf"])
+    def test_m_rejected_for_methods_that_ignore_it(self, toy_csv, tmp_path, capsys, method):
+        out = tmp_path / "syn.csv"
+        argv = ["synth", "--input", str(toy_csv), "--method", method, "--epsilon", "2", "--m", "200", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--m" in err and method in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["perturbed", "smoothed", "marginal_ipf"])
+    def test_iterations_rejected_for_methods_that_ignore_it(self, toy_csv, tmp_path, capsys, method):
+        out = tmp_path / "syn.csv"
+        argv = ["synth", "--input", str(toy_csv), "--method", method, "--epsilon", "2", "--iterations", "5"]
+        argv += ["--m", "50"] if method == "smoothed" else []
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--iterations" in err and method in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "method,extra,options",
+        [
+            ("perturbed", [], {}),
+            ("smoothed", ["--m", "50"], {"m": 50}),
+            ("mwem", [], {"iterations": 10}),
+            ("mwem", ["--iterations", "4"], {"iterations": 4}),
+            ("marginal_ipf", [], {}),
+        ],
+    )
+    def test_header_lists_only_the_flags_the_method_reads(self, toy_csv, tmp_path, capsys, method, extra, options):
+        out = tmp_path / "syn.csv"
+        argv = ["synth", "--input", str(toy_csv), "--method", method, "--epsilon", "2", "--seed", "1", "--out", str(out)]
+        assert main(argv + extra) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("# config: "))
+        config = json.loads(line[len("# config: ") :])
+        assert {k: config[k] for k in ("m", "iterations") if k in config} == options
+
     def test_seed_resolved_and_printed_when_omitted(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "syn.csv"
         code = main(

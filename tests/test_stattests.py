@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth.data import load_cardio_csv
+from dpsynth.data import load_cardio_csv, samples_from_counts, uniform_bins
 from dpsynth.rng import RandomSource
+from dpsynth.special import normal_cdf
 from dpsynth.stattests import (
+    TESTS,
     FailureReason,
     TestOutcome,
     chi_squared,
     mann_whitney_u,
+    mann_whitney_u_counts,
     median_test,
     t_test,
     two_sample_chi_squared,
@@ -29,6 +32,34 @@ def brute_force_u(x, y) -> float:
             elif xi == yj:
                 u += 0.5
     return u
+
+
+def reference_mann_whitney_u(x, y) -> TestOutcome:
+    """The record Mann-Whitney U test as it stood before the counts form: argsort midranks."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n1, n2 = x.size, y.size
+    if n1 == 0 or n2 == 0:
+        return TestOutcome(float("nan"), None, False, FailureReason.SINGLE_CLASS)
+    pooled = np.concatenate((x, y))
+    order = np.argsort(pooled, kind="stable")
+    n = pooled.size
+    sorted_vals = pooled[order]
+    run_starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_vals) != 0) + 1))
+    run_ends = np.concatenate((run_starts[1:], [n]))
+    avg = (run_starts + run_ends + 1) / 2.0
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(avg, run_ends - run_starts)
+    u = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
+    tie_counts = (run_ends - run_starts).astype(np.int64)
+    tie_term = float(np.sum(tie_counts.astype(float) ** 3 - tie_counts)) / (n * (n - 1))
+    sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
+    if sigma2 <= 0:
+        return TestOutcome(float("nan"), None, False, FailureReason.CONSTANT_VALUES)
+    shift = u - n1 * n2 / 2.0
+    cc = 0.5 if shift > 0 else (-0.5 if shift < 0 else 0.0)
+    z = (shift - cc) / np.sqrt(sigma2)
+    return TestOutcome(u, min(1.0, 2.0 * normal_cdf(-abs(z))), True)
 
 
 small_group = st.lists(st.integers(0, 6).map(float), min_size=1, max_size=12)
@@ -212,3 +243,98 @@ class TestMedianTest:
         rate = rejections / reps
         assert abs(rate - truth) <= 3 * np.sqrt(truth * (1 - truth) / reps)
         assert rate <= 0.07
+
+
+def random_tables(seed: int, count: int):
+    """2 x B count tables, n from 2 to 20 000, from one occupied cell to every cell."""
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        bins = int(g.choice([2, 5, 24, 100]))
+        n = int(g.choice([2, 3, 10, 50, 500, 1000, 20_000]))
+        occupied = int(g.integers(1, 2 * bins + 1))
+        weights = np.zeros(2 * bins)
+        weights[g.choice(2 * bins, size=occupied, replace=False)] = g.random(occupied)
+        yield g.multinomial(n, weights / weights.sum()).reshape(2, bins)
+
+
+def record_outcome(name, counts, spec, levels=None) -> TestOutcome:
+    """The record form on the expanded records; MW-U against the pre-counts reference."""
+    data = samples_from_counts(counts, spec)
+    x, y = data.group_values(0), data.group_values(1)
+    if name == "mw_u":
+        return reference_mann_whitney_u(x, y)
+    return TESTS[name].records(x, y, levels)
+
+
+def counts_outcome(name, counts, spec, levels=None) -> TestOutcome:
+    return TESTS[name].counts(spec.midpoints(), counts, levels)
+
+
+def same(a: TestOutcome, b: TestOutcome) -> bool:
+    """Exact equality, reading the statistic of two infeasible outcomes (NaN) as equal."""
+    return a.to_dict() == b.to_dict()
+
+
+class TestCountsForms:
+    """Each counts form gives exactly the record outcome on the expanded records."""
+
+    @pytest.mark.parametrize("name", sorted(TESTS))
+    def test_random_tables_match_records(self, name):
+        for counts in random_tables(seed=8, count=150):
+            spec = uniform_bins(0.0, float(counts.shape[1]), counts.shape[1])
+            got, want = counts_outcome(name, counts, spec), record_outcome(name, counts, spec)
+            assert same(got, want), (counts.tolist(), got, want)
+
+    def test_levels_match_records(self):
+        for counts in random_tables(seed=9, count=100):
+            spec = uniform_bins(0.0, float(counts.shape[1]), counts.shape[1])
+            levels = spec.midpoints()
+            assert same(counts_outcome("chi2", counts, spec, levels), record_outcome("chi2", counts, spec, levels))
+
+    @pytest.mark.parametrize("name", sorted(TESTS))
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [[0, 0, 0, 0], [3, 0, 9, 1]],  # one group empty
+            [[4, 9, 1, 0], [0, 0, 0, 0]],  # the other group empty
+            [[0, 0, 0, 0], [0, 0, 0, 0]],  # nothing released
+            [[0, 7, 0, 0], [0, 5, 0, 0]],  # one occupied bin
+            [[1, 0, 0, 4], [0, 0, 0, 5]],  # median at the top value, nothing above it
+            [[2, 1, 1, 2], [1, 2, 2, 1]],  # expected chi2 cell frequencies below 5
+            [[1, 0, 0, 0], [0, 0, 0, 1]],  # n = 2
+        ],
+    )
+    def test_degenerate_tables_match_records(self, name, counts):
+        counts = np.array(counts)
+        spec = uniform_bins(0.0, 4.0, 4)
+        assert same(counts_outcome(name, counts, spec), record_outcome(name, counts, spec))
+
+    def test_degenerate_tables_fail_for_their_reason(self):
+        spec = uniform_bins(0.0, 4.0, 4)
+        cases = {
+            ("mw_u", ((0, 0, 0, 0), (3, 0, 9, 1))): FailureReason.SINGLE_CLASS,
+            ("mw_u", ((0, 7, 0, 0), (0, 5, 0, 0))): FailureReason.CONSTANT_VALUES,
+            ("t", ((0, 7, 0, 0), (0, 5, 0, 0))): FailureReason.CONSTANT_VALUES,
+            ("median", ((1, 0, 0, 4), (0, 0, 0, 5))): FailureReason.DEGENERATE_MEDIAN,
+            ("chi2", ((2, 1, 1, 2), (1, 2, 2, 1))): FailureReason.LOW_EXPECTED_FREQUENCY,
+        }
+        for (name, counts), reason in cases.items():
+            assert counts_outcome(name, np.array(counts), spec).failure_reason is reason
+
+    def test_continuous_records_with_ties_match_reference(self):
+        g = np.random.default_rng(10)
+        for n1, n2 in [(1, 1), (5, 7), (60, 40), (1000, 1000), (10_000, 10_000)]:
+            for decimals in (None, 1, 0):
+                x, y = g.normal(50, 10, size=n1), g.normal(50.5, 10, size=n2)
+                if decimals is not None:
+                    x, y = np.round(x, decimals), np.round(y, decimals)
+                assert same(mann_whitney_u(x, y), reference_mann_whitney_u(x, y))
+                assert same(mann_whitney_u(y, x), reference_mann_whitney_u(y, x))
+
+    def test_counts_form_rejects_malformed_tables(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            mann_whitney_u_counts([1.0, 1.0], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="shape"):
+            mann_whitney_u_counts([1.0, 2.0, 3.0], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="non-negative"):
+            TESTS["t"].counts([1.0, 2.0], [[1, -2], [3, 4]])
