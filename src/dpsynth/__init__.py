@@ -8,7 +8,7 @@ from .data import (
     IngestionError,
     build_histogram,
     discretize,
-    load_cardio_csv,
+    load_csv,
     samples_from_counts,
 )
 from .dpmw import DPMWConfig, dp_mann_whitney

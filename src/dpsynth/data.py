@@ -25,8 +25,6 @@ __all__ = [
     "discretize",
     "build_histogram",
     "samples_from_counts",
-    "load_cardio_csv",
-    "load_grouped_csv",
     "load_csv",
     "save_grouped_csv",
     "gaussian_unit_bins",
@@ -157,10 +155,6 @@ class GroupedDataset:
         except KeyError:
             raise KeyError(f"no column named {name!r}") from None
 
-    @property
-    def column_names(self) -> tuple[str, ...]:
-        return (self.value_name, *self.extras)
-
 
 @dataclass(frozen=True)
 class GroupedHistogram:
@@ -228,42 +222,6 @@ def _malformed_rows(bad_rows: list[int]) -> IngestionError:
     return IngestionError(f"malformed rows: {shown}{more}", rows=bad_rows)
 
 
-def load_cardio_csv(path) -> GroupedDataset:
-    """Ingest the public cardiovascular CSV; value = BMI, group = cardio label.
-
-    BMI is weight in kg divided by squared height in meters. Any malformed
-    row aborts ingestion and is reported by its 1-based data row number.
-    """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        head = fh.read(4096)
-        fh.seek(0)
-        reader = csv.DictReader(fh, delimiter=_sniff_delimiter(head))
-        fields = [f.strip().lower() for f in (reader.fieldnames or [])]
-        missing = {"height", "weight", "cardio"} - set(fields)
-        if missing:
-            raise IngestionError(f"missing required columns: {sorted(missing)}")
-        groups: list[int] = []
-        values: list[float] = []
-        bad_rows: list[int] = []
-        for i, row in enumerate(reader, start=1):
-            cleaned = {(k or "").strip().lower(): (v or "").strip() for k, v in row.items()}
-            try:
-                height = float(cleaned["height"])
-                weight = float(cleaned["weight"])
-                cardio = int(float(cleaned["cardio"]))
-                if height <= 0 or weight <= 0 or cardio not in (0, 1):
-                    raise ValueError
-            except (KeyError, TypeError, ValueError):
-                bad_rows.append(i)
-                continue
-            groups.append(cardio)
-            values.append(weight / (height / 100.0) ** 2)
-        if bad_rows:
-            raise _malformed_rows(bad_rows)
-    return GroupedDataset(np.array(groups), np.array(values))
-
-
 def save_grouped_csv(data: GroupedDataset, path) -> None:
     """Write `group,value[,extra columns]` with one row per record."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -277,52 +235,65 @@ def save_grouped_csv(data: GroupedDataset, path) -> None:
             )
 
 
-def load_grouped_csv(path) -> GroupedDataset:
-    """Read a `group,value[,extras]` CSV produced by :func:`save_grouped_csv`."""
+def load_csv(path) -> GroupedDataset:
+    """Read a CSV whose format its header names.
+
+    A header starting with ``group,value`` marks a file written by
+    :func:`save_grouped_csv`: each row holds as many cells as the header, a
+    0/1 group, the value and the extra columns. Any other header is taken
+    for the public cardiovascular file, which needs ``height``, ``weight``
+    and ``cardio`` columns, the only cells of a row that are read: value =
+    BMI (weight in kg divided by squared height in meters), group = the
+    cardio label. The delimiter is ``;`` or ``,``, whichever the start of
+    the file holds more of. Any malformed row aborts ingestion and is
+    reported by its 1-based row number after the header, blank lines
+    counted; blank lines are otherwise skipped.
+    """
     with Path(path).open(newline="", encoding="utf-8") as fh:
         head = fh.read(4096)
         fh.seek(0)
         reader = csv.reader(fh, delimiter=_sniff_delimiter(head))
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["group", "value"]:
-            raise IngestionError("expected a header starting with 'group,value'")
-        extra_names = [h.strip() for h in header[2:]]
+        header = [h.strip() for h in next(reader, [])]
+        names = [h.lower() for h in header]
+        if names[:2] == ["group", "value"]:
+            extra_names = header[2:]
+
+            def parse(row: list[str]) -> list[float]:
+                vals = [float(cell) for cell in row]
+                if len(vals) != len(header) or vals[0] not in (0.0, 1.0):
+                    raise ValueError
+                return vals
+
+        else:
+            # A repeated column name reads its last column.
+            columns = {name: j for j, name in enumerate(names)}
+            missing = {"height", "weight", "cardio"} - set(columns)
+            if missing:
+                raise IngestionError(f"missing required columns: {sorted(missing)}")
+            extra_names = []
+
+            def parse(row: list[str]) -> list[float]:
+                height = float(row[columns["height"]])
+                weight = float(row[columns["weight"]])
+                cardio = int(float(row[columns["cardio"]]))
+                if height <= 0 or weight <= 0 or cardio not in (0, 1):
+                    raise ValueError
+                return [cardio, weight / (height / 100.0) ** 2]
+
         rows = []
         bad_rows = []
         for i, row in enumerate(reader, start=1):
             if not row:
                 continue
-            if len(row) != len(header):
-                bad_rows.append(i)
-                continue
             try:
-                vals = [float(cell) for cell in row]
-                if vals[0] not in (0.0, 1.0):
-                    raise ValueError
-            except ValueError:
+                rows.append(parse(row))
+            except (IndexError, OverflowError, ValueError):
                 bad_rows.append(i)
-                continue
-            rows.append(vals)
         if bad_rows:
             raise _malformed_rows(bad_rows)
-    arr = np.asarray(rows, dtype=float) if rows else np.zeros((0, len(header)))
+    arr = np.asarray(rows, dtype=float) if rows else np.zeros((0, 2 + len(extra_names)))
     extras = {name: arr[:, 2 + j] for j, name in enumerate(extra_names)}
     return GroupedDataset(arr[:, 0].astype(np.int64), arr[:, 1], extras)
-
-
-def load_csv(path) -> GroupedDataset:
-    """Read a CSV whose format its header names.
-
-    A header starting with ``group,value`` is read by
-    :func:`load_grouped_csv`; any other header is taken for the
-    cardiovascular file and read by :func:`load_cardio_csv`.
-    """
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        head = fh.read(4096)
-    header = next(csv.reader(head.splitlines()[:1], delimiter=_sniff_delimiter(head)), [])
-    if [h.strip().lower() for h in header[:2]] == ["group", "value"]:
-        return load_grouped_csv(path)
-    return load_cardio_csv(path)
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,21 @@ class ExperimentConfig:
                 f"synthesizer {self.synthesizer!r} operates on bivariate histograms; "
                 f"multivariate copula data requires {' or '.join(tables)} (or a baseline)"
             )
+        if any(m < 1 for m in self.synthetic_sizes):
+            raise ConfigError(f"synthetic_sizes entries must be at least 1, got {list(self.synthetic_sizes)}")
+        if self.synthesizer == "mwem":
+            queries = 2 * self.generator.binning_spec().bin_count
+            if not 1 <= self.mwem_iterations <= queries:
+                raise ConfigError(
+                    f"mwem_iterations must lie in 1..{queries} (one query per group-by-bin cell), "
+                    f"got {self.mwem_iterations}"
+                )
+        elif self.mwem_iterations != ExperimentConfig.mwem_iterations:
+            # The class attribute is the field's default.
+            raise ConfigError(
+                f"mwem_iterations applies only to the mwem synthesizer, not to {self.synthesizer!r}; "
+                f"got {self.mwem_iterations}"
+            )
 
     @property
     def error_kind(self) -> str:
@@ -287,7 +302,8 @@ def run_cell(
             outcome = run_test(config, original, levels)
         elif config.synthesizer == "dp_mw_baseline":
             cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
-            outcome = dp_mann_whitney(original, cfg, rng.child(rep, 1))
+            tested = GroupedDataset(original.groups, original.column(gen.variable))
+            outcome = dp_mann_whitney(tested, cfg, rng.child(rep, 1))
         else:
             synthetic = synthesize(
                 config.synthesizer,
@@ -329,12 +345,9 @@ def run_cell(
     )
 
 
-def _cell_task(
-    payload: tuple[ExperimentConfig, Cell, int, GroupedDataset | None],
-) -> tuple[int, ErrorRateReport]:
+def _cell_task(payload: tuple[ExperimentConfig, Cell, int, GroupedDataset | None]) -> ErrorRateReport:
     config, cell, index, source = payload
-    report = run_cell(config, cell, RandomSource(config.seed).child(index), source)
-    return index, report
+    return run_cell(config, cell, RandomSource(config.seed).child(index), source)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport]:
@@ -347,12 +360,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
     cells = grid_cells(config)
     payloads = [(config, cell, i, source) for i, cell in enumerate(cells)]
     if workers <= 1:
-        indexed = [_cell_task(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(_cell_task, payloads))
-    indexed.sort(key=lambda pair: pair[0])
-    return [report for _, report in indexed]
+        return [_cell_task(p) for p in payloads]
+    # map returns the results in the order of its inputs, the grid order.
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_cell_task, payloads))
 
 
 def config_from_dict(payload: Mapping) -> ExperimentConfig:

@@ -61,8 +61,8 @@ def laplace_sample(scale: float, rng: RandomSource, size=None):
     return rng.generator.laplace(0.0, scale, size)
 
 
-def discrete_laplace_sample(scale: float, rng: RandomSource, size=None):
-    """Discrete Laplace sample(s): P(K=k) = ((e^(1/b)-1)/(e^(1/b)+1)) e^(-|k|/b).
+def discrete_laplace_sample(scale: float, rng: RandomSource, size) -> np.ndarray:
+    """Discrete Laplace samples: P(K=k) = ((e^(1/b)-1)/(e^(1/b)+1)) e^(-|k|/b).
 
     Sampled exactly as the difference of two geometric variates on
     {0, 1, ...} with success probability 1 - e^(-1/b); no rounding of a
@@ -73,13 +73,11 @@ def discrete_laplace_sample(scale: float, rng: RandomSource, size=None):
         raise ValueError(f"scale must be positive, got {scale}")
     e1 = rng.generator.exponential(1.0, size)
     e2 = rng.generator.exponential(1.0, size)
-    if size is None:
-        return int(np.floor(scale * e1)) - int(np.floor(scale * e2))
     return np.floor(scale * e1).astype(np.int64) - np.floor(scale * e2).astype(np.int64)
 
 
-def categorical_sample(weights, rng: RandomSource, size=None):
-    """Index i with probability weights_i / sum(weights).
+def categorical_sample(weights, rng: RandomSource, size) -> np.ndarray:
+    """``size`` indices, each i with probability weights_i / sum(weights).
 
     Weights need not be normalized; zero-weight cells are never selected.
     """
@@ -93,7 +91,4 @@ def categorical_sample(weights, rng: RandomSource, size=None):
         raise ValueError("at least one weight must be positive")
     cdf = np.cumsum(w)
     u = rng.generator.random(size) * total
-    idx = np.searchsorted(cdf, u, side="right")
-    if size is None:
-        return int(idx)
-    return idx.astype(np.int64)
+    return np.searchsorted(cdf, u, side="right").astype(np.int64)

@@ -172,21 +172,21 @@ def t_test(x, y) -> TestOutcome:
     return TestOutcome(float(t), min(1.0, p), True)
 
 
-def _chi2_from_table(obs: np.ndarray, yates: bool) -> tuple[float, int, np.ndarray]:
+def _chi2_from_table(obs: np.ndarray) -> tuple[float, int, np.ndarray]:
     row = obs.sum(axis=1, keepdims=True)
     col = obs.sum(axis=0, keepdims=True)
     expected = row * col / obs.sum()
-    cc = 0.5 if (yates and obs.shape == (2, 2)) else 0.0
+    cc = 0.5 if obs.shape == (2, 2) else 0.0
     dev = np.maximum(np.abs(obs - expected) - cc, 0.0)
     stat = float((dev**2 / expected).sum())
     df = (obs.shape[0] - 1) * (obs.shape[1] - 1)
     return stat, df, expected
 
 
-def chi_squared(table, yates: bool = True) -> TestOutcome:
+def chi_squared(table) -> TestOutcome:
     """Chi-squared independence test on a contingency table.
 
-    Yates continuity correction applies to 2x2 tables unless disabled. Any
+    Yates continuity correction applies to 2x2 tables. Any
     expected cell frequency below 5 makes the outcome infeasible, matching
     the failure accounting used for sparse synthetic data.
     """
@@ -199,7 +199,7 @@ def chi_squared(table, yates: bool = True) -> TestOutcome:
         return _infeasible(FailureReason.SINGLE_CLASS)
     if np.any(obs.sum(axis=1) == 0) or np.any(obs.sum(axis=0) == 0):
         return _infeasible(FailureReason.SINGLE_CLASS)
-    stat, df, expected = _chi2_from_table(obs, yates)
+    stat, df, expected = _chi2_from_table(obs)
     if np.any(expected < 5):
         return _infeasible(FailureReason.LOW_EXPECTED_FREQUENCY)
     p = regularized_upper_gamma(df / 2.0, stat / 2.0)
@@ -225,7 +225,7 @@ def two_sample_chi_squared(x, y, levels=None) -> TestOutcome:
     return chi_squared(np.array(table))
 
 
-def median_test(x, y, yates: bool = True) -> TestOutcome:
+def median_test(x, y) -> TestOutcome:
     """Test for equal medians: 2x2 table of counts above vs at-or-below the
     grand median per group, evaluated as a chi-squared statistic.
 
@@ -247,7 +247,7 @@ def median_test(x, y, yates: bool = True) -> TestOutcome:
     )
     if np.any(table.sum(axis=0) == 0) or np.any(table.sum(axis=1) == 0):
         return _infeasible(FailureReason.DEGENERATE_MEDIAN)
-    stat, df, _ = _chi2_from_table(table, yates)
+    stat, df, _ = _chi2_from_table(table)
     p = regularized_upper_gamma(df / 2.0, stat / 2.0)
     return TestOutcome(stat, min(1.0, p), True)
 

@@ -149,7 +149,13 @@ def smoothed_histogram(
     return GroupedHistogram(hist.spec, counts, int(m))
 
 
-def _mw_update(weights: np.ndarray, measurements: dict[int, float], n: int, sweeps: int, tol: float) -> np.ndarray:
+# The multiplicative-weights update's sweep cap and its stop test on the
+# largest change of any cell weight.
+_MW_SWEEPS = 2000
+_MW_TOL = 1e-10
+
+
+def _mw_update(m: list[float], w: float, unmeasured: int, targets: list[float], n: int) -> tuple[list[float], float]:
     """Multiplicative-weights sweeps over the measured cell-count queries.
 
     Iterates until the distribution stabilizes (or the sweep cap is hit);
@@ -157,30 +163,21 @@ def _mw_update(weights: np.ndarray, measurements: dict[int, float], n: int, swee
     to its fixed point. Only noisy measurements are consulted, never the
     real histogram.
 
-    The sweeps run on an exact compact state: the weights of the t measured
-    cells, in the order they were measured, plus the one weight ``w`` shared
-    by all B - t unmeasured cells. The state is exact because the unmeasured
-    cells enter with equal weights (MWEM starts from the uniform 1/B) and
-    the queries are disjoint cells: a step multiplies one measured weight,
-    then every cell is divided by the same normaliser, so the unmeasured
-    cells stay bitwise equal. Within a sweep the weights are left
-    unnormalised under a running total, so a step reads its cell as
-    ``weight / total`` and costs O(1); one division per weight at the end of
-    the sweep normalises them. The stop test is still the largest absolute
-    change over every cell, that is over the t measured weights and ``w``.
+    The state is exact and compact: ``m`` holds the weights of the measured
+    cells in the order they were measured, ``targets`` their noisy counts,
+    and ``w`` the one weight shared by the ``unmeasured`` other cells. Within
+    a sweep the weights are left unnormalised under a running total, so a
+    step reads its cell as ``weight / total`` and costs O(1); one division
+    per weight at the end of the sweep normalises them. The stop test is the
+    largest absolute change over every cell, that is over ``m`` and ``w``.
+    Returns the updated ``(m, w)``.
     """
-    cells = list(measurements)
-    rest = np.delete(weights, cells)
-    if rest.size and np.any(rest != rest[0]):
-        raise ValueError("unmeasured cells must share one weight")
-    targets = [float(value) for value in measurements.values()]
-    m = weights[cells].tolist()
-    unmeasured = rest.size
     # With every cell measured there is no shared weight; w = 0 then adds
     # nothing to the total or to the change.
-    w = float(rest[0]) if unmeasured else 0.0
+    if not unmeasured:
+        w = 0.0
     two_n = 2.0 * n
-    for _ in range(sweeps):
+    for _ in range(_MW_SWEEPS):
         prev, prev_w = m, w
         m = m.copy()
         total = math.fsum(m) + unmeasured * w
@@ -192,21 +189,12 @@ def _mw_update(weights: np.ndarray, measurements: dict[int, float], n: int, swee
         m = [x / total for x in m]
         w /= total
         change = max(abs(w - prev_w), max(abs(x - p) for x, p in zip(m, prev)))
-        if change < tol:
+        if change < _MW_TOL:
             break
-    out = np.full(weights.size, w)
-    out[cells] = m
-    return out
+    return m, w
 
 
-def mwem_weights(
-    hist: GroupedHistogram,
-    budget: PrivacyBudget,
-    iterations: int,
-    rng: RandomSource,
-    update_sweeps: int = 2000,
-    update_tol: float = 1e-10,
-) -> np.ndarray:
+def mwem_weights(hist: GroupedHistogram, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> np.ndarray:
     """Multiplicative Weights Exponential Mechanism over the 2 x B cell counts.
 
     Each of the T iterations spends epsilon/(2T) selecting the worst
@@ -219,10 +207,11 @@ def mwem_weights(
 
     The distribution starts uniform and each query is one cell, so every
     update rescales the unmeasured cells by one shared normaliser and they
-    keep one common weight. :func:`_mw_update` therefore sweeps over the
-    measured weights plus that one weight, exactly and with its stop test
-    still over every cell; the full vector is built once per iteration for
-    the selection scores and returned at the end.
+    keep one common weight ``w``. The fit therefore keeps the measured
+    cells, their noisy targets and weights, and ``w`` (see
+    :func:`_mw_update`); the selection keys only unmeasured cells, whose
+    approximated count is ``n * w``, and the full vector is built once for
+    the return value.
     """
     cells = hist.counts.size
     if not isinstance(iterations, (int, np.integer)) or iterations < 1:
@@ -233,22 +222,26 @@ def mwem_weights(
     n = hist.total_n
     true_counts = hist.counts.ravel().astype(float)
     ledger = BudgetLedger(budget.epsilon)
-    a = np.full(cells, 1.0 / cells)
-    measurements: dict[int, float] = {}
+    measured: list[int] = []
+    targets: list[float] = []
+    m: list[float] = []
+    w = 1.0 / cells
     unmeasured = np.ones(cells, dtype=bool)
     for t in range(t_total):
         eps_select = ledger.spend(Fraction(1, 2 * t_total), f"selection {t + 1}")
-        scores = np.abs(true_counts - n * a)
         # Gumbel-max draw == exponential mechanism with sensitivity 1, and it
         # cannot overflow for large scores the way exp-normalization can.
         gumbel = rng.generator.gumbel(size=cells)
-        keyed = np.where(unmeasured, eps_select * scores / 2.0 + gumbel, -np.inf)
+        keyed = np.where(unmeasured, eps_select * np.abs(true_counts - n * w) / 2.0 + gumbel, -np.inf)
         query = int(np.argmax(keyed))
         unmeasured[query] = False
         eps_measure = ledger.spend(Fraction(1, 2 * t_total), f"measurement {t + 1}")
-        measurements[query] = true_counts[query] + laplace_sample(1.0 / eps_measure, rng)
-        a = _mw_update(a, measurements, n, update_sweeps, update_tol)
+        measured.append(query)
+        targets.append(float(true_counts[query] + laplace_sample(1.0 / eps_measure, rng)))
+        m, w = _mw_update(m + [w], w, cells - len(measured), targets, n)
     ledger.close()
+    a = np.full(cells, w)
+    a[measured] = m
     return a
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dpsynth.data import build_histogram, gaussian_unit_bins, load_cardio_csv, table_from_grouped, uniform_bins
+from dpsynth.data import build_histogram, gaussian_unit_bins, load_csv, table_from_grouped, uniform_bins
 from dpsynth.harness import Cell, ExperimentConfig, GeneratorSpec, grid_cells, run_cell, run_grid
 from dpsynth.report import emit_report
 from dpsynth.rng import RandomSource
@@ -83,7 +83,7 @@ def test_c02_nonprivate_calibration():
 
 
 def test_c03_cardio_bmi_statistic(cardio_path):
-    data = load_cardio_csv(cardio_path)
+    data = load_csv(cardio_path)
     out = mann_whitney_u(data.group_values(1), data.group_values(0))
     ok = out.statistic == 471_500_929.50 and out.p_value < 1e-10
     announce(3, ok, f"cardio BMI U statistic = {out.statistic} (p = {out.p_value:.3e})")

@@ -14,9 +14,7 @@ from dpsynth.data import (
     build_table,
     discretize,
     gaussian_unit_bins,
-    load_cardio_csv,
     load_csv,
-    load_grouped_csv,
     psa_bins,
     resolve_binning,
     samples_from_counts,
@@ -144,36 +142,61 @@ class TestCardioCsv:
             "cardio.csv",
             "id;age;height;weight;cardio\n1;50;170;70;0\n2;60;160;80;1\n",
         )
-        data = load_cardio_csv(path)
+        data = load_csv(path)
         assert data.n == 2
         assert data.values[0] == pytest.approx(24.2215, abs=1e-4)
         assert np.array_equal(data.groups, [0, 1])
 
     def test_comma_delimited_also_accepted(self, tmp_path):
-        path = _write(tmp_path, "cardio.csv", "height,weight,cardio\n170,70,1\n")
-        assert load_cardio_csv(path).n == 1
+        path = _write(tmp_path, "cardio.csv", "id,height,weight,cardio\n1,170,70,1\n2,160,80,0\n")
+        data = load_csv(path)
+        assert data.n == 2
+        assert data.values[0] == pytest.approx(24.2215, abs=1e-4)
+        assert np.array_equal(data.groups, [1, 0])
 
     def test_missing_column_rejected(self, tmp_path):
         path = _write(tmp_path, "cardio.csv", "id;age;height;weight\n1;50;170;70\n")
         with pytest.raises(IngestionError, match="cardio"):
-            load_cardio_csv(path)
+            load_csv(path)
 
     def test_malformed_rows_reported_by_index(self, tmp_path):
         path = _write(
             tmp_path,
             "cardio.csv",
-            "height;weight;cardio\n170;70;0\nabc;70;1\n175;;0\n",
+            "height;weight;cardio\n170;70;0\nabc;70;1\n175;;0\n170;70;inf\n",
         )
         with pytest.raises(IngestionError) as err:
-            load_cardio_csv(path)
-        assert err.value.rows == (2, 3)
+            load_csv(path)
+        assert err.value.rows == (2, 3, 4)
+
+    def test_cells_beyond_the_named_columns_ignored(self, tmp_path):
+        path = _write(tmp_path, "cardio.csv", "height;weight;cardio\n170;70;1;9\n160;80\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(path)
+        assert err.value.rows == (2,)
+        path = _write(tmp_path, "ok.csv", "height;weight;cardio\n170;70;1;9\n")
+        assert np.array_equal(load_csv(path).groups, [1])
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = _write(tmp_path, "cardio.csv", "height;weight;cardio\n170;70;0\n\n160;80;1\n")
+        assert np.array_equal(load_csv(path).groups, [0, 1])
+        path = _write(tmp_path, "bad.csv", "height;weight;cardio\n170;70;0\n\nabc;70;1\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(path)
+        assert err.value.rows == (3,)
+
+    def test_many_bad_rows_counted_past_the_first_20(self, tmp_path):
+        path = _write(tmp_path, "cardio.csv", "height;weight;cardio\n" + "170;70;2\n" * 25)
+        with pytest.raises(IngestionError, match=r"malformed rows: 1, 2, .*, 20 \(\+5 more\)$") as err:
+            load_csv(path)
+        assert err.value.rows == tuple(range(1, 26))
 
     def test_full_file_has_70000_records(self, cardio_path):
-        data = load_cardio_csv(cardio_path)
+        data = load_csv(cardio_path)
         assert data.n == 70_000
 
     def test_per_group_totals(self, cardio_path):
-        data = load_cardio_csv(cardio_path)
+        data = load_csv(cardio_path)
         hist = build_histogram(data, bmi_bins())
         assert hist.counts[0].sum() == 35_021
         assert hist.counts[1].sum() == 34_979
@@ -184,26 +207,36 @@ class TestGroupedCsvRoundTrip:
         data = GroupedDataset([0, 1, 1], [1.5, 2.5, 3.5], {"age": np.array([60.0, 61.0, 62.0])})
         path = tmp_path / "d.csv"
         save_grouped_csv(data, path)
-        back = load_grouped_csv(path)
+        back = load_csv(path)
         assert np.array_equal(back.groups, data.groups)
         assert np.array_equal(back.values, data.values)
         assert np.array_equal(back.extras["age"], data.extras["age"])
 
     def test_bad_header_rejected(self, tmp_path):
+        # Without a group,value header the file is read as the cardio format.
         path = _write(tmp_path, "d.csv", "a,b\n1,2\n")
-        with pytest.raises(IngestionError):
-            load_grouped_csv(path)
+        with pytest.raises(IngestionError, match="missing required columns"):
+            load_csv(path)
 
     def test_bad_rows_reported(self, tmp_path):
         path = _write(tmp_path, "d.csv", "group,value\n0,1.0\n7,2.0\nx,3.0\n")
         with pytest.raises(IngestionError) as err:
-            load_grouped_csv(path)
+            load_csv(path)
         assert err.value.rows == (2, 3)
 
     def test_many_bad_rows_counted_past_the_first_20(self, tmp_path):
         path = _write(tmp_path, "d.csv", "group,value\n" + "0,x\n" * 25)
-        with pytest.raises(IngestionError, match=r"malformed rows: 1, 2, .*, 20 \(\+5 more\)$"):
-            load_grouped_csv(path)
+        with pytest.raises(IngestionError, match=r"malformed rows: 1, 2, .*, 20 \(\+5 more\)$") as err:
+            load_csv(path)
+        assert err.value.rows == tuple(range(1, 26))
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = _write(tmp_path, "d.csv", "group,value\n0,1.0\n\n1,2.0\n")
+        assert np.array_equal(load_csv(path).values, [1.0, 2.0])
+        path = _write(tmp_path, "bad.csv", "group,value\n0,1.0\n\n7,2.0\n")
+        with pytest.raises(IngestionError) as err:
+            load_csv(path)
+        assert err.value.rows == (3,)
 
 
 class TestLoadCsv:

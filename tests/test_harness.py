@@ -137,6 +137,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="generator.binning"):
             GeneratorSpec(kind="gaussian", mode="null", binning="bmi25")
 
+    @pytest.mark.parametrize("iterations", [0, 201, 500])
+    def test_mwem_iterations_outside_the_cell_queries_named_at_load(self, iterations):
+        # gaussian100 bins give 2 x 100 cell queries.
+        payload = {**config_to_dict(gaussian_config(synthesizer="mwem")), "mwem_iterations": iterations}
+        with pytest.raises(ConfigError, match="mwem_iterations"):
+            config_from_dict(payload)
+        assert config_from_dict({**payload, "mwem_iterations": 200}).mwem_iterations == 200
+
+    def test_mwem_iterations_rejected_for_other_synthesizers(self):
+        payload = {**config_to_dict(gaussian_config()), "mwem_iterations": 7}
+        with pytest.raises(ConfigError, match="mwem_iterations"):
+            config_from_dict(payload)
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_synthetic_size_below_one_named_at_load(self, size):
+        payload = config_to_dict(gaussian_config(synthesizer="smoothed", original_sizes=(100,), synthetic_sizes=(50,)))
+        with pytest.raises(ConfigError, match="synthetic_sizes"):
+            config_from_dict({**payload, "synthetic_sizes": [size]})
+
     def test_copula_fields_rejected_for_other_generators(self):
         payload = config_to_dict(gaussian_config())
         payload["generator"]["copula_path"] = "default"
@@ -343,6 +362,40 @@ class TestGrid:
         )
         with pytest.raises(IngestionError, match="malformed rows: 2"):
             run_grid(config)
+
+    def test_dp_mw_baseline_tests_the_configured_column(self, monkeypatch):
+        from dpsynth import harness
+        from dpsynth.data import GroupedDataset
+        from dpsynth.dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
+        from dpsynth.simgen import copula_multivariate
+        from dpsynth.synth import PrivacyBudget
+
+        spec = default_prostate_spec()
+        config = ExperimentConfig(
+            generator=GeneratorSpec(kind="copula", mode="signal", copula=spec, variable="fiveari"),
+            synthesizer="dp_mw_baseline",
+            epsilons=(1.0,),
+            original_sizes=(200,),
+            repetitions=3,
+            seed=2,
+        )
+        outcomes = []
+
+        def recording(data, cfg, rng):
+            outcome = dp_mann_whitney(data, cfg, rng)
+            outcomes.append(outcome.to_dict())
+            return outcome
+
+        monkeypatch.setattr(harness, "dp_mann_whitney", recording)
+        rng = RandomSource(config.seed).child(0)
+        run_cell(config, grid_cells(config)[0], rng)
+        expected = []
+        for rep in range(3):
+            original = copula_multivariate(spec, 200, "signal", rng.child(rep, 0))
+            fiveari = GroupedDataset(original.groups, original.column("fiveari"))
+            cfg = DPMWConfig(PrivacyBudget(1.0, DEFAULT_DELTA))
+            expected.append(dp_mann_whitney(fiveari, cfg, rng.child(rep, 1)).to_dict())
+        assert outcomes == expected
 
     def test_multivariate_cell_runs(self):
         config = ExperimentConfig(

@@ -315,14 +315,32 @@ def dense_mw_update(weights, measurements, n, sweeps, tol):
     return a
 
 
+def compact_mw_update(weights, measurements, n):
+    """``synth._mw_update`` run on the compact state of ``weights``, as a full B-vector.
+
+    ``weights`` gives the measured cells' weights; its unmeasured cells
+    must share one weight, which is the compact state's ``w``.
+    """
+    cells = list(measurements)
+    rest = np.delete(weights, cells)
+    w = float(rest[0]) if rest.size else 0.0
+    assert np.all(rest == w)
+    m, w = synth_mod._mw_update(weights[cells].tolist(), w, rest.size, list(measurements.values()), n)
+    out = np.full(weights.size, w)
+    out[cells] = m
+    return out
+
+
 class TestMwem:
     @pytest.mark.parametrize("sweeps", [1, 7, 2000])
     @pytest.mark.parametrize("case", ["t1", "t3", "t10", "negative", "over_n"])
-    def test_compact_update_matches_dense_reference(self, case, sweeps):
+    def test_compact_update_matches_dense_reference(self, case, sweeps, monkeypatch):
         # MWEM's sequence on B = 200 cells, n = 500: each round measures one
         # more cell and updates from the previous round's weights, so the
         # starting states are the uniform 1/B and then non-uniform ones.
-        cells, n, tol = 200, 500, 1e-10
+        monkeypatch.setattr(synth_mod, "_MW_SWEEPS", sweeps)
+        cells, n, tol = 200, 500, synth_mod._MW_TOL
+        assert tol == 1e-10
         g = np.random.default_rng(sweeps)
         t = {"t1": 1, "t3": 3, "t10": 10}.get(case, 3)
         order = [int(c) for c in g.choice(cells, size=t, replace=False)]
@@ -340,7 +358,7 @@ class TestMwem:
         for cell, value in zip(order, values):
             measurements[cell] = float(value)
             expected = dense_mw_update(a, measurements, n, sweeps, tol)
-            got = synth_mod._mw_update(a, measurements, n, sweeps, tol)
+            got = compact_mw_update(a, measurements, n)
             assert np.max(np.abs(got - expected)) <= 1e-12
             a = expected
         if case == "over_n":
@@ -348,22 +366,24 @@ class TestMwem:
 
     @pytest.mark.parametrize("sweeps", [1, 7, 2000])
     @pytest.mark.parametrize("cells,t", [(200, 200), (4, 3)])
-    def test_compact_update_with_few_or_no_unmeasured_cells(self, cells, t, sweeps):
+    def test_compact_update_with_few_or_no_unmeasured_cells(self, cells, t, sweeps, monkeypatch):
         # t = B leaves no unmeasured cell, so there is no shared weight. On
         # B = 4 with t = 3 the shared weight moves by the sum of the measured
         # cells' changes, so the stop test turns on it.
+        monkeypatch.setattr(synth_mod, "_MW_SWEEPS", sweeps)
         n = 500
         g = np.random.default_rng(100 + sweeps)
         values = g.dirichlet(np.ones(cells))[:t] * n
         measurements = {int(c): float(v) for c, v in zip(g.permutation(cells)[:t], values)}
         a = np.full(cells, 1.0 / cells)
         expected = dense_mw_update(a, measurements, n, sweeps, 1e-10)
-        got = synth_mod._mw_update(a, measurements, n, sweeps, 1e-10)
+        got = compact_mw_update(a, measurements, n)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
-    def test_update_rejects_unequal_unmeasured_cells(self):
-        with pytest.raises(ValueError, match="share one weight"):
-            synth_mod._mw_update(np.array([0.4, 0.3, 0.2, 0.1]), {0: 60.0}, 100, sweeps=10, tol=1e-10)
+    def test_shared_weight_is_zero_once_every_cell_is_measured(self):
+        m, w = synth_mod._mw_update([0.25, 0.25, 0.25, 0.25], 0.25, 0, [60.0, 20.0, 15.0, 5.0], 100)
+        assert w == 0.0
+        assert math.fsum(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_iteration_bounds(self):
         hist = hist_2x2(1, 1, 1, 1)
@@ -381,9 +401,10 @@ class TestMwem:
         weights = mwem_weights(hist, PrivacyBudget(1e6), 1, RandomSource(7))
         assert abs(100 * weights[0] - 60.0) <= 1.0
 
-    def test_distribution_invariants_after_update(self):
-        a = np.full(4, 0.25)
-        a = synth_mod._mw_update(a, {0: 60.0, 1: 20.0}, 100, sweeps=500, tol=1e-12)
+    def test_distribution_invariants_after_update(self, monkeypatch):
+        monkeypatch.setattr(synth_mod, "_MW_SWEEPS", 500)
+        monkeypatch.setattr(synth_mod, "_MW_TOL", 1e-12)
+        a = compact_mw_update(np.full(4, 0.25), {0: 60.0, 1: 20.0}, 100)
         assert np.all(a >= 0)
         assert a.sum() == pytest.approx(1.0, abs=1e-12)
         assert 100 * a[0] == pytest.approx(60.0, abs=1.0)
@@ -395,9 +416,7 @@ class TestMwem:
         target = np.array([0.75, 0.25, 0.0, 0.0])
         worst = 0.0
         for seed in range(100):
-            weights = mwem_weights(
-                hist, PrivacyBudget(1000.0), 2, RandomSource(seed), update_sweeps=4000
-            )
+            weights = mwem_weights(hist, PrivacyBudget(1000.0), 2, RandomSource(seed))
             worst = max(worst, 0.5 * np.abs(weights - target).sum())
         assert worst < 0.02
 
