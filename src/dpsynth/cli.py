@@ -19,8 +19,6 @@ import secrets
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, report as report_mod
 from .data import (
     BINNINGS,
@@ -34,7 +32,7 @@ from .data import (
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .harness import ConfigError
 from .rng import RandomSource
-from .stattests import TESTS
+from .stattests import TESTS, tabulate
 from .synth import SYNTHESIZERS, PrivacyBudget, synthesize
 
 __all__ = ["main"]
@@ -137,13 +135,11 @@ def _cmd_synth(args) -> int:
 def _cmd_test(args) -> int:
     _print_header("test", None, {"input": args.input, "test": args.test, "variable": args.variable})
     data = load_csv(args.input)
-    x = data.group_values(0, args.variable)
-    y = data.group_values(1, args.variable)
+    support, counts = tabulate(data.group_values(0, args.variable), data.group_values(1, args.variable))
     # Distinct observed values become the chi-squared table's categories.
-    levels = np.unique(np.concatenate((x, y)))
-    if args.test == "chi2" and levels.size > 20:
+    if args.test == "chi2" and support.size > 20:
         raise ConfigError("chi2 on the CLI expects a categorical column (<= 20 distinct values)")
-    outcome = TESTS[args.test].records(x, y, levels)
+    outcome = TESTS[args.test](support, counts, support)
     print(json.dumps(outcome.to_dict(), sort_keys=True))
     return 0
 

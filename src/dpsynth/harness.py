@@ -3,10 +3,11 @@
 Each grid cell runs R independent repetitions: generate an original dataset,
 synthesize (unless the cell is a baseline), run the configured test, and
 record feasibility and rejection at the significance level. The test runs
-on the synthetic counts of a histogram mechanism and on the records of any
-other dataset. Every cell and repetition draws from a child stream derived
-from the master seed, so a full-grid run, a parallel run, and an isolated
-re-run of one cell all produce identical numbers.
+on a table of counts: a histogram mechanism's synthetic counts, or any
+other dataset's records tabulated at their distinct values. Every cell and
+repetition draws from a child stream derived from the master seed, so a
+full-grid run, a parallel run, and an isolated re-run of one cell all
+produce identical numbers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .data import (
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
-from .stattests import TESTS, TestOutcome
+from .stattests import TESTS, TestOutcome, tabulate
 from .synth import SYNTHESIZERS, PrivacyBudget, synthesize
 
 __all__ = [
@@ -134,6 +135,8 @@ class ExperimentConfig:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         if not self.epsilons:
             raise ConfigError("epsilons must be non-empty")
+        if not np.all(np.isfinite(self.epsilons)):
+            raise ConfigError(f"field 'epsilons' must be finite, got {list(self.epsilons)}")
         if self.synthesizer != "none" and any(e <= 0 for e in self.epsilons):
             raise ConfigError("epsilons must be positive")
         if not self.original_sizes or any(n < 2 for n in self.original_sizes):
@@ -144,6 +147,8 @@ class ExperimentConfig:
                 f"original_sizes must be even for the {self.generator.kind} generator, "
                 f"which splits n into two equal groups; got {odd}"
             )
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"field 'seed' must be in [0, 2**64), got {self.seed}")
         if self.min_feasible < 1:
             raise ConfigError("min_feasible must be at least 1")
         if self.synthesizer == "smoothed":
@@ -270,14 +275,16 @@ def run_test(
 ) -> TestOutcome:
     """Run the configured classical test on a histogram's counts or on the configured column.
 
-    ``levels`` are the tested variable's category levels, when it has any
-    (:meth:`GeneratorSpec.category_domain`).
+    A histogram's table is its counts at the bin midpoints; records are
+    tabulated at their distinct values. ``levels`` are the tested variable's
+    category levels, when it has any (:meth:`GeneratorSpec.category_domain`).
     """
-    test = TESTS[config.test]
     if isinstance(data, GroupedHistogram):
-        return test.counts(data.spec.midpoints(), data.counts, levels)
-    name = config.generator.variable
-    return test.records(data.group_values(0, name), data.group_values(1, name), levels)
+        support, counts = data.spec.midpoints(), data.counts
+    else:
+        name = config.generator.variable
+        support, counts = tabulate(data.group_values(0, name), data.group_values(1, name))
+    return TESTS[config.test](support, counts, levels)
 
 
 def run_cell(
@@ -370,7 +377,8 @@ def config_from_dict(payload: Mapping) -> ExperimentConfig:
     """Build a validated config from parsed JSON, naming the offending field.
 
     Every :class:`ExperimentConfig` field except ``generator`` is cast to its
-    annotated type; fields without a default are required.
+    annotated type, and an integer field takes only integral numbers; fields
+    without a default are required.
     """
     if not isinstance(payload, Mapping):
         raise ConfigError("experiment config must be a JSON object")
@@ -396,12 +404,19 @@ def config_from_dict(payload: Mapping) -> ExperimentConfig:
         kind = hints[f.name]
         try:
             if get_origin(kind) is tuple:
-                values[f.name] = tuple(get_args(kind)[0](v) for v in payload[f.name])
+                values[f.name] = tuple(_cast(get_args(kind)[0], v) for v in payload[f.name])
             else:
-                values[f.name] = kind(payload[f.name])
-        except (TypeError, ValueError) as exc:
+                values[f.name] = _cast(kind, payload[f.name])
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"field {f.name!r} is malformed: {exc}") from exc
     return ExperimentConfig(generator=generator, **values)
+
+
+def _cast(kind: type, value):
+    """``kind(value)``, refusing a boolean or a non-integral number for an integer."""
+    if kind is int and (isinstance(value, bool) or value != int(value)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return kind(value)
 
 
 def _reject_unknown(payload: Mapping, cls, prefix: str, extra=frozenset()) -> None:

@@ -7,17 +7,18 @@ experiment harness can count and classify failed repetitions. p-values
 always use the asymptotic approximations (normal, t, chi-squared); there is
 no silent switching to exact small-sample variants.
 
-Each test in :data:`TESTS` runs on records or on a 2 x k table of counts at
-distinct values, the form in which the histogram synthesizers release data.
-The Mann-Whitney U arithmetic works on counts, and its record form tabulates
-first; the other tests rebuild the records from counts.
+Every test computes on a 2 x k table of each group's counts at strictly
+increasing ``support`` values, the form in which the histogram synthesizers
+release data (``*_counts``). Records become such a table through
+:func:`tabulate`, and each record form (``mann_whitney_u``, ``t_test``,
+``median_test``, ``two_sample_chi_squared``) is that one step followed by
+its counts form. :data:`TESTS` holds the counts forms by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,14 +27,17 @@ from .special import normal_cdf, regularized_incomplete_beta, regularized_upper_
 __all__ = [
     "FailureReason",
     "TestOutcome",
+    "tabulate",
     "mann_whitney_u",
     "mann_whitney_u_counts",
     "u_statistic",
     "t_test",
+    "t_test_counts",
     "chi_squared",
     "two_sample_chi_squared",
+    "two_sample_chi_squared_counts",
     "median_test",
-    "TwoSampleTest",
+    "median_test_counts",
     "TESTS",
 ]
 
@@ -94,8 +98,9 @@ def _u_and_tie_sum(counts: np.ndarray) -> tuple[float, float]:
     return u, float(np.sum(ties**3 - ties))
 
 
-def _tabulate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pooled values, ascending, and each group's 2 x k counts at them."""
+def tabulate(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pooled values of two samples, ascending, and each group's 2 x k counts at them."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     support, inverse = np.unique(np.concatenate((x, y)), return_inverse=True)
     k = support.size
     counts = np.stack((np.bincount(inverse[: x.size], minlength=k), np.bincount(inverse[x.size :], minlength=k)))
@@ -104,16 +109,15 @@ def _tabulate(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def u_statistic(x, y) -> float:
     """U for group x: cross-group pairs won by x, ties counted half."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
+    _, counts = tabulate(x, y)
+    if not counts.sum(axis=1).all():
         raise ValueError("both groups must be non-empty")
-    return _u_and_tie_sum(_tabulate(x, y)[1])[0]
+    return _u_and_tie_sum(counts)[0]
 
 
 def mann_whitney_u(x, y) -> TestOutcome:
     """Two-sided Mann-Whitney U test on two samples; see :func:`mann_whitney_u_counts`."""
-    return mann_whitney_u_counts(*_tabulate(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    return mann_whitney_u_counts(*tabulate(x, y))
 
 
 def mann_whitney_u_counts(support, counts) -> TestOutcome:
@@ -124,7 +128,7 @@ def mann_whitney_u_counts(support, counts) -> TestOutcome:
     tie-corrected variance and a 0.5 continuity correction toward the null
     mean.
     """
-    counts = _count_table(support, counts)
+    _, counts = _count_table(support, counts)
     n1, n2 = (int(c) for c in counts.sum(axis=1))
     if n1 == 0 or n2 == 0:
         return _infeasible(FailureReason.SINGLE_CLASS)
@@ -134,16 +138,15 @@ def mann_whitney_u_counts(support, counts) -> TestOutcome:
     sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
     if sigma2 <= 0:
         return _infeasible(FailureReason.CONSTANT_VALUES)
-    mu = n1 * n2 / 2.0
-    shift = u - mu
+    shift = u - n1 * n2 / 2.0
     cc = 0.5 if shift > 0 else (-0.5 if shift < 0 else 0.0)
     z = (shift - cc) / np.sqrt(sigma2)
     p = min(1.0, 2.0 * normal_cdf(-abs(z)))
     return TestOutcome(u, p, True)
 
 
-def _count_table(support, counts) -> np.ndarray:
-    """``counts`` as a checked 2 x k integer table over strictly increasing ``support``."""
+def _count_table(support, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` as floats and ``counts`` as a checked 2 x k integer table over it."""
     support = np.asarray(support, dtype=float)
     table = np.asarray(counts, dtype=np.int64)
     if support.ndim != 1 or table.shape != (2, support.size):
@@ -152,13 +155,22 @@ def _count_table(support, counts) -> np.ndarray:
         raise ValueError("support values must be strictly increasing")
     if np.any(table < 0):
         raise ValueError("counts must be non-negative")
-    return table
+    return support, table
 
 
 def t_test(x, y) -> TestOutcome:
-    """Two-sided pooled-variance two-sample t-test, df = n1 + n2 - 2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Two-sided pooled-variance two-sample t-test; see :func:`t_test_counts`."""
+    return t_test_counts(*tabulate(x, y))
+
+
+def t_test_counts(support, counts) -> TestOutcome:
+    """Two-sided pooled-variance two-sample t-test, df = n1 + n2 - 2, on a 2 x k table.
+
+    The moments are taken over each group's values rebuilt in ascending order;
+    weighted moments would move the p-values in their last digits.
+    """
+    support, counts = _count_table(support, counts)
+    x, y = np.repeat(support, counts[0]), np.repeat(support, counts[1])
     n1, n2 = x.size, y.size
     if n1 < 2 or n2 < 2:
         return _infeasible(FailureReason.SINGLE_CLASS)
@@ -172,15 +184,16 @@ def t_test(x, y) -> TestOutcome:
     return TestOutcome(float(t), min(1.0, p), True)
 
 
-def _chi2_from_table(obs: np.ndarray) -> tuple[float, int, np.ndarray]:
-    row = obs.sum(axis=1, keepdims=True)
-    col = obs.sum(axis=0, keepdims=True)
-    expected = row * col / obs.sum()
+def _chi2_outcome(obs: np.ndarray, min_expected: float) -> TestOutcome:
+    """Chi-squared outcome of a float table with no empty line; Yates applies to 2 x 2."""
+    expected = obs.sum(axis=1, keepdims=True) * obs.sum(axis=0, keepdims=True) / obs.sum()
+    if np.any(expected < min_expected):
+        return _infeasible(FailureReason.LOW_EXPECTED_FREQUENCY)
     cc = 0.5 if obs.shape == (2, 2) else 0.0
-    dev = np.maximum(np.abs(obs - expected) - cc, 0.0)
-    stat = float((dev**2 / expected).sum())
+    stat = float((np.maximum(np.abs(obs - expected) - cc, 0.0) ** 2 / expected).sum())
     df = (obs.shape[0] - 1) * (obs.shape[1] - 1)
-    return stat, df, expected
+    p = regularized_upper_gamma(df / 2.0, stat / 2.0)
+    return TestOutcome(stat, min(1.0, p), True)
 
 
 def chi_squared(table) -> TestOutcome:
@@ -199,95 +212,70 @@ def chi_squared(table) -> TestOutcome:
         return _infeasible(FailureReason.SINGLE_CLASS)
     if np.any(obs.sum(axis=1) == 0) or np.any(obs.sum(axis=0) == 0):
         return _infeasible(FailureReason.SINGLE_CLASS)
-    stat, df, expected = _chi2_from_table(obs)
-    if np.any(expected < 5):
-        return _infeasible(FailureReason.LOW_EXPECTED_FREQUENCY)
-    p = regularized_upper_gamma(df / 2.0, stat / 2.0)
-    return TestOutcome(stat, min(1.0, p), True)
+    return _chi2_outcome(obs, 5.0)
 
 
 def two_sample_chi_squared(x, y, levels=None) -> TestOutcome:
-    """Chi-squared test of group against value on a 2 x k table.
+    """Chi-squared test of group against value; see :func:`two_sample_chi_squared_counts`."""
+    return two_sample_chi_squared_counts(*tabulate(x, y), levels)
 
-    With ``levels`` the table has one column per level, counting the values
-    equal to it; without, one column per pooled quartile interval. An empty
+
+def two_sample_chi_squared_counts(support, counts, levels) -> TestOutcome:
+    """Chi-squared test of group against value on a 2 x k table regrouped into columns.
+
+    With ``levels`` the test's table has one column per level, counting the
+    values equal to it; with ``levels=None``, one column per pooled quartile
+    interval (edges from ``np.quantile`` of the pooled values). An empty
     group makes the outcome single-class.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
-        return chi_squared(np.array([[x.size], [y.size]]))
+    support, counts = _count_table(support, counts)
+    sizes = counts.sum(axis=1, keepdims=True)
+    if not sizes.all():
+        return chi_squared(sizes)
     if levels is None:
-        edges = np.quantile(np.concatenate((x, y)), [0.25, 0.5, 0.75])
-        table = [np.bincount(np.searchsorted(edges, v, side="right"), minlength=4) for v in (x, y)]
+        edges = np.quantile(np.repeat(support, counts.sum(axis=0)), [0.25, 0.5, 0.75])
+        cells = np.searchsorted(edges, support, side="right")
+        table = [np.bincount(cells, weights=row, minlength=4) for row in counts]
     else:
-        table = [[(v == level).sum() for level in levels] for v in (x, y)]
+        table = [[row[support == level].sum() for level in levels] for row in counts]
     return chi_squared(np.array(table))
 
 
 def median_test(x, y) -> TestOutcome:
-    """Test for equal medians: 2x2 table of counts above vs at-or-below the
+    """Test for equal medians on two samples; see :func:`median_test_counts`."""
+    return median_test_counts(*tabulate(x, y))
+
+
+def median_test_counts(support, counts) -> TestOutcome:
+    """Test for equal medians on a 2 x k table: counts above vs at-or-below the
     grand median per group, evaluated as a chi-squared statistic.
 
-    Ties with the grand median count as "at or below". No minimum expected
-    frequency is enforced here; sparse-table degeneracy surfaces instead as
-    a degenerate-median failure when a table line is empty.
+    The grand median is the mean of the pooled order statistics (N-1)//2 and
+    N//2, as ``np.median`` takes it. No minimum expected frequency is
+    enforced; a sparse table fails as a degenerate median when a line is empty.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size == 0 or y.size == 0:
+    support, counts = _count_table(support, counts)
+    sizes = counts.sum(axis=1)
+    if not sizes.all():
         return _infeasible(FailureReason.SINGLE_CLASS)
-    pooled = np.concatenate((x, y))
-    median = float(np.median(pooled))
-    table = np.array(
-        [
-            [float((x > median).sum()), float((x <= median).sum())],
-            [float((y > median).sum()), float((y <= median).sum())],
-        ]
-    )
-    if np.any(table.sum(axis=0) == 0) or np.any(table.sum(axis=1) == 0):
+    cumulative = np.cumsum(counts.sum(axis=0))
+    n = int(cumulative[-1])
+    lo, hi = np.searchsorted(cumulative, [(n - 1) // 2, n // 2], side="right")
+    median = (support[lo] + support[hi]) / 2.0
+    above = counts[:, support > median].sum(axis=1)
+    table = np.stack((above, sizes - above), axis=1).astype(float)
+    if np.any(table.sum(axis=0) == 0):
         return _infeasible(FailureReason.DEGENERATE_MEDIAN)
-    stat, df, _ = _chi2_from_table(table)
-    p = regularized_upper_gamma(df / 2.0, stat / 2.0)
-    return TestOutcome(stat, min(1.0, p), True)
+    return _chi2_outcome(table, 0.0)
 
 
-class TwoSampleTest(NamedTuple):
-    """One test in its two forms, which give the same outcome on the same records.
-
-    ``records(x, y, levels)`` takes the two groups' values; ``counts(support,
-    counts, levels)`` takes a 2 x k table of each group's counts at strictly
-    increasing ``support`` values. Only the chi-squared test reads ``levels``.
-    """
-
-    records: Callable[..., TestOutcome]
-    counts: Callable[..., TestOutcome]
-
-
-def _from_records(records: Callable[..., TestOutcome]) -> TwoSampleTest:
-    """A test whose counts form rebuilds each group's values and runs ``records``.
-
-    Group g becomes ``np.repeat(support, counts[g])``, the values that
-    :func:`dpsynth.data.samples_from_counts` gives at bin midpoints.
-    """
-
-    def counts_form(support, counts, levels=None) -> TestOutcome:
-        support = np.asarray(support, dtype=float)
-        table = _count_table(support, counts)
-        return records(np.repeat(support, table[0]), np.repeat(support, table[1]), levels)
-
-    return TwoSampleTest(records, counts_form)
-
-
-# The two-sample tests by name. The lambdas look each test up by name when
+# The two-sample tests by name, each called as (support, counts, levels);
+# only chi2 reads ``levels``. The lambdas look each test up by name when
 # called, so a function rebound on this module (a wrapper, a patch) is the
 # one that runs.
 TESTS = {
-    "mw_u": TwoSampleTest(
-        lambda x, y, levels=None: mann_whitney_u(x, y),
-        lambda support, counts, levels=None: mann_whitney_u_counts(support, counts),
-    ),
-    "t": _from_records(lambda x, y, levels=None: t_test(x, y)),
-    "chi2": _from_records(lambda x, y, levels=None: two_sample_chi_squared(x, y, levels)),
-    "median": _from_records(lambda x, y, levels=None: median_test(x, y)),
+    "mw_u": lambda support, counts, levels: mann_whitney_u_counts(support, counts),
+    "t": lambda support, counts, levels: t_test_counts(support, counts),
+    "chi2": lambda support, counts, levels: two_sample_chi_squared_counts(support, counts, levels),
+    "median": lambda support, counts, levels: median_test_counts(support, counts),
 }

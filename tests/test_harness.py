@@ -72,11 +72,51 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="mystery"):
             config_from_dict({"mystery": 1, "synthesizer": "none"})
 
-    def test_malformed_field_named(self):
-        payload = config_to_dict(gaussian_config())
-        payload["epsilons"] = "lots"
-        with pytest.raises(ConfigError, match="epsilons"):
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("epsilons", "lots"),
+            ("original_sizes", [50.9]),
+            ("synthetic_sizes", [True]),
+            ("repetitions", 3.7),
+            ("repetitions", True),
+            ("seed", 5.5),
+            ("min_feasible", 2.5),
+            ("min_feasible", float("inf")),
+            ("mwem_iterations", 10.5),
+        ],
+        ids=lambda v: str(v).replace(" ", ""),
+    )
+    def test_malformed_field_named(self, name, value):
+        # A non-integral number or a boolean in an integer field is not truncated.
+        smoothed = gaussian_config(synthesizer="smoothed", original_sizes=(100,), synthetic_sizes=(50,))
+        payload = {**config_to_dict(smoothed), name: value}
+        with pytest.raises(ConfigError, match=name):
             config_from_dict(payload)
+
+    def test_integral_numbers_accepted_for_integer_fields(self):
+        payload = {**config_to_dict(gaussian_config()), "original_sizes": [100.0], "repetitions": 10.0}
+        config = config_from_dict(payload)
+        assert config == gaussian_config(original_sizes=(100,))
+        assert type(config.repetitions) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_its_range_named(self, seed, tmp_path):
+        payload = config_to_dict(gaussian_config())
+        with pytest.raises(ConfigError, match="'seed'"):
+            config_from_dict({**payload, "seed": seed})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="'seed'"):
+            load_config(path, seed=seed)
+
+    @pytest.mark.parametrize("synthesizer", ["none", "perturbed", "mwem"])
+    @pytest.mark.parametrize("text", ["Infinity", "NaN", "-Infinity"])
+    def test_non_finite_epsilon_named_at_load(self, synthesizer, text, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(gaussian_config(synthesizer=synthesizer))).replace("10.0", text))
+        with pytest.raises(ConfigError, match="epsilons"):
+            load_config(path)
 
     def test_round_trip_through_dict(self):
         config = gaussian_config()

@@ -1,5 +1,7 @@
 """Classical test statistics against hand computations and brute-force oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from dpsynth.data import load_csv, samples_from_counts, uniform_bins
 from dpsynth.rng import RandomSource
-from dpsynth.special import normal_cdf
+from dpsynth.special import normal_cdf, regularized_incomplete_beta, regularized_upper_gamma
 from dpsynth.stattests import (
     TESTS,
     FailureReason,
@@ -17,6 +19,7 @@ from dpsynth.stattests import (
     mann_whitney_u_counts,
     median_test,
     t_test,
+    tabulate,
     two_sample_chi_squared,
     u_statistic,
 )
@@ -60,6 +63,82 @@ def reference_mann_whitney_u(x, y) -> TestOutcome:
     cc = 0.5 if shift > 0 else (-0.5 if shift < 0 else 0.0)
     z = (shift - cc) / np.sqrt(sigma2)
     return TestOutcome(u, min(1.0, 2.0 * normal_cdf(-abs(z))), True)
+
+
+def reference_t_test(x, y) -> TestOutcome:
+    """The record t-test as it stood before the counts form, on the values in their given order."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n1, n2 = x.size, y.size
+    if n1 < 2 or n2 < 2:
+        return TestOutcome(float("nan"), None, False, FailureReason.SINGLE_CLASS)
+    df = n1 + n2 - 2
+    ss = float(((x - x.mean()) ** 2).sum() + ((y - y.mean()) ** 2).sum())
+    pooled_var = ss / df
+    if pooled_var <= 0:
+        return TestOutcome(float("nan"), None, False, FailureReason.CONSTANT_VALUES)
+    t = (float(x.mean()) - float(y.mean())) / np.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
+    p = regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+    return TestOutcome(float(t), min(1.0, p), True)
+
+
+def reference_chi_squared(table, min_expected=5.0) -> TestOutcome:
+    """The chi-squared arithmetic as it stood before the counts forms, with its feasibility checks."""
+    obs = np.asarray(table, dtype=float)
+    if obs.shape[0] < 2 or obs.shape[1] < 2 or np.any(obs.sum(axis=1) == 0) or np.any(obs.sum(axis=0) == 0):
+        return TestOutcome(float("nan"), None, False, FailureReason.SINGLE_CLASS)
+    row = obs.sum(axis=1, keepdims=True)
+    col = obs.sum(axis=0, keepdims=True)
+    expected = row * col / obs.sum()
+    if np.any(expected < min_expected):
+        return TestOutcome(float("nan"), None, False, FailureReason.LOW_EXPECTED_FREQUENCY)
+    cc = 0.5 if obs.shape == (2, 2) else 0.0
+    dev = np.maximum(np.abs(obs - expected) - cc, 0.0)
+    stat = float((dev**2 / expected).sum())
+    df = (obs.shape[0] - 1) * (obs.shape[1] - 1)
+    return TestOutcome(stat, min(1.0, regularized_upper_gamma(df / 2.0, stat / 2.0)), True)
+
+
+def reference_two_sample_chi_squared(x, y, levels=None) -> TestOutcome:
+    """The record chi2 test as it stood before the counts form: quartile or level columns of records."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size == 0 or y.size == 0:
+        return reference_chi_squared(np.array([[x.size], [y.size]]))
+    if levels is None:
+        edges = np.quantile(np.concatenate((x, y)), [0.25, 0.5, 0.75])
+        table = [np.bincount(np.searchsorted(edges, v, side="right"), minlength=4) for v in (x, y)]
+    else:
+        table = [[(v == level).sum() for level in levels] for v in (x, y)]
+    return reference_chi_squared(np.array(table))
+
+
+def reference_median_test(x, y) -> TestOutcome:
+    """The record median test as it stood before the counts form: np.median of the pooled records."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size == 0 or y.size == 0:
+        return TestOutcome(float("nan"), None, False, FailureReason.SINGLE_CLASS)
+    median = float(np.median(np.concatenate((x, y))))
+    table = np.array([[(v > median).sum(), (v <= median).sum()] for v in (x, y)], dtype=float)
+    if np.any(table.sum(axis=0) == 0) or np.any(table.sum(axis=1) == 0):
+        return TestOutcome(float("nan"), None, False, FailureReason.DEGENERATE_MEDIAN)
+    return reference_chi_squared(table, min_expected=0.0)
+
+
+REFERENCES = {
+    "mw_u": lambda x, y, levels: reference_mann_whitney_u(x, y),
+    "t": lambda x, y, levels: reference_t_test(x, y),
+    "chi2": reference_two_sample_chi_squared,
+    "median": lambda x, y, levels: reference_median_test(x, y),
+}
+
+RECORD_FORMS = {
+    "mw_u": lambda x, y, levels: mann_whitney_u(x, y),
+    "t": lambda x, y, levels: t_test(x, y),
+    "chi2": two_sample_chi_squared,
+    "median": lambda x, y, levels: median_test(x, y),
+}
 
 
 small_group = st.lists(st.integers(0, 6).map(float), min_size=1, max_size=12)
@@ -254,16 +333,13 @@ def random_tables(seed: int, count: int):
 
 
 def record_outcome(name, counts, spec, levels=None) -> TestOutcome:
-    """The record form on the expanded records; MW-U against the pre-counts reference."""
+    """The pre-counts reference on the records expanded from ``counts``."""
     data = samples_from_counts(counts, spec)
-    x, y = data.group_values(0), data.group_values(1)
-    if name == "mw_u":
-        return reference_mann_whitney_u(x, y)
-    return TESTS[name].records(x, y, levels)
+    return REFERENCES[name](data.group_values(0), data.group_values(1), levels)
 
 
 def counts_outcome(name, counts, spec, levels=None) -> TestOutcome:
-    return TESTS[name].counts(spec.midpoints(), counts, levels)
+    return TESTS[name](spec.midpoints(), counts, levels)
 
 
 def same(a: TestOutcome, b: TestOutcome) -> bool:
@@ -272,7 +348,7 @@ def same(a: TestOutcome, b: TestOutcome) -> bool:
 
 
 class TestCountsForms:
-    """Each counts form gives exactly the record outcome on the expanded records."""
+    """Each counts form gives exactly the pre-counts record outcome on the expanded records."""
 
     @pytest.mark.parametrize("name", sorted(TESTS))
     def test_random_tables_match_records(self, name):
@@ -318,14 +394,29 @@ class TestCountsForms:
             assert counts_outcome(name, np.array(counts), spec).failure_reason is reason
 
     def test_continuous_records_with_ties_match_reference(self):
+        # The t-test sums each group in ascending order rather than as given,
+        # so only its last digits may differ; every other test is exact.
         g = np.random.default_rng(10)
-        for n1, n2 in [(1, 1), (5, 7), (60, 40), (1000, 1000), (10_000, 10_000)]:
+        for n1, n2 in [(1, 1), (2, 3), (5, 7), (60, 40), (1000, 1000), (10_000, 10_000)]:
             for decimals in (None, 1, 0):
                 x, y = g.normal(50, 10, size=n1), g.normal(50.5, 10, size=n2)
                 if decimals is not None:
                     x, y = np.round(x, decimals), np.round(y, decimals)
-                assert same(mann_whitney_u(x, y), reference_mann_whitney_u(x, y))
-                assert same(mann_whitney_u(y, x), reference_mann_whitney_u(y, x))
+                levels = np.unique(np.concatenate((x, y)))[:12] if decimals == 0 else None
+                for name, (a, b) in itertools.product(sorted(TESTS), ((x, y), (y, x))):
+                    got, want = RECORD_FORMS[name](a, b, levels), REFERENCES[name](a, b, levels)
+                    if name != "t":
+                        assert same(got, want), (n1, n2, decimals, got, want)
+                        continue
+                    assert (got.feasible, got.failure_reason) == (want.feasible, want.failure_reason)
+                    if want.feasible:
+                        assert got.statistic == pytest.approx(want.statistic, rel=0, abs=1e-9)
+                        assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0)
+
+    def test_tabulate_counts_each_group_at_the_pooled_distinct_values(self):
+        support, counts = tabulate([2, 1, 2], [3.5, 1])
+        assert support.tolist() == [1.0, 2.0, 3.5]
+        assert counts.tolist() == [[1, 2, 0], [1, 0, 1]]
 
     def test_counts_form_rejects_malformed_tables(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -333,4 +424,4 @@ class TestCountsForms:
         with pytest.raises(ValueError, match="shape"):
             mann_whitney_u_counts([1.0, 2.0, 3.0], [[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="non-negative"):
-            TESTS["t"].counts([1.0, 2.0], [[1, -2], [3, 4]])
+            TESTS["t"]([1.0, 2.0], [[1, -2], [3, 4]], None)
