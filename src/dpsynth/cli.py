@@ -55,6 +55,12 @@ def _outdir(value: str | None) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _resolve_seed(seed: int | None) -> int:
     return secrets.randbits(63) if seed is None else seed
 
@@ -234,7 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run the error-rate grids of a JSON config (one experiment or an array)")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, help="overrides the seed in the config file")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers",
+        type=_positive_int,
+        default=1,
+        help="worker processes; the work is split by (grid cell, chunk of its repetitions)",
+    )
     p.add_argument("--out", default="results")
     p.set_defaults(func=_cmd_experiment)
 

@@ -5,15 +5,18 @@ synthesize (unless the cell is a baseline), run the configured test, and
 record feasibility and rejection at the significance level. The test runs
 on a table of counts: a histogram mechanism's synthetic counts, or any
 other dataset's records tabulated at their distinct values. Every cell and
-repetition draws from a child stream derived from the master seed, so a
-full-grid run, a parallel run, and an isolated re-run of one cell all
-produce identical numbers.
+repetition draws from a child stream derived from the master seed.
+:func:`run_grid` splits the work by (cell, repetition chunk), and a cell's
+report is built from the summed chunk tallies, so a full-grid run at any
+worker count and an isolated re-run of one cell all produce identical
+numbers.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, get_args, get_origin, get_type_hints
@@ -58,6 +61,10 @@ METHODS = ("none", *SYNTHESIZERS, "dp_mw_baseline")
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
+
+
+# A tally of repetitions: feasible count, rejections, failure counts by reason.
+Tally = tuple[int, int, dict[str, int]]
 
 
 class Cell(NamedTuple):
@@ -287,23 +294,22 @@ def run_test(
     return TESTS[config.test](support, counts, levels)
 
 
-def run_cell(
-    config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None = None
-) -> ErrorRateReport:
-    """R repetitions of generate, synthesize, test for one grid cell.
+def _tally(
+    config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None, reps: range
+) -> Tally:
+    """The tally of the repetitions ``reps`` of one cell.
 
-    A csv generator subsamples ``source``, the loaded CSV; :func:`run_grid`
-    loads it once for all cells, and a lone call loads it when not given.
+    Repetition ``rep`` draws only from ``rng.child(rep, 0)`` and
+    ``rng.child(rep, 1)``, so a tally does not depend on how a cell's
+    repetitions are split.
     """
     gen = config.generator
-    if source is None and gen.kind == "csv":
-        source = load_csv(gen.csv_path)
     binning = None if gen.kind == "copula" else gen.binning_spec()
     levels = gen.category_domain()
     feasible = 0
     rejections = 0
     failures: dict[str, int] = {}
-    for rep in range(config.repetitions):
+    for rep in reps:
         original = _generate(config, source, cell.n_original, rng.child(rep, 0))
         if config.synthesizer == "none":
             outcome = run_test(config, original, levels)
@@ -330,6 +336,13 @@ def run_cell(
         else:
             reason = outcome.failure_reason.value
             failures[reason] = failures.get(reason, 0) + 1
+    return feasible, rejections, failures
+
+
+def _report(
+    config: ExperimentConfig, cell: Cell, feasible: int, rejections: int, failures: dict[str, int]
+) -> ErrorRateReport:
+    """The report of one cell from the tally of all its repetitions."""
     if feasible:
         rate = rejections / feasible
         error_rate = rate if config.error_kind == "type1" else 1.0 - rate
@@ -352,33 +365,74 @@ def run_cell(
     )
 
 
-def _cell_task(payload: tuple[ExperimentConfig, Cell, int, GroupedDataset | None]) -> ErrorRateReport:
-    config, cell, index, source = payload
-    return run_cell(config, cell, RandomSource(config.seed).child(index), source)
+def run_cell(
+    config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None = None
+) -> ErrorRateReport:
+    """R repetitions of generate, synthesize, test for one grid cell.
+
+    A csv generator subsamples ``source``, the loaded CSV; :func:`run_grid`
+    loads it once for all cells, and a lone call loads it when not given.
+    """
+    if source is None and config.generator.kind == "csv":
+        source = load_csv(config.generator.csv_path)
+    return _report(config, cell, *_tally(config, cell, rng, source, range(config.repetitions)))
+
+
+def _chunks(repetitions: int, workers: int) -> list[range]:
+    """``range(repetitions)`` cut into ``min(repetitions, workers)`` contiguous, near-equal parts."""
+    k = min(repetitions, workers)
+    return [range(repetitions * j // k, repetitions * (j + 1) // k) for j in range(k)]
+
+
+def _merge(tallies: list[Tally]) -> Tally:
+    """The sum of a cell's chunk tallies; failure reasons keep their first-seen order."""
+    feasible = rejections = 0
+    failures: dict[str, int] = {}
+    for part_feasible, part_rejections, part_failures in tallies:
+        feasible += part_feasible
+        rejections += part_rejections
+        for reason, count in part_failures.items():
+            failures[reason] = failures.get(reason, 0) + count
+    return feasible, rejections, failures
+
+
+def _chunk_task(payload: tuple[ExperimentConfig, Cell, int, GroupedDataset | None, range]) -> Tally:
+    config, cell, index, source, reps = payload
+    return _tally(config, cell, RandomSource(config.seed).child(index), source, reps)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport]:
     """Run every grid cell; results are identical for any worker count.
 
-    A csv source is read once here and handed to every cell.
+    The unit of work is a contiguous chunk of one cell's repetitions: each
+    cell is cut into ``min(repetitions, workers)`` chunks, so a grid of few
+    or unevenly slow cells still keeps every worker busy. A cell's report is
+    built once from the summed tallies of its chunks. A csv source is read
+    once here and handed to every chunk.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
     gen = config.generator
     source = load_csv(gen.csv_path) if gen.kind == "csv" else None
     cells = grid_cells(config)
-    payloads = [(config, cell, i, source) for i, cell in enumerate(cells)]
-    if workers <= 1:
-        return [_cell_task(p) for p in payloads]
-    # map returns the results in the order of its inputs, the grid order.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_cell_task, payloads))
+    chunks = _chunks(config.repetitions, workers)
+    tasks = [(config, cell, i, source, reps) for i, cell in enumerate(cells) for reps in chunks]
+    size = min(workers, len(tasks))
+    with ExitStack() as stack:
+        # Both maps return results in the order of their inputs: by cell, then by chunk.
+        mapper = stack.enter_context(ProcessPoolExecutor(max_workers=size)).map if size > 1 else map
+        tallies = list(mapper(_chunk_task, tasks))
+    k = len(chunks)
+    return [_report(config, cell, *_merge(tallies[i * k : (i + 1) * k])) for i, cell in enumerate(cells)]
 
 
 def config_from_dict(payload: Mapping) -> ExperimentConfig:
     """Build a validated config from parsed JSON, naming the offending field.
 
     Every :class:`ExperimentConfig` field except ``generator`` is cast to its
-    annotated type, and an integer field takes only integral numbers; fields
-    without a default are required.
+    annotated type: a number field takes only JSON numbers, not booleans or
+    strings, and an integer field only integral ones; fields without a
+    default are required.
     """
     if not isinstance(payload, Mapping):
         raise ConfigError("experiment config must be a JSON object")
@@ -413,8 +467,13 @@ def config_from_dict(payload: Mapping) -> ExperimentConfig:
 
 
 def _cast(kind: type, value):
-    """``kind(value)``, refusing a boolean or a non-integral number for an integer."""
-    if kind is int and (isinstance(value, bool) or value != int(value)):
+    """``kind(value)``; a number field takes only a number, and an integer field only an integral one.
+
+    A boolean or a string is not a number here, although ``float()`` accepts both.
+    """
+    if kind is not str and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        raise ValueError(f"expected a number, got {value!r}")
+    if kind is int and value != int(value):
         raise ValueError(f"expected an integer, got {value!r}")
     return kind(value)
 

@@ -50,6 +50,14 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_workers_not_positive_is_usage_error(self, workers, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"synthesizer": "none", "epsilons": [1.0], "original_sizes": [20]}))
+        assert main(["experiment", "--config", str(path), f"--workers={workers}", "--out", str(tmp_path)]) == 1
+        assert "--workers: must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "reports.json").exists()
+
     def test_missing_input_file_is_data_error(self, tmp_path, capsys):
         code = main(
             ["synth", "--input", str(tmp_path / "nope.csv"), "--method", "perturbed", "--epsilon", "1", "--out", str(tmp_path / "x.csv")]

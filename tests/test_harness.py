@@ -84,11 +84,15 @@ class TestConfigValidation:
             ("min_feasible", 2.5),
             ("min_feasible", float("inf")),
             ("mwem_iterations", 10.5),
+            ("epsilons", [True]),
+            ("epsilons", ["1.5"]),
+            ("alpha", "0.05"),
         ],
         ids=lambda v: str(v).replace(" ", ""),
     )
     def test_malformed_field_named(self, name, value):
-        # A non-integral number or a boolean in an integer field is not truncated.
+        # A non-integral number or a boolean in an integer field is not truncated,
+        # and a boolean or a string in a float field is not cast.
         smoothed = gaussian_config(synthesizer="smoothed", original_sizes=(100,), synthetic_sizes=(50,))
         payload = {**config_to_dict(smoothed), name: value}
         with pytest.raises(ConfigError, match=name):
@@ -317,9 +321,53 @@ class TestGrid:
         config = gaussian_config()
         assert run_grid(config, workers=1) == run_grid(config, workers=2)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_must_be_positive(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_grid(gaussian_config(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("repetitions", [1, 2, 7, 200])
+    def test_chunks_cover_repetitions_once_in_order(self, repetitions, workers):
+        from dpsynth import harness
+
+        chunks = harness._chunks(repetitions, workers)
+        assert len(chunks) == min(repetitions, workers)
+        assert [rep for chunk in chunks for rep in chunk] == list(range(repetitions))
+        assert all(len(chunk) >= 1 for chunk in chunks)
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+
+    @pytest.mark.parametrize("repetitions", [7, 2], ids=["R-not-divisible", "R-below-workers"])
+    def test_reports_byte_identical_across_worker_counts(self, repetitions, tmp_path):
+        config = gaussian_config(repetitions=repetitions, min_feasible=1)
+        runs = {workers: run_grid(config, workers=workers) for workers in (1, 2, 3)}
+        assert runs[1] == runs[2] == runs[3]
+        written = {}
+        for workers, reports in runs.items():
+            paths = emit_report(reports, tmp_path / str(workers), formats=("csv", "json"))
+            written[workers] = [path.read_bytes() for path in paths]
+        assert written[1] == written[2] == written[3]
+
+    def test_failure_counts_merged_across_chunks(self):
+        # At n = 50 the synthetic fiveari table mostly fails chi2's
+        # expected-frequency rule; at this seed both repetitions fail, one per chunk.
+        config = ExperimentConfig(
+            generator=GeneratorSpec(kind="copula", mode="null", copula=default_prostate_spec(), variable="fiveari"),
+            synthesizer="marginal_ipf",
+            epsilons=(0.1,),
+            original_sizes=(50,),
+            repetitions=2,
+            test="chi2",
+            seed=3,
+        )
+        (serial,) = run_grid(config, workers=1)
+        (parallel,) = run_grid(config, workers=2)
+        assert serial.failure_counts == {"low-expected-frequency": 2}
+        assert parallel == serial
+
     def test_cell_rerun_in_isolation_matches_grid(self):
         config = gaussian_config()
-        reports = run_grid(config)
+        reports = run_grid(config, workers=2)
         cells = grid_cells(config)
         lone = run_cell(config, cells[2], RandomSource(config.seed).child(2))
         assert lone == reports[2]
