@@ -2,11 +2,11 @@
 
 from .data import (
     BinningSpec,
-    DiscreteTable,
+    CountTable,
     GroupedDataset,
-    GroupedHistogram,
     IngestionError,
     build_histogram,
+    build_table,
     discretize,
     load_csv,
     samples_from_counts,
@@ -26,6 +26,7 @@ from .synth import (
     perturbed_histogram,
     smoothed_histogram,
     smoothed_probabilities,
+    synthesize,
 )
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ from pathlib import Path
 from . import harness, report as report_mod
 from .data import (
     BINNINGS,
-    GroupedHistogram,
     IngestionError,
+    build_histogram,
     load_csv,
     resolve_binning,
     samples_from_counts,
@@ -100,6 +100,7 @@ def _cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
     binning = _binning_from_args(args)
     spec = resolve_binning(binning)
+    budget = PrivacyBudget(args.epsilon)
     options = _method_options(args)
     _print_header(
         "synth",
@@ -114,11 +115,9 @@ def _cmd_synth(args) -> int:
         },
     )
     original = load_csv(args.input)
-    budget = PrivacyBudget(args.epsilon)
-    synthetic = synthesize(args.method, original, budget, RandomSource(seed), binning=spec, **options)
-    # Histogram methods release counts; the file holds their records at the bin midpoints.
-    if isinstance(synthetic, GroupedHistogram):
-        synthetic = samples_from_counts(synthetic.counts, synthetic.spec)
+    released = synthesize(args.method, build_histogram(original, spec), budget, RandomSource(seed), **options)
+    # The file holds the released counts as records at the bin midpoints, in cell order.
+    synthetic = samples_from_counts(released)
     out = _outdir(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_grouped_csv(synthetic, out)

@@ -1,15 +1,18 @@
-"""Tabular data model: binned histograms, grouped records, CSV ingestion.
+"""Tabular data model: grouped records, count tables, CSV ingestion.
 
 The central objects are :class:`GroupedDataset` (binary group label plus a
-continuous value, optionally more named columns) and
-:class:`GroupedHistogram` (per group-by-bin cell counts over a
-:class:`BinningSpec`). :class:`DiscreteTable` is the fully categorical
-encoding consumed by the marginal-based synthesizer.
+continuous value, optionally more named columns) and :class:`CountTable`
+(cell counts over named axes, the group axis first), which every
+synthesizer reads and releases. :func:`build_histogram` counts the
+(group, binned value) table over a :class:`BinningSpec`, :func:`build_table`
+any number of binned or categorical columns, and
+:func:`samples_from_counts` expands a table back into records.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -19,8 +22,7 @@ import numpy as np
 __all__ = [
     "BinningSpec",
     "GroupedDataset",
-    "GroupedHistogram",
-    "DiscreteTable",
+    "CountTable",
     "IngestionError",
     "discretize",
     "build_histogram",
@@ -34,7 +36,6 @@ __all__ = [
     "BINNINGS",
     "resolve_binning",
     "build_table",
-    "table_from_grouped",
 ]
 
 
@@ -103,10 +104,17 @@ def resolve_binning(binning) -> BinningSpec:
         except KeyError:
             raise ValueError(f"binning {binning!r} is not one of {sorted(BINNINGS)}") from None
     if isinstance(binning, Mapping):
+        values = [binning.get(key) for key in ("lo", "hi", "count")]
+        # A boolean or a string is not a number here, although float() accepts both.
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+            raise ValueError(f"binning mapping needs numbers lo, hi and count, got {dict(binning)}")
+        lo, hi, count = values
+        if not float(count).is_integer() or count < 2:
+            raise ValueError(f"binning count must be an integer of at least 2, got {count!r}")
         try:
-            return uniform_bins(float(binning["lo"]), float(binning["hi"]), int(binning["count"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"binning mapping needs numeric lo/hi/count: {exc}") from None
+            return uniform_bins(float(lo), float(hi), int(count))
+        except ValueError as exc:
+            raise ValueError(f"binning mapping {dict(binning)}: {exc}") from None
     raise ValueError("binning must be a named spec or a {count, lo, hi} mapping")
 
 
@@ -157,23 +165,39 @@ class GroupedDataset:
 
 
 @dataclass(frozen=True)
-class GroupedHistogram:
-    """2 x bin_count cell counts c_i over a binning spec."""
+class CountTable:
+    """Cell counts over named axes, the group axis first.
 
-    spec: BinningSpec
+    ``levels[j]`` holds the strictly increasing values of axis ``j``: the
+    bin midpoints of a binned variable or the levels of a categorical one.
+    The builders check that order where the levels are made (a
+    :class:`BinningSpec`'s edges, :func:`build_table`'s category levels),
+    so a table does not check it again each time its counts are replaced.
+    ``counts`` is an int64 array of shape ``domains``, and a record counted
+    in cell ``(i, j, ...)`` reads ``levels[0][i], levels[1][j], ...``.
+    """
+
+    variables: tuple[str, ...]
+    levels: tuple[np.ndarray, ...]
     counts: np.ndarray
-    total_n: int
 
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (2, self.spec.bin_count):
-            raise ValueError(f"counts must have shape (2, {self.spec.bin_count})")
-        if np.any(c < 0):
+        levels = tuple(np.asarray(lv, dtype=float) for lv in self.levels)
+        if len(self.variables) != c.ndim or c.shape != tuple(lv.size for lv in levels):
+            raise ValueError("counts need one axis per variable, as long as its levels")
+        if c.size and c.min() < 0:
             raise ValueError("counts must be non-negative")
-        if int(c.sum()) != int(self.total_n):
-            raise ValueError("counts must sum to total_n")
         object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "total_n", int(self.total_n))
+        object.__setattr__(self, "levels", levels)
+
+    @property
+    def domains(self) -> tuple[int, ...]:
+        return self.counts.shape
+
+    @property
+    def total_n(self) -> int:
+        return int(self.counts.sum())
 
 
 def discretize(values, spec: BinningSpec) -> np.ndarray:
@@ -189,26 +213,26 @@ def discretize(values, spec: BinningSpec) -> np.ndarray:
     return np.clip(idx, 0, spec.bin_count - 1).astype(np.int64)
 
 
-def build_histogram(data: GroupedDataset, spec: BinningSpec) -> GroupedHistogram:
-    """Count records per (group, bin) cell."""
+def build_histogram(data: GroupedDataset, spec: BinningSpec) -> CountTable:
+    """The (group, binned value) table of ``data``: records counted per (group, bin) cell."""
     if data.n == 0:
         raise ValueError("cannot build a histogram from an empty dataset")
     bins = discretize(data.values, spec)
     flat = np.bincount(data.groups * spec.bin_count + bins, minlength=2 * spec.bin_count)
-    return GroupedHistogram(spec, flat.reshape(2, spec.bin_count), data.n)
+    return CountTable(("group", data.value_name), ((0.0, 1.0), spec.midpoints()), flat.reshape(2, spec.bin_count))
 
 
-def samples_from_counts(counts, spec: BinningSpec) -> GroupedDataset:
-    """Expand cell counts into records placed at the bin center points."""
-    c = np.asarray(counts, dtype=np.int64)
-    if c.shape != (2, spec.bin_count):
-        raise ValueError(f"counts must have shape (2, {spec.bin_count})")
-    if np.any(c < 0):
-        raise ValueError("counts must be non-negative")
-    mids = spec.midpoints()
-    groups = np.repeat(np.array([0, 1]), c.sum(axis=1))
-    values = np.concatenate([np.repeat(mids, c[0]), np.repeat(mids, c[1])])
-    return GroupedDataset(groups, values)
+def samples_from_counts(table: CountTable) -> GroupedDataset:
+    """Expand a table's counts into records, in cell order.
+
+    A record takes its cell's levels: the first axis gives its group, the
+    second its value and every further axis an extra column of that name.
+    """
+    cells = np.repeat(np.arange(table.counts.size), table.counts.ravel())
+    codes = np.unravel_index(cells, table.domains)
+    group, value, *extras = (lv[code] for lv, code in zip(table.levels, codes))
+    names = table.variables
+    return GroupedDataset(group.astype(np.int64), value, dict(zip(names[2:], extras)), value_name=names[1])
 
 
 def _sniff_delimiter(sample: str) -> str:
@@ -296,74 +320,31 @@ def load_csv(path) -> GroupedDataset:
     return GroupedDataset(arr[:, 0].astype(np.int64), arr[:, 1], extras)
 
 
-@dataclass(frozen=True)
-class DiscreteTable:
-    """Fully categorical view of a dataset: per-variable integer codes.
+def build_table(columns: Sequence[tuple[str, np.ndarray, BinningSpec | Sequence[float]]]) -> CountTable:
+    """Count named columns' records per cell of a :class:`CountTable`, one axis per column.
 
-    ``levels[j][k]`` is the representative value decoded for code ``k`` of
-    variable ``j`` (bin midpoints for discretized continuous variables).
-    """
-
-    variables: tuple[str, ...]
-    domains: tuple[int, ...]
-    codes: np.ndarray
-    levels: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.int64)
-        if codes.ndim != 2 or codes.shape[1] != len(self.variables):
-            raise ValueError("codes must be (n_records, n_variables)")
-        if len(self.domains) != len(self.variables) or len(self.levels) != len(self.variables):
-            raise ValueError("domains and levels must align with variables")
-        for j, d in enumerate(self.domains):
-            if d < 2:
-                raise ValueError(f"variable {self.variables[j]!r} needs a domain of size >= 2")
-            if len(self.levels[j]) != d:
-                raise ValueError(f"levels for {self.variables[j]!r} must have length {d}")
-            if codes.size and (codes[:, j].min() < 0 or codes[:, j].max() >= d):
-                raise ValueError(f"codes for {self.variables[j]!r} fall outside its domain")
-        object.__setattr__(self, "codes", codes)
-
-    @property
-    def n(self) -> int:
-        return int(self.codes.shape[0])
-
-
-def build_table(columns: Sequence[tuple[str, np.ndarray, BinningSpec | Sequence[float]]]) -> DiscreteTable:
-    """Encode named columns into a :class:`DiscreteTable`.
-
-    Each column comes with either a :class:`BinningSpec` (continuous: codes
-    are bin indices, levels are midpoints) or an explicit sequence of
-    category levels (codes are positions in that sequence).
+    Each column comes with either a :class:`BinningSpec` (a continuous
+    variable, whose levels are the bin midpoints) or its strictly increasing
+    category levels, one of which every value must equal.
     """
     if not columns:
         raise ValueError("at least one column is required")
-    names, domains, levels, code_cols = [], [], [], []
+    names, levels, codes = [], [], []
     for name, raw, enc in columns:
         arr = np.asarray(raw, dtype=float)
         if isinstance(enc, BinningSpec):
-            code_cols.append(discretize(arr, enc))
+            codes.append(discretize(arr, enc))
             levels.append(enc.midpoints())
-            domains.append(enc.bin_count)
         else:
             lv = np.asarray(enc, dtype=float)
-            pos = np.searchsorted(lv, arr)
-            pos = np.clip(pos, 0, lv.size - 1)
+            if not np.all(lv[1:] > lv[:-1]):
+                raise ValueError(f"column {name!r} needs strictly increasing levels, got {enc}")
+            pos = np.clip(np.searchsorted(lv, arr), 0, lv.size - 1)
             if not np.allclose(lv[pos], arr):
                 raise ValueError(f"column {name!r} contains values outside its declared levels")
-            code_cols.append(pos.astype(np.int64))
+            codes.append(pos)
             levels.append(lv)
-            domains.append(lv.size)
         names.append(name)
-    codes = np.stack(code_cols, axis=1) if code_cols[0].size else np.zeros((0, len(names)), dtype=np.int64)
-    return DiscreteTable(tuple(names), tuple(domains), codes, tuple(levels))
-
-
-def table_from_grouped(data: GroupedDataset, spec: BinningSpec) -> DiscreteTable:
-    """Two-variable table (group, binned value) used by the bivariate synthesizers."""
-    return build_table(
-        [
-            ("group", data.groups.astype(float), (0.0, 1.0)),
-            (data.value_name, data.values, spec),
-        ]
-    )
+    shape = tuple(lv.size for lv in levels)
+    flat = np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape))
+    return CountTable(tuple(names), tuple(levels), flat.reshape(shape))

@@ -2,9 +2,10 @@
 
 Each grid cell runs R independent repetitions: generate an original dataset,
 synthesize (unless the cell is a baseline), run the configured test, and
-record feasibility and rejection at the significance level. The test runs
-on a table of counts: a histogram mechanism's synthetic counts, or any
-other dataset's records tabulated at their distinct values. Every cell and
+record feasibility and rejection at the significance level. A synthesizer
+reads the original's count table and releases synthetic counts, and the
+test runs on their (group, tested variable) marginal; only the ``none``
+baseline's records are tabulated at their distinct values. Every cell and
 repetition draws from a child stream derived from the master seed.
 :func:`run_grid` splits the work by (cell, repetition chunk), and a cell's
 report is built from the summed chunk tallies, so a full-grid run at any
@@ -25,9 +26,10 @@ import numpy as np
 
 from .data import (
     BinningSpec,
+    CountTable,
     GroupedDataset,
-    GroupedHistogram,
     bmi_bins,
+    build_histogram,
     build_table,
     gaussian_unit_bins,
     load_csv,
@@ -96,18 +98,23 @@ class GeneratorSpec:
                 raise ConfigError("generator.copula is required for the copula generator")
             if self.variable is not None:
                 self.copula.variable(self.variable)
-        if self.kind != "copula" and (self.variable is not None or self.copula is not None):
+            if self.binning is not None:
+                raise ConfigError(
+                    "generator.binning does not apply to the copula generator, whose variables carry their own bins"
+                )
+        elif self.variable is not None or self.copula is not None:
             raise ConfigError("generator.variable and generator.copula only apply to the copula generator")
-        self.binning_spec()
+        else:
+            self.binning_spec()
 
     def binning_spec(self) -> BinningSpec:
-        """Discretization used by the bivariate histogram synthesizers."""
+        """The value bins of the (group, value) table, for the gaussian and csv generators."""
         if self.binning is None:
             return gaussian_unit_bins() if self.kind == "gaussian" else bmi_bins()
         try:
             return resolve_binning(self.binning)
         except ValueError as exc:
-            raise ConfigError(f"generator.{exc}") from None
+            raise ConfigError(f"field 'generator.binning': {exc}") from None
 
     def category_domain(self) -> np.ndarray | None:
         """Fixed category levels of the tested variable, when it has any."""
@@ -176,12 +183,10 @@ class ExperimentConfig:
             )
         if self.synthesizer == "dp_mw_baseline" and self.test != "mw_u":
             raise ConfigError("the dp_mw_baseline runs the DP Mann-Whitney test; set test to mw_u")
-        histogram = self.synthesizer in SYNTHESIZERS and SYNTHESIZERS[self.synthesizer][0] == "histogram"
-        if self.generator.kind == "copula" and histogram:
-            tables = [name for name, (kind, _) in SYNTHESIZERS.items() if kind == "table"]
+        if self.generator.kind == "copula" and self.synthesizer in ("perturbed", "smoothed", "mwem"):
             raise ConfigError(
                 f"synthesizer {self.synthesizer!r} operates on bivariate histograms; "
-                f"multivariate copula data requires {' or '.join(tables)} (or a baseline)"
+                "multivariate copula data requires marginal_ipf (or a baseline)"
             )
         if any(m < 1 for m in self.synthetic_sizes):
             raise ConfigError(f"synthetic_sizes entries must be at least 1, got {list(self.synthetic_sizes)}")
@@ -268,7 +273,7 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
     return GroupedDataset(source.groups[idx], source.values[idx], extras, source.value_name)
 
 
-def _copula_table(spec: CopulaSpec, data: GroupedDataset):
+def _copula_table(spec: CopulaSpec, data: GroupedDataset) -> CountTable:
     columns = [("group", data.groups.astype(float), (0.0, 1.0))]
     for v in spec.variables:
         binning = v.binning()
@@ -278,18 +283,22 @@ def _copula_table(spec: CopulaSpec, data: GroupedDataset):
 
 
 def run_test(
-    config: ExperimentConfig, data: GroupedDataset | GroupedHistogram, levels: np.ndarray | None
+    config: ExperimentConfig, data: GroupedDataset | CountTable, levels: np.ndarray | None
 ) -> TestOutcome:
-    """Run the configured classical test on a histogram's counts or on the configured column.
+    """Run the configured classical test on the (group, tested variable) table of ``data``.
 
-    A histogram's table is its counts at the bin midpoints; records are
-    tabulated at their distinct values. ``levels`` are the tested variable's
-    category levels, when it has any (:meth:`GeneratorSpec.category_domain`).
+    For a count table that is its marginal over the group axis and the
+    tested variable's axis, at that axis's levels; records are tabulated at
+    their distinct values. ``levels`` are the tested variable's category
+    levels, when it has any (:meth:`GeneratorSpec.category_domain`).
     """
-    if isinstance(data, GroupedHistogram):
-        support, counts = data.spec.midpoints(), data.counts
+    name = config.generator.variable
+    if isinstance(data, CountTable):
+        # The group axis comes first, and an unnamed tested variable next.
+        axis = 1 if name is None else data.variables.index(name)
+        other = tuple(j for j in range(1, data.counts.ndim) if j != axis)
+        support, counts = data.levels[axis], data.counts.sum(axis=other)
     else:
-        name = config.generator.variable
         support, counts = tabulate(data.group_values(0, name), data.group_values(1, name))
     return TESTS[config.test](support, counts, levels)
 
@@ -318,13 +327,12 @@ def _tally(
             tested = GroupedDataset(original.groups, original.column(gen.variable))
             outcome = dp_mann_whitney(tested, cfg, rng.child(rep, 1))
         else:
+            table = _copula_table(gen.copula, original) if binning is None else build_histogram(original, binning)
             synthetic = synthesize(
                 config.synthesizer,
-                original,
+                table,
                 PrivacyBudget(cell.epsilon),
                 rng.child(rep, 1),
-                binning=binning,
-                table=_copula_table(gen.copula, original) if gen.kind == "copula" else None,
                 m=cell.n_synthetic,
                 iterations=config.mwem_iterations,
             )

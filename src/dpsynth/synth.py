@@ -12,10 +12,11 @@ Four mechanisms are provided:
 * ``marginal_ipf`` - noisy one-way/two-way marginal release reconciled into
   a joint distribution by iterative proportional fitting.
 
-The three histogram mechanisms release synthetic cell counts, a
-:class:`GroupedHistogram` over the input's bins, whose records would all sit
-at bin midpoints (:func:`dpsynth.data.samples_from_counts` expands them).
-``marginal_ipf`` releases records.
+Every mechanism reads a :class:`~dpsynth.data.CountTable` and releases
+synthetic counts over the same cells, a table of the same axes and levels
+(:func:`dpsynth.data.samples_from_counts` expands it into records). The
+histogram mechanisms run on the (group, binned value) table; ``marginal_ipf``
+runs on a table of any number of axes.
 
 Every mechanism accounts for its privacy budget through a
 :class:`BudgetLedger`; a run that would not consume exactly the configured
@@ -25,20 +26,13 @@ epsilon fails loudly rather than silently over- or under-spending.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .data import (
-    BinningSpec,
-    DiscreteTable,
-    GroupedDataset,
-    GroupedHistogram,
-    build_histogram,
-    table_from_grouped,
-)
+from .data import CountTable
 from .rng import RandomSource, categorical_sample, discrete_laplace_sample, laplace_sample
 
 __all__ = [
@@ -65,8 +59,8 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
@@ -94,7 +88,13 @@ class BudgetLedger:
             )
 
 
-def perturbed_histogram(hist: GroupedHistogram, budget: PrivacyBudget, rng: RandomSource) -> GroupedHistogram:
+def _draw_counts(table: CountTable, probs: np.ndarray, size: int, rng: RandomSource) -> CountTable:
+    """The table's cells counted over ``size`` draws from the flat cell probabilities ``probs``."""
+    cells = categorical_sample(probs, rng, size=size)
+    return replace(table, counts=np.bincount(cells, minlength=probs.size).reshape(table.domains))
+
+
+def perturbed_histogram(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
     """Discrete Laplace(2/epsilon) noise per cell, negatives set to zero.
 
     The clamped noisy counts are released directly, so the synthetic size is
@@ -102,10 +102,9 @@ def perturbed_histogram(hist: GroupedHistogram, budget: PrivacyBudget, rng: Rand
     """
     ledger = BudgetLedger(budget.epsilon)
     scale = 2.0 / ledger.spend(Fraction(1), "histogram release")
-    noise = discrete_laplace_sample(scale, rng, size=hist.counts.shape)
-    noisy = np.maximum(hist.counts + noise, 0)
+    noise = discrete_laplace_sample(scale, rng, size=table.domains)
     ledger.close()
-    return GroupedHistogram(hist.spec, noisy, int(noisy.sum()))
+    return replace(table, counts=np.maximum(table.counts + noise, 0))
 
 
 def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
@@ -127,9 +126,7 @@ def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def smoothed_histogram(
-    hist: GroupedHistogram, budget: PrivacyBudget, m: int, rng: RandomSource
-) -> GroupedHistogram:
+def smoothed_histogram(table: CountTable, budget: PrivacyBudget, m: int, rng: RandomSource) -> CountTable:
     """Counts of exactly ``m`` draws from the additively smoothed cell distribution.
 
     Smoothing is applied over the joint group-by-bin cells so that group
@@ -142,11 +139,8 @@ def smoothed_histogram(
         raise ValueError(f"m must be a positive integer, got {m}")
     ledger = BudgetLedger(budget.epsilon)
     ledger.spend(Fraction(1), f"{m} smoothed draws")
-    probs = smoothed_probabilities(hist.counts.ravel(), budget.epsilon, int(m))
-    cells = categorical_sample(probs, rng, size=int(m))
-    counts = np.bincount(cells, minlength=probs.size).reshape(hist.counts.shape)
     ledger.close()
-    return GroupedHistogram(hist.spec, counts, int(m))
+    return _draw_counts(table, smoothed_probabilities(table.counts.ravel(), budget.epsilon, int(m)), int(m), rng)
 
 
 # The multiplicative-weights update's sweep cap and its stop test on the
@@ -194,8 +188,8 @@ def _mw_update(m: list[float], w: float, unmeasured: int, targets: list[float], 
     return m, w
 
 
-def mwem_weights(hist: GroupedHistogram, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> np.ndarray:
-    """Multiplicative Weights Exponential Mechanism over the 2 x B cell counts.
+def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> np.ndarray:
+    """Multiplicative Weights Exponential Mechanism over the table's cell counts.
 
     Each of the T iterations spends epsilon/(2T) selecting the worst
     unmeasured cell-count query (exponential mechanism, sensitivity 1,
@@ -213,14 +207,14 @@ def mwem_weights(hist: GroupedHistogram, budget: PrivacyBudget, iterations: int,
     approximated count is ``n * w``, and the full vector is built once for
     the return value.
     """
-    cells = hist.counts.size
+    cells = table.counts.size
     if not isinstance(iterations, (int, np.integer)) or iterations < 1:
         raise ValueError(f"iterations must be a positive integer, got {iterations}")
     if iterations > cells:
         raise ValueError(f"iterations ({iterations}) cannot exceed the {cells} cell queries")
     t_total = int(iterations)
-    n = hist.total_n
-    true_counts = hist.counts.ravel().astype(float)
+    n = table.total_n
+    true_counts = table.counts.ravel().astype(float)
     ledger = BudgetLedger(budget.epsilon)
     measured: list[int] = []
     targets: list[float] = []
@@ -245,17 +239,9 @@ def mwem_weights(hist: GroupedHistogram, budget: PrivacyBudget, iterations: int,
     return a
 
 
-def mwem(
-    hist: GroupedHistogram,
-    budget: PrivacyBudget,
-    iterations: int,
-    rng: RandomSource,
-) -> GroupedHistogram:
+def mwem(table: CountTable, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> CountTable:
     """Counts of ``total_n`` draws from the MWEM-fitted cell distribution."""
-    a = mwem_weights(hist, budget, iterations, rng)
-    drawn = categorical_sample(a, rng, size=hist.total_n)
-    counts = np.bincount(drawn, minlength=a.size).reshape(hist.counts.shape)
-    return GroupedHistogram(hist.spec, counts, hist.total_n)
+    return _draw_counts(table, mwem_weights(table, budget, iterations, rng), table.total_n, rng)
 
 
 def all_low_order_marginals(n_variables: int) -> tuple[tuple[int, ...], ...]:
@@ -263,13 +249,6 @@ def all_low_order_marginals(n_variables: int) -> tuple[tuple[int, ...], ...]:
     singles = [(j,) for j in range(n_variables)]
     pairs = [tuple(p) for p in combinations(range(n_variables), 2)]
     return tuple(singles + pairs)
-
-
-def _marginal_counts(table: DiscreteTable, axes: tuple[int, ...]) -> np.ndarray:
-    shape = tuple(table.domains[j] for j in axes)
-    out = np.zeros(shape)
-    np.add.at(out, tuple(table.codes[:, j] for j in axes), 1.0)
-    return out
 
 
 def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
@@ -280,7 +259,7 @@ def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
 
 
 def fit_marginal_joint(
-    table: DiscreteTable,
+    table: CountTable,
     budget: PrivacyBudget,
     rng: RandomSource,
     marginals: tuple[tuple[int, ...], ...] | None = None,
@@ -319,7 +298,7 @@ def fit_marginal_joint(
     targets = []
     for axes in marginals:
         eps_share = ledger.spend(Fraction(1, k), f"marginal {axes}")
-        counts = _marginal_counts(table, axes)
+        counts = table.counts.sum(axis=tuple(j for j in range(ndim) if j not in axes))
         noisy = np.maximum(counts + laplace_sample(2.0 / eps_share, rng, size=counts.shape), 0.0)
         total = noisy.sum()
         # A fully clamped marginal carries no information; fall back to uniform.
@@ -351,66 +330,32 @@ def fit_marginal_joint(
     return joint
 
 
-def marginal_ipf(
-    table: DiscreteTable,
-    budget: PrivacyBudget,
-    rng: RandomSource,
-) -> GroupedDataset:
-    """Sample ``table.n`` records from the IPF-fitted noisy-marginal joint."""
-    joint = fit_marginal_joint(table, budget, rng)
-    drawn = categorical_sample(joint.ravel(), rng, size=table.n)
-    codes = np.stack(np.unravel_index(drawn, table.domains), axis=1)
-    return _decode_table(table, codes)
+def marginal_ipf(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
+    """Counts of ``total_n`` draws from the IPF-fitted noisy-marginal joint."""
+    return _draw_counts(table, fit_marginal_joint(table, budget, rng).ravel(), table.total_n, rng)
 
 
-def _decode_table(table: DiscreteTable, codes: np.ndarray) -> GroupedDataset:
-    columns = {
-        name: table.levels[j][codes[:, j]] for j, name in enumerate(table.variables)
-    }
-    if "group" not in columns:
-        raise ValueError("tables must include a 'group' variable to decode")
-    groups = columns.pop("group").astype(np.int64)
-    value_name, *extra_names = columns
-    return GroupedDataset(
-        groups,
-        columns[value_name],
-        {name: columns[name] for name in extra_names},
-        value_name=value_name,
-    )
-
-
-# The synthesizers by name: (input kind, call). The input is a
-# GroupedHistogram for "histogram" methods and a DiscreteTable for "table"
-# methods; each call picks the options it uses.
+# The synthesizers by name; each call takes a table, a budget and a random
+# source and picks the options it uses.
 SYNTHESIZERS = {
-    "perturbed": ("histogram", lambda hist, budget, rng, **_: perturbed_histogram(hist, budget, rng)),
-    "smoothed": ("histogram", lambda hist, budget, rng, m, **_: smoothed_histogram(hist, budget, m, rng)),
-    "mwem": ("histogram", lambda hist, budget, rng, iterations, **_: mwem(hist, budget, iterations, rng)),
-    "marginal_ipf": ("table", lambda table, budget, rng, **_: marginal_ipf(table, budget, rng)),
+    "perturbed": lambda table, budget, rng, **_: perturbed_histogram(table, budget, rng),
+    "smoothed": lambda table, budget, rng, m, **_: smoothed_histogram(table, budget, m, rng),
+    "mwem": lambda table, budget, rng, iterations, **_: mwem(table, budget, iterations, rng),
+    "marginal_ipf": lambda table, budget, rng, **_: marginal_ipf(table, budget, rng),
 }
 
 
 def synthesize(
     method: str,
-    data: GroupedDataset,
+    table: CountTable,
     budget: PrivacyBudget,
     rng: RandomSource,
-    binning: BinningSpec | None = None,
-    table: DiscreteTable | None = None,
     m: int | None = None,
     iterations: int = 10,
-) -> GroupedHistogram | GroupedDataset:
-    """Run the synthesizer registered as ``method`` on ``data``; returns what it releases.
+) -> CountTable:
+    """Run the synthesizer registered as ``method`` on ``table``; returns its synthetic counts.
 
-    Histogram methods count ``data`` over ``binning`` and release synthetic
-    counts over the same bins. Table methods take ``table`` when it is given
-    (a multi-variable encoding of ``data``) and otherwise the (group, binned
-    value) table, and release records. ``m`` is the smoothed histogram's
-    synthetic size and ``iterations`` MWEM's rounds.
+    ``m`` is the smoothed histogram's synthetic size and ``iterations``
+    MWEM's rounds.
     """
-    kind, call = SYNTHESIZERS[method]
-    if kind == "histogram":
-        source = build_histogram(data, binning)
-    else:
-        source = table if table is not None else table_from_grouped(data, binning)
-    return call(source, budget, rng, m=m, iterations=iterations)
+    return SYNTHESIZERS[method](table, budget, rng, m=m, iterations=iterations)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from dpsynth.data import build_histogram, gaussian_unit_bins, load_csv, table_from_grouped, uniform_bins
+from dpsynth.data import build_histogram, gaussian_unit_bins, load_csv, uniform_bins
 from dpsynth.harness import Cell, ExperimentConfig, GeneratorSpec, grid_cells, run_cell, run_grid
 from dpsynth.report import emit_report
 from dpsynth.rng import RandomSource
@@ -201,11 +201,9 @@ def test_c07_mechanism_limit_properties():
     smoothed_exact = np.array_equal(probs, expected)
 
     # IPF on a full-joint marginal workload copies the empirical joint.
-    table = table_from_grouped(data, uniform_bins(40.0, 60.0, 50))
+    table = build_histogram(data, uniform_bins(40.0, 60.0, 50))
     joint = fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(2), marginals=((0, 1),))
-    empirical = np.zeros((2, 50))
-    np.add.at(empirical, (table.codes[:, 0], table.codes[:, 1]), 1.0)
-    empirical /= empirical.sum()
+    empirical = table.counts / table.total_n
     tv = 0.5 * np.abs(joint - empirical).sum()
 
     elapsed = time.time() - start

@@ -76,6 +76,18 @@ class TestExitCodes:
         assert main(["experiment", "--config", str(path)]) == 2
         assert "epsilons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["perturbed", "smoothed", "mwem", "marginal_ipf"])
+    def test_non_finite_epsilon_named_by_synth(self, toy_csv, tmp_path, capsys, method):
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--input", str(toy_csv), "--method", method, "--epsilon", "inf", "--out", str(out)]
+        assert main(argv + (["--m", "50"] if method == "smoothed" else [])) == 2
+        assert "epsilon must be finite and positive, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_epsilon_named_by_dp_test(self, toy_csv, capsys):
+        assert main(["dp-test", "--input", str(toy_csv), "--epsilon", "inf", "--seed", "2"]) == 2
+        assert "epsilon must be finite and positive, got inf" in capsys.readouterr().err
+
     def test_smoothed_without_m_is_config_error(self, toy_csv, tmp_path):
         code = main(
             ["synth", "--input", str(toy_csv), "--method", "smoothed", "--epsilon", "1", "--out", str(tmp_path / "x.csv")]
@@ -132,6 +144,14 @@ class TestSynthCommand:
         }
         if method == "smoothed":
             assert rows == 120
+
+    def test_marginal_ipf_writes_its_records_in_cell_order(self, toy_csv, tmp_path):
+        out = tmp_path / "syn.csv"
+        argv = ["synth", "--input", str(toy_csv), "--method", "marginal_ipf", "--epsilon", "5", "--seed", "3"]
+        assert main(argv + ["--binning", "gaussian100", "--out", str(out)]) == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 300
+        assert rows == sorted(rows)
 
     @pytest.mark.parametrize("method", ["perturbed", "mwem", "marginal_ipf"])
     def test_m_rejected_for_methods_that_ignore_it(self, toy_csv, tmp_path, capsys, method):

@@ -1,4 +1,4 @@
-"""Binning, histogram construction, and CSV ingestion."""
+"""Binning, count tables, and CSV ingestion."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dpsynth.data import (
     BinningSpec,
+    CountTable,
     GroupedDataset,
     IngestionError,
     bmi_bins,
@@ -19,9 +20,13 @@ from dpsynth.data import (
     resolve_binning,
     samples_from_counts,
     save_grouped_csv,
-    table_from_grouped,
     uniform_bins,
 )
+
+
+def two_axis(counts, spec: BinningSpec) -> CountTable:
+    """The (group, value) table of ``counts`` over ``spec``'s bins."""
+    return CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), counts)
 
 
 class TestBinningSpec:
@@ -88,14 +93,25 @@ class TestBuildHistogram:
 
 class TestSamplesFromCounts:
     def test_midpoint_expansion(self):
-        data = samples_from_counts([[2, 0], [0, 1]], uniform_bins(0.0, 2.0, 2))
+        data = samples_from_counts(two_axis([[2, 0], [0, 1]], uniform_bins(0.0, 2.0, 2)))
         assert data.n == 3
         assert np.array_equal(data.groups, [0, 0, 1])
         assert np.array_equal(data.values, [0.5, 0.5, 1.5])
 
     def test_all_zero_counts(self):
-        data = samples_from_counts(np.zeros((2, 3), dtype=int), uniform_bins(0.0, 3.0, 3))
+        data = samples_from_counts(two_axis(np.zeros((2, 3), dtype=int), uniform_bins(0.0, 3.0, 3)))
         assert data.n == 0
+
+    def test_further_axes_become_extra_columns_in_cell_order(self):
+        counts = np.zeros((2, 2, 3), dtype=int)
+        counts[1, 0, 2] = 2
+        counts[0, 1, 0] = 1
+        table = CountTable(("group", "age", "grade"), ((0.0, 1.0), (60.0, 70.0), (1.0, 2.0, 3.0)), counts)
+        data = samples_from_counts(table)
+        assert data.value_name == "age"
+        assert np.array_equal(data.groups, [0, 1, 1])
+        assert np.array_equal(data.values, [70.0, 60.0, 60.0])
+        assert np.array_equal(data.extras["grade"], [1.0, 3.0, 3.0])
 
     @given(
         st.lists(st.integers(0, 5), min_size=8, max_size=8).map(
@@ -106,7 +122,7 @@ class TestSamplesFromCounts:
         spec = uniform_bins(0.0, 8.0, 4)
         if counts.sum() == 0:
             return
-        hist = build_histogram(samples_from_counts(counts, spec), spec)
+        hist = build_histogram(samples_from_counts(two_axis(counts, spec)), spec)
         assert np.array_equal(hist.counts, counts)
 
 
@@ -260,20 +276,39 @@ class TestResolveBinning:
     def test_named_and_mapping(self):
         assert resolve_binning("psa40") == psa_bins()
         assert resolve_binning({"count": 4, "lo": 0, "hi": 8}) == uniform_bins(0.0, 8.0, 4)
+        assert resolve_binning({"count": 4.0, "lo": 0.5, "hi": 8}) == uniform_bins(0.5, 8.0, 4)
 
-    @pytest.mark.parametrize("bad", ["bmi25", {"count": 4, "lo": 0}, 3])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "bmi25",
+            {"count": 4, "lo": 0},
+            3,
+            {"count": 10.7, "lo": 40, "hi": 60},
+            {"count": 1, "lo": 40, "hi": 60},
+            {"count": 4, "lo": True, "hi": 60},
+            {"count": 4, "lo": 40, "hi": "2"},
+            {"count": float("inf"), "lo": 40, "hi": 60},
+            {"count": 4, "lo": 60, "hi": 40},
+        ],
+    )
     def test_bad_binning_rejected(self, bad):
         with pytest.raises(ValueError, match="binning"):
             resolve_binning(bad)
 
 
-class TestDiscreteTable:
-    def test_from_grouped(self):
+class TestCountTable:
+    def test_histogram_is_the_two_axis_table(self):
         data = GroupedDataset([0, 1, 1], [0.5, 1.5, 1.6])
-        table = table_from_grouped(data, uniform_bins(0.0, 2.0, 2))
-        assert table.variables == ("group", "value")
-        assert table.domains == (2, 2)
-        assert np.array_equal(table.codes, [[0, 0], [1, 1], [1, 1]])
+        spec = uniform_bins(0.0, 2.0, 2)
+        hist = build_histogram(data, spec)
+        table = build_table([("group", data.groups, (0.0, 1.0)), ("value", data.values, spec)])
+        assert hist.variables == table.variables == ("group", "value")
+        assert hist.domains == table.domains == (2, 2)
+        assert hist.total_n == 3
+        assert np.array_equal(hist.counts, [[1, 0], [0, 2]])
+        assert np.array_equal(hist.counts, table.counts)
+        assert all(np.array_equal(a, b) for a, b in zip(hist.levels, table.levels))
 
     def test_categorical_levels_checked(self):
         with pytest.raises(ValueError, match="declared levels"):
@@ -288,5 +323,41 @@ class TestDiscreteTable:
             ]
         )
         assert table.domains == (2, 3, 4)
-        assert np.array_equal(table.codes[:, 1], [0, 2])
-        assert np.array_equal(table.codes[:, 2], [0, 3])
+        assert np.argwhere(table.counts).tolist() == [[0, 0, 0], [1, 2, 3]]
+        assert np.array_equal(table.levels[1], [1.0, 2.0, 3.0])
+        assert np.array_equal(table.levels[2], [0.125, 0.375, 0.625, 0.875])
+
+    @pytest.mark.parametrize(
+        "variables, levels, counts, match",
+        [
+            (("group", "value"), ((0.0, 1.0), (1.0, 2.0)), [[1, 0, 0], [0, 0, 0]], "one axis per variable"),
+            (("group",), ((0.0, 1.0), (1.0, 2.0)), [[1, 0], [0, 0]], "one axis per variable"),
+            (("group", "value"), ((0.0, 1.0), (1.0, 2.0)), [[1, -1], [0, 0]], "non-negative"),
+        ],
+        ids=["shape", "variables", "negative-count"],
+    )
+    def test_malformed_tables_rejected(self, variables, levels, counts, match):
+        with pytest.raises(ValueError, match=match):
+            CountTable(variables, levels, counts)
+
+    @pytest.mark.parametrize("levels", [(1.0, 0.0), (0.0, 0.0, 1.0), (0.0, np.nan)])
+    def test_category_levels_must_increase(self, levels):
+        # searchsorted would place values by an unsorted order without a word.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            build_table([("group", np.array([0.0, 1.0]), (0.0, 1.0)), ("flag", np.array([1.0, 0.0]), levels)])
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.floats(-1, 2)), max_size=50))
+    def test_records_round_trip_through_build_table(self, records):
+        def table_of(data: GroupedDataset) -> CountTable:
+            return build_table(
+                [
+                    ("group", data.groups, (0.0, 1.0)),
+                    ("value", data.values, (0.0, 1.0, 2.0, 3.0)),
+                    ("x", data.extras["x"], uniform_bins(0.0, 1.0, 4)),
+                ]
+            )
+
+        groups, values, xs = (list(column) for column in zip(*records)) if records else ([], [], [])
+        table = table_of(GroupedDataset(groups, values, {"x": np.array(xs, dtype=float)}))
+        assert table.total_n == len(records)
+        assert np.array_equal(table_of(samples_from_counts(table)).counts, table.counts)

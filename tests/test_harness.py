@@ -25,6 +25,7 @@ from dpsynth.harness import (
 from dpsynth.report import emit_report, load_reports_json, render_figure
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import default_prostate_spec
+from dpsynth.stattests import mann_whitney_u, median_test, t_test, two_sample_chi_squared
 
 
 def gaussian_config(**overrides) -> ExperimentConfig:
@@ -87,6 +88,11 @@ class TestConfigValidation:
             ("epsilons", [True]),
             ("epsilons", ["1.5"]),
             ("alpha", "0.05"),
+            ("generator.binning", {"count": 10.7, "lo": 40, "hi": 60}),
+            ("generator.binning", {"count": 1, "lo": 40, "hi": 60}),
+            ("generator.binning", {"count": 10, "lo": True, "hi": 60}),
+            ("generator.binning", {"count": 10, "lo": 40, "hi": "2"}),
+            ("generator.binning", {"count": 10, "lo": 60, "hi": 40}),
         ],
         ids=lambda v: str(v).replace(" ", ""),
     )
@@ -94,7 +100,11 @@ class TestConfigValidation:
         # A non-integral number or a boolean in an integer field is not truncated,
         # and a boolean or a string in a float field is not cast.
         smoothed = gaussian_config(synthesizer="smoothed", original_sizes=(100,), synthetic_sizes=(50,))
-        payload = {**config_to_dict(smoothed), name: value}
+        payload = config_to_dict(smoothed)
+        if name.startswith("generator."):
+            payload["generator"][name.removeprefix("generator.")] = value
+        else:
+            payload[name] = value
         with pytest.raises(ConfigError, match=name):
             config_from_dict(payload)
 
@@ -199,6 +209,19 @@ class TestConfigValidation:
         payload = config_to_dict(gaussian_config(synthesizer="smoothed", original_sizes=(100,), synthetic_sizes=(50,)))
         with pytest.raises(ConfigError, match="synthetic_sizes"):
             config_from_dict({**payload, "synthetic_sizes": [size]})
+
+    def test_binning_rejected_for_the_copula_generator(self):
+        # Each copula variable carries its own bins, so nothing would read it.
+        payload = {
+            "generator": {"kind": "copula", "mode": "null", "binning": "psa40"},
+            "synthesizer": "marginal_ipf",
+            "epsilons": [1.0],
+            "original_sizes": [50],
+        }
+        with pytest.raises(ConfigError, match="generator.binning"):
+            config_from_dict(payload)
+        del payload["generator"]["binning"]
+        assert config_from_dict(payload).generator.binning is None
 
     def test_copula_fields_rejected_for_other_generators(self):
         payload = config_to_dict(gaussian_config())
@@ -500,6 +523,76 @@ class TestGrid:
         (report,) = run_grid(config)
         assert report.repetitions == 3
         assert report.feasible_count + sum(report.failure_counts.values()) == 3
+
+
+def record_form_outcome(config: ExperimentConfig, table, levels) -> dict:
+    """The configured test's record form on the table's records, decoded cell by cell."""
+    columns = {name: [] for name in table.variables}
+    for cell in zip(*np.nonzero(table.counts)):
+        for name, lv, code in zip(table.variables, table.levels, cell):
+            columns[name].extend([lv[code]] * int(table.counts[cell]))
+    groups = np.asarray(columns["group"])
+    tested = np.asarray(columns[config.generator.variable or table.variables[1]])
+    x, y = tested[groups == 0], tested[groups == 1]
+    record_forms = {
+        "mw_u": lambda: mann_whitney_u(x, y),
+        "t": lambda: t_test(x, y),
+        "chi2": lambda: two_sample_chi_squared(x, y, levels),
+        "median": lambda: median_test(x, y),
+    }
+    return record_forms[config.test]().to_dict()
+
+
+class TestRunTest:
+    """Each test on a table's (group, variable) marginal equals that test on the table's records."""
+
+    @pytest.fixture(scope="class")
+    def copula_tables(self):
+        from dpsynth import harness
+        from dpsynth.simgen import copula_multivariate
+        from dpsynth.synth import PrivacyBudget, marginal_ipf
+
+        spec = default_prostate_spec()
+        rng = RandomSource(41)
+        tables = [
+            harness._copula_table(spec, copula_multivariate(spec, n, mode, rng.child(n)))
+            for n, mode in [(50, "null"), (500, "signal")]
+        ]
+        tables.append(marginal_ipf(tables[0], PrivacyBudget(1.0), rng.child(1)))
+        # Some psa bins (axis 2) stay empty in every table, so their marginal
+        # has levels that the records never take.
+        assert all(np.any(t.counts.sum(axis=(0, 1, 3, 4, 5)) == 0) for t in tables)
+        return tables
+
+    @pytest.mark.parametrize("test", ["mw_u", "t", "chi2", "median"])
+    @pytest.mark.parametrize("variable", ["age", "psa", "volume", "fiveari", "pirads"])
+    def test_copula_marginal_matches_records(self, copula_tables, variable, test):
+        from dpsynth.harness import run_test
+
+        config = ExperimentConfig(
+            generator=GeneratorSpec(kind="copula", mode="null", copula=default_prostate_spec(), variable=variable),
+            synthesizer="marginal_ipf",
+            epsilons=(1.0,),
+            original_sizes=(50,),
+            test=test,
+        )
+        levels = config.generator.category_domain()
+        for table in copula_tables:
+            assert run_test(config, table, levels).to_dict() == record_form_outcome(config, table, levels)
+
+    @pytest.mark.parametrize("test", ["mw_u", "t", "chi2", "median"])
+    def test_two_axis_table_matches_records(self, test):
+        from dpsynth.data import build_histogram, gaussian_unit_bins
+        from dpsynth.harness import run_test
+        from dpsynth.simgen import gaussian_bivariate
+        from dpsynth.synth import PrivacyBudget, perturbed_histogram
+
+        config = gaussian_config(synthesizer="perturbed", test=test)
+        rng = RandomSource(43)
+        for n, mode in [(50, "null"), (500, "signal")]:
+            original = build_histogram(gaussian_bivariate(n, mode, rng.child(n)), gaussian_unit_bins())
+            for table in (original, perturbed_histogram(original, PrivacyBudget(1.0), rng.child(n, 1))):
+                assert run_test(config, table, None).to_dict() == record_form_outcome(config, table, None)
 
 
 class TestEmitReport:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth.data import load_csv, samples_from_counts, uniform_bins
+from dpsynth.data import CountTable, load_csv, samples_from_counts, uniform_bins
 from dpsynth.rng import RandomSource
 from dpsynth.special import normal_cdf, regularized_incomplete_beta, regularized_upper_gamma
 from dpsynth.stattests import (
@@ -334,7 +334,7 @@ def random_tables(seed: int, count: int):
 
 def record_outcome(name, counts, spec, levels=None) -> TestOutcome:
     """The pre-counts reference on the records expanded from ``counts``."""
-    data = samples_from_counts(counts, spec)
+    data = samples_from_counts(CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), counts))
     return REFERENCES[name](data.group_values(0), data.group_values(1), levels)
 
 

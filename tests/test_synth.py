@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 from dpsynth import synth as synth_mod
 from dpsynth.data import (
-    GroupedHistogram,
+    CountTable,
     build_histogram,
     build_table,
     samples_from_counts,
-    table_from_grouped,
     uniform_bins,
 )
 from dpsynth.rng import RandomSource
@@ -46,26 +45,29 @@ class TestSynthesize:
             "perturbed": perturbed_histogram(hist, budget, RandomSource(2)),
             "smoothed": smoothed_histogram(hist, budget, 50, RandomSource(2)),
             "mwem": mwem(hist, budget, 3, RandomSource(2)),
-            "marginal_ipf": marginal_ipf(table_from_grouped(data, spec), budget, RandomSource(2)),
+            "marginal_ipf": marginal_ipf(hist, budget, RandomSource(2)),
         }
         for method, expected in direct.items():
-            got = synthesize(method, data, budget, RandomSource(2), binning=spec, m=50, iterations=3)
-            assert type(got) is type(expected)
-            if isinstance(expected, GroupedHistogram):
-                assert got.spec == expected.spec
-                assert np.array_equal(got.counts, expected.counts)
-            else:
-                assert np.array_equal(got.groups, expected.groups)
-                assert np.array_equal(got.values, expected.values)
+            got = synthesize(method, hist, budget, RandomSource(2), m=50, iterations=3)
+            assert type(got) is CountTable
+            assert got.variables == hist.variables
+            assert all(np.array_equal(a, b) for a, b in zip(got.levels, hist.levels))
+            assert np.array_equal(got.counts, expected.counts)
 
 
-def hist_2x2(c00, c01, c10, c11) -> GroupedHistogram:
-    counts = np.array([[c00, c01], [c10, c11]])
-    return GroupedHistogram(uniform_bins(0.0, 2.0, 2), counts, int(counts.sum()))
+def two_axis(counts, spec) -> CountTable:
+    """The (group, value) table of ``counts`` over ``spec``'s bins."""
+    return CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), counts)
+
+
+def hist_2x2(c00, c01, c10, c11) -> CountTable:
+    return two_axis([[c00, c01], [c10, c11]], uniform_bins(0.0, 2.0, 2))
 
 
 class TestPrivacyBudget:
-    @pytest.mark.parametrize("eps,delta", [(0.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (1.0, -0.1)])
+    @pytest.mark.parametrize(
+        "eps,delta", [(0.0, 0.0), (-1.0, 0.0), (1.0, 1.0), (1.0, -0.1), (math.inf, 0.0), (math.nan, 0.0)]
+    )
     def test_invalid_rejected(self, eps, delta):
         with pytest.raises(ValueError):
             PrivacyBudget(eps, delta)
@@ -106,7 +108,7 @@ class TestBudgetLedger:
         perturbed_histogram(hist, PrivacyBudget(1.0), rng.child(0))
         smoothed_histogram(hist, PrivacyBudget(2.0), 50, rng.child(1))
         mwem(hist, PrivacyBudget(3.0), 3, rng.child(2))
-        marginal_ipf(table_from_grouped(gaussian_bivariate(100, "null", rng.child(3)), uniform_bins(40, 60, 5)), PrivacyBudget(4.0), rng.child(4))
+        marginal_ipf(build_histogram(gaussian_bivariate(100, "null", rng.child(3)), uniform_bins(40, 60, 5)), PrivacyBudget(4.0), rng.child(4))
         assert [led.epsilon for led in ledgers] == [1.0, 2.0, 3.0, 4.0]
         for ledger in ledgers:
             assert ledger.spent == 1
@@ -280,19 +282,18 @@ class TestSmoothedHistogram:
         # frequencies; KS between synthetic and original values stays small.
         data = gaussian_bivariate(20_000, "null", RandomSource(5))
         spec = uniform_bins(40.0, 60.0, 100)
-        hist = GroupedHistogram(
-            spec,
+        hist = two_axis(
             np.stack(
                 [
                     np.bincount(np.digitize(data.group_values(g), spec.edges) - 1, minlength=100)[:100]
                     for g in (0, 1)
                 ]
             ),
-            20_000,
+            spec,
         )
         out = smoothed_histogram(hist, PrivacyBudget(1e9), 5000, RandomSource(6))
         binned_original = spec.midpoints()[np.clip(np.digitize(data.values, spec.edges) - 1, 0, 99)]
-        ks = scipy.stats.ks_2samp(samples_from_counts(out.counts, spec).values, binned_original)
+        ks = scipy.stats.ks_2samp(samples_from_counts(out).values, binned_original)
         assert ks.pvalue > 0.01
 
 
@@ -397,7 +398,7 @@ class TestMwem:
         # cell against uniform (cell 0, |60 - 25| = 35) and after the update
         # loop converges its approximated count sits within 1 of the truth.
         counts = np.array([[60, 20], [15, 5]])
-        hist = GroupedHistogram(uniform_bins(0, 2, 2), counts, 100)
+        hist = two_axis(counts, uniform_bins(0, 2, 2))
         weights = mwem_weights(hist, PrivacyBudget(1e6), 1, RandomSource(7))
         assert abs(100 * weights[0] - 60.0) <= 1.0
 
@@ -412,7 +413,7 @@ class TestMwem:
     def test_two_cell_workload_fits(self):
         # Near-noiseless MWEM on a [75, 25] histogram: the fitted distribution
         # lands within TV 0.02 of [0.75, 0.25] on every one of 100 seeds.
-        hist = GroupedHistogram(uniform_bins(0, 2, 2), np.array([[75, 25], [0, 0]]), 100)
+        hist = two_axis(np.array([[75, 25], [0, 0]]), uniform_bins(0, 2, 2))
         target = np.array([0.75, 0.25, 0.0, 0.0])
         worst = 0.0
         for seed in range(100):
@@ -425,15 +426,14 @@ class TestMwem:
         # different record orderings give identical synthetic data.
         d1 = gaussian_bivariate(400, "null", RandomSource(11))
         spec = uniform_bins(40, 60, 10)
-        hist = GroupedHistogram(
-            spec,
+        hist = two_axis(
             np.stack(
                 [
                     np.bincount(np.digitize(d1.group_values(g), spec.edges) - 1, minlength=10)[:10]
                     for g in (0, 1)
                 ]
             ),
-            400,
+            spec,
         )
         a = mwem(hist, PrivacyBudget(1.0), 5, RandomSource(13))
         b = mwem(hist, PrivacyBudget(1.0), 5, RandomSource(13))
@@ -443,11 +443,9 @@ class TestMwem:
 class TestMarginalIpf:
     def test_full_marginal_copies_empirical(self):
         data = gaussian_bivariate(2000, "signal", RandomSource(21))
-        table = table_from_grouped(data, uniform_bins(45, 55, 20))
+        table = build_histogram(data, uniform_bins(45, 55, 20))
         joint = fit_marginal_joint(table, PrivacyBudget(1e6), RandomSource(22), marginals=((0, 1),))
-        empirical = np.zeros((2, 20))
-        np.add.at(empirical, (table.codes[:, 0], table.codes[:, 1]), 1.0)
-        empirical /= empirical.sum()
+        empirical = table.counts / table.total_n
         assert 0.5 * np.abs(joint - empirical).sum() < 1e-6
 
     def test_independent_one_way_marginals_give_product(self):
@@ -467,7 +465,7 @@ class TestMarginalIpf:
     @pytest.mark.parametrize("sweeps", [1, 2, 5, 50])
     def test_mass_and_positivity_preserved(self, sweeps):
         data = gaussian_bivariate(500, "null", RandomSource(24))
-        table = table_from_grouped(data, uniform_bins(40, 60, 10))
+        table = build_histogram(data, uniform_bins(40, 60, 10))
         joint = fit_marginal_joint(table, PrivacyBudget(0.5), RandomSource(25), max_sweeps=sweeps)
         assert np.all(joint >= 0)
         assert joint.sum() == pytest.approx(1.0, abs=1e-9)
@@ -481,21 +479,21 @@ class TestMarginalIpf:
     )
     def test_invalid_marginal_sets_rejected(self, marginals):
         data = gaussian_bivariate(100, "null", RandomSource(26))
-        table = table_from_grouped(data, uniform_bins(40, 60, 5))
+        table = build_histogram(data, uniform_bins(40, 60, 5))
         with pytest.raises(ValueError):
             fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(27), marginals=marginals)
 
     def test_synthetic_size_matches_original(self):
         data = gaussian_bivariate(300, "null", RandomSource(28))
-        table = table_from_grouped(data, uniform_bins(40, 60, 10))
+        table = build_histogram(data, uniform_bins(40, 60, 10))
         out = marginal_ipf(table, PrivacyBudget(1.0), RandomSource(29))
-        assert out.n == 300
+        assert out.total_n == 300
 
     def test_survives_contradictory_clamped_marginals(self):
         # At tiny epsilon, clamping can zero out whole marginals; the fit
         # must still return a proper distribution.
         data = gaussian_bivariate(50, "null", RandomSource(30))
-        table = table_from_grouped(data, uniform_bins(40, 60, 10))
+        table = build_histogram(data, uniform_bins(40, 60, 10))
         for seed in range(20):
             joint = fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed))
             assert np.all(np.isfinite(joint))
@@ -527,7 +525,7 @@ class TestNoiseScale:
     @pytest.mark.parametrize("eps,iterations", [(0.1, 1), (1.0, 3), (10.0, 10)])
     def test_mwem_measures_with_scale_2t_over_epsilon(self, recorded, eps, iterations):
         scales, ledgers = recorded
-        hist = GroupedHistogram(uniform_bins(0.0, 10.0, 10), np.arange(20).reshape(2, 10), 190)
+        hist = two_axis(np.arange(20).reshape(2, 10), uniform_bins(0.0, 10.0, 10))
         mwem_weights(hist, PrivacyBudget(eps), iterations, RandomSource(3))
         assert scales == pytest.approx([2 * iterations / eps] * iterations, rel=1e-12)
         (ledger,) = ledgers
@@ -536,7 +534,7 @@ class TestNoiseScale:
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     def test_marginal_ipf_uses_scale_2k_over_epsilon(self, recorded, eps):
         scales, ledgers = recorded
-        table = table_from_grouped(gaussian_bivariate(100, "null", RandomSource(4)), uniform_bins(40, 60, 5))
+        table = build_histogram(gaussian_bivariate(100, "null", RandomSource(4)), uniform_bins(40, 60, 5))
         k = len(all_low_order_marginals(len(table.variables)))
         fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(5), max_sweeps=1)
         assert scales == pytest.approx([2 * k / eps] * k, rel=1e-12)
