@@ -340,7 +340,7 @@ def build_table(columns: Sequence[tuple[str, np.ndarray, BinningSpec | Sequence[
             if not np.all(lv[1:] > lv[:-1]):
                 raise ValueError(f"column {name!r} needs strictly increasing levels, got {enc}")
             pos = np.clip(np.searchsorted(lv, arr), 0, lv.size - 1)
-            if not np.allclose(lv[pos], arr):
+            if not np.array_equal(lv[pos], arr):
                 raise ValueError(f"column {name!r} contains values outside its declared levels")
             codes.append(pos)
             levels.append(lv)

@@ -7,8 +7,9 @@ Four mechanisms are provided:
 * ``smoothed_histogram`` - draws exactly ``m`` records from cell
   probabilities proportional to ``count + alpha``, with
   ``alpha = 1/(exp(epsilon/m) - 1)``.
-* ``mwem`` - iterative multiplicative-weights fitting of noisy cell-count
-  measurements selected by the exponential mechanism.
+* ``mwem`` - cell-count queries selected by the exponential mechanism and
+  measured with Laplace noise; after each one the distribution is refitted
+  to all the measurements in closed form.
 * ``marginal_ipf`` - noisy one-way/two-way marginal release reconciled into
   a joint distribution by iterative proportional fitting.
 
@@ -143,49 +144,22 @@ def smoothed_histogram(table: CountTable, budget: PrivacyBudget, m: int, rng: Ra
     return _draw_counts(table, smoothed_probabilities(table.counts.ravel(), budget.epsilon, int(m)), int(m), rng)
 
 
-# The multiplicative-weights update's sweep cap and its stop test on the
-# largest change of any cell weight.
-_MW_SWEEPS = 2000
-_MW_TOL = 1e-10
+def _mw_fit(targets: list[float], unmeasured: int, n: int) -> tuple[np.ndarray, float]:
+    """MWEM's fit to the noisy counts ``targets`` (stated in :func:`mwem_weights`).
 
-
-def _mw_update(m: list[float], w: float, unmeasured: int, targets: list[float], n: int) -> tuple[list[float], float]:
-    """Multiplicative-weights sweeps over the measured cell-count queries.
-
-    Iterates until the distribution stabilizes (or the sweep cap is hit);
-    with a single noiseless measurement this drives the approximating count
-    to its fixed point. Only noisy measurements are consulted, never the
-    real histogram.
-
-    The state is exact and compact: ``m`` holds the weights of the measured
-    cells in the order they were measured, ``targets`` their noisy counts,
-    and ``w`` the one weight shared by the ``unmeasured`` other cells. Within
-    a sweep the weights are left unnormalised under a running total, so a
-    step reads its cell as ``weight / total`` and costs O(1); one division
-    per weight at the end of the sweep normalises them. The stop test is the
-    largest absolute change over every cell, that is over ``m`` and ``w``.
-    Returns the updated ``(m, w)``.
+    Returns the measured cells' weights, in the order of ``targets``, and
+    the weight ``w`` shared by each of the ``unmeasured`` other cells.
     """
-    # With every cell measured there is no shared weight; w = 0 then adds
-    # nothing to the total or to the change.
-    if not unmeasured:
-        w = 0.0
-    two_n = 2.0 * n
-    for _ in range(_MW_SWEEPS):
-        prev, prev_w = m, w
-        m = m.copy()
-        total = math.fsum(m) + unmeasured * w
-        for j, measured in enumerate(targets):
-            old = m[j]
-            exponent = (measured - n * (old / total)) / two_n
-            m[j] = old * math.exp(min(max(exponent, -600.0), 600.0))
-            total += m[j] - old
-        m = [x / total for x in m]
-        w /= total
-        change = max(abs(w - prev_w), max(abs(x - p) for x, p in zip(m, prev)))
-        if change < _MW_TOL:
-            break
-    return m, w
+    r = np.asarray(targets) / n
+    a = np.maximum(r, 0.0)
+    if unmeasured and a.sum() <= 1.0:
+        return a, (1.0 - a.sum()) / unmeasured
+    # Euclidean projection of r onto the simplex (Duchi et al., ICML 2008):
+    # a = max(r - c, 0) with the water level c that makes the weights sum to 1.
+    top = np.sort(r)[::-1]
+    excess = np.cumsum(top) - 1.0
+    k = np.nonzero(top * np.arange(1, r.size + 1) > excess)[0][-1]
+    return np.maximum(r - excess[k] / (k + 1), 0.0), 0.0
 
 
 def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> np.ndarray:
@@ -194,18 +168,27 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     Each of the T iterations spends epsilon/(2T) selecting the worst
     unmeasured cell-count query (exponential mechanism, sensitivity 1,
     score |true - approximated|) and epsilon/(2T) measuring it with
-    Laplace(2T/epsilon) noise, then reweights the running distribution.
-    Queries are selected without replacement. Returns the fitted cell
-    distribution (flattened); consumes the whole budget, so sampling from
-    it is post-processing.
+    Laplace(2T/epsilon) noise, then refits the distribution to every
+    measurement so far. Queries are selected without replacement. Returns
+    the fitted cell distribution (flattened); consumes the whole budget, so
+    sampling from it is post-processing.
 
-    The distribution starts uniform and each query is one cell, so every
-    update rescales the unmeasured cells by one shared normaliser and they
-    keep one common weight ``w``. The fit therefore keeps the measured
-    cells, their noisy targets and weights, and ``w`` (see
-    :func:`_mw_update`); the selection keys only unmeasured cells, whose
-    approximated count is ``n * w``, and the full vector is built once for
-    the return value.
+    The fit is the exact minimiser of the squared error that MWEM's
+    multiplicative-weights updates descend from the uniform start: the
+    distribution ``a`` that minimises ``1/4 * sum_j (r_j - a_j)**2`` over the
+    t measured cells, ``r_j`` being a noisy count over n, and whose B - t
+    unmeasured cells share one weight ``w``.
+
+    * If some cell is unmeasured and ``sum_j max(r_j, 0) <= 1``, then
+      ``a_j = max(r_j, 0)`` and ``w = (1 - sum_j a_j)/(B - t)``.
+    * Otherwise (the targets are over-full, or every cell is measured)
+      ``w = 0`` and ``a_j = max(r_j - c, 0)``, where the level ``c`` makes the
+      weights sum to 1: the Euclidean projection onto the simplex.
+
+    It depends only on the noisy targets, so the state is the measured
+    cells, their targets and ``w``; the selection keys only unmeasured
+    cells, whose approximated count is ``n * w``, and the full vector is
+    built once for the return value.
     """
     cells = table.counts.size
     if not isinstance(iterations, (int, np.integer)) or iterations < 1:
@@ -214,11 +197,12 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
         raise ValueError(f"iterations ({iterations}) cannot exceed the {cells} cell queries")
     t_total = int(iterations)
     n = table.total_n
+    if n < 1:
+        raise ValueError("MWEM needs a table with at least one record")
     true_counts = table.counts.ravel().astype(float)
     ledger = BudgetLedger(budget.epsilon)
     measured: list[int] = []
     targets: list[float] = []
-    m: list[float] = []
     w = 1.0 / cells
     unmeasured = np.ones(cells, dtype=bool)
     for t in range(t_total):
@@ -232,10 +216,10 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
         eps_measure = ledger.spend(Fraction(1, 2 * t_total), f"measurement {t + 1}")
         measured.append(query)
         targets.append(float(true_counts[query] + laplace_sample(1.0 / eps_measure, rng)))
-        m, w = _mw_update(m + [w], w, cells - len(measured), targets, n)
+        fitted, w = _mw_fit(targets, cells - len(measured), n)
     ledger.close()
     a = np.full(cells, w)
-    a[measured] = m
+    a[measured] = fitted
     return a
 
 
@@ -264,7 +248,6 @@ def fit_marginal_joint(
     rng: RandomSource,
     marginals: tuple[tuple[int, ...], ...] | None = None,
     max_sweeps: int = 500,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """DP marginal release plus IPF reconstruction of the joint distribution.
 
@@ -325,7 +308,7 @@ def fit_marginal_joint(
             joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
             break
         joint /= mass
-        if worst <= tol:
+        if worst <= 1e-8:
             break
     return joint
 

@@ -311,8 +311,10 @@ class TestCountTable:
         assert all(np.array_equal(a, b) for a, b in zip(hist.levels, table.levels))
 
     def test_categorical_levels_checked(self):
-        with pytest.raises(ValueError, match="declared levels"):
-            build_table([("flag", np.array([0.0, 0.5]), (0.0, 1.0))])
+        # Every value must equal a level exactly, whichever side it misses on.
+        for values in ([0.0, 0.5], [1e-9], [1.0000001], [-1e-9]):
+            with pytest.raises(ValueError, match="declared levels"):
+                build_table([("flag", np.array(values), (0.0, 1.0))])
 
     def test_mixed_columns(self):
         table = build_table(

@@ -298,10 +298,12 @@ class TestSmoothedHistogram:
 
 
 def dense_mw_update(weights, measurements, n, sweeps, tol):
-    """Reference multiplicative-weights update on the full B-vector.
+    """Reference multiplicative-weights sweeps on the full B-vector.
 
-    Copies and renormalises every cell after each measured cell's step; the
-    compact ``synth._mw_update`` must agree with it to rounding.
+    Copies and renormalises every cell after each measured cell's step. On
+    interior inputs (some cell unmeasured and the positive targets summing
+    to at most n) it converges to ``synth._mw_fit``'s minimiser, given
+    enough sweeps.
     """
     a = weights
     for _ in range(sweeps):
@@ -316,75 +318,94 @@ def dense_mw_update(weights, measurements, n, sweeps, tol):
     return a
 
 
-def compact_mw_update(weights, measurements, n):
-    """``synth._mw_update`` run on the compact state of ``weights``, as a full B-vector.
+def mw_fit_inputs(case, seed):
+    """``(targets, unmeasured, n)`` for ``synth._mw_fit``, drawn at ``seed``."""
+    g = np.random.default_rng(seed)
+    n = 500
+    if case == "interior":
+        t = int(g.integers(1, 20))
+        return g.normal(n / 200, 4.0, size=t).tolist(), 200 - t, n
+    if case == "negative":
+        # One target slightly and one far below zero.
+        return [float(g.normal(n / 200, 4.0)), -40.0, -1e6], 197, n
+    if case == "over_full":
+        t = int(g.integers(2, 20))
+        values = g.dirichlet(np.ones(t)) * n * g.uniform(1.2, 2.0) + g.normal(0.0, 4.0, size=t)
+        assert np.maximum(values, 0).sum() > n
+        return values.tolist(), 200 - t, n
+    if case == "all_measured":
+        return (g.dirichlet(np.ones(200)) * n + g.normal(0.0, 4.0, size=200)).tolist(), 0, n
+    # B = 4 with t = 3: interior or over-full, depending on the draw.
+    return (g.dirichlet(np.ones(4))[:3] * n + g.normal(0.0, 40.0, size=3)).tolist(), 1, n
 
-    ``weights`` gives the measured cells' weights; its unmeasured cells
-    must share one weight, which is the compact state's ``w``.
+
+def assert_mw_fit_kkt(targets, unmeasured, n, fitted, w):
+    """The KKT conditions of min 1/4 * sum_j (r_j - a_j)**2 over the simplex.
+
+    ``r - a`` takes one value c on the measured cells with positive weight
+    and at most c on those with zero weight; c = 0 while the shared weight
+    is positive, and c >= 0 once it is zero with cells unmeasured.
     """
-    cells = list(measurements)
-    rest = np.delete(weights, cells)
-    w = float(rest[0]) if rest.size else 0.0
-    assert np.all(rest == w)
-    m, w = synth_mod._mw_update(weights[cells].tolist(), w, rest.size, list(measurements.values()), n)
-    out = np.full(weights.size, w)
-    out[cells] = m
-    return out
+    r = np.asarray(targets) / n
+    assert fitted.shape == r.shape
+    assert np.all(fitted >= 0) and w >= 0
+    assert fitted.sum() + unmeasured * w == pytest.approx(1.0, abs=1e-12)
+    gap = r - fitted
+    support = fitted > 0
+    if w > 0:
+        assert unmeasured > 0
+        c = 0.0
+    else:
+        c = float(gap[support].mean())
+        if unmeasured:
+            assert c >= -1e-12
+    assert np.all(np.abs(gap[support] - c) <= 1e-12)
+    assert np.all(gap[~support] <= c + 1e-12)
 
 
 class TestMwem:
-    @pytest.mark.parametrize("sweeps", [1, 7, 2000])
-    @pytest.mark.parametrize("case", ["t1", "t3", "t10", "negative", "over_n"])
-    def test_compact_update_matches_dense_reference(self, case, sweeps, monkeypatch):
-        # MWEM's sequence on B = 200 cells, n = 500: each round measures one
-        # more cell and updates from the previous round's weights, so the
-        # starting states are the uniform 1/B and then non-uniform ones.
-        monkeypatch.setattr(synth_mod, "_MW_SWEEPS", sweeps)
-        cells, n, tol = 200, 500, synth_mod._MW_TOL
-        assert tol == 1e-10
-        g = np.random.default_rng(sweeps)
-        t = {"t1": 1, "t3": 3, "t10": 10}.get(case, 3)
-        order = [int(c) for c in g.choice(cells, size=t, replace=False)]
-        values = g.normal(n / cells, 4.0, size=t)
-        if case == "negative":
-            # The second exponent is about -1000, past the clamp at -600.
-            values[1:] = [-40.0, -1e6]
-        if case == "over_n":
-            # Targets summing to 1.01 n cannot all be met: the unmeasured
-            # cells drain slowly towards 0, and the last update runs to the
-            # sweep cap.
-            values[:] = np.array([0.5, 0.3, 0.2]) * 1.01 * n
-        a = np.full(cells, 1.0 / cells)
-        measurements = {}
-        for cell, value in zip(order, values):
-            measurements[cell] = float(value)
-            expected = dense_mw_update(a, measurements, n, sweeps, tol)
-            got = compact_mw_update(a, measurements, n)
-            assert np.max(np.abs(got - expected)) <= 1e-12
-            a = expected
-        if case == "over_n":
-            assert np.max(np.abs(dense_mw_update(a, measurements, n, 1, tol) - a)) >= tol
+    @pytest.mark.parametrize("case", ["interior", "negative", "over_full", "all_measured", "four_cells"])
+    def test_fit_meets_kkt_conditions(self, case):
+        shared = []
+        for seed in range(50):
+            targets, unmeasured, n = mw_fit_inputs(case, seed)
+            fitted, w = synth_mod._mw_fit(targets, unmeasured, n)
+            assert_mw_fit_kkt(targets, unmeasured, n, fitted, w)
+            shared.append(w)
+        if case in ("interior", "negative"):
+            assert min(shared) > 0
+        if case in ("over_full", "all_measured"):
+            assert max(shared) == 0
+        if case == "four_cells":
+            assert min(shared) == 0 < max(shared)
 
-    @pytest.mark.parametrize("sweeps", [1, 7, 2000])
-    @pytest.mark.parametrize("cells,t", [(200, 200), (4, 3)])
-    def test_compact_update_with_few_or_no_unmeasured_cells(self, cells, t, sweeps, monkeypatch):
-        # t = B leaves no unmeasured cell, so there is no shared weight. On
-        # B = 4 with t = 3 the shared weight moves by the sum of the measured
-        # cells' changes, so the stop test turns on it.
-        monkeypatch.setattr(synth_mod, "_MW_SWEEPS", sweeps)
-        n = 500
-        g = np.random.default_rng(100 + sweeps)
-        values = g.dirichlet(np.ones(cells))[:t] * n
-        measurements = {int(c): float(v) for c, v in zip(g.permutation(cells)[:t], values)}
-        a = np.full(cells, 1.0 / cells)
-        expected = dense_mw_update(a, measurements, n, sweeps, 1e-10)
-        got = compact_mw_update(a, measurements, n)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+    @pytest.mark.parametrize(
+        "targets,unmeasured,shared",
+        [([60.0, 20.0, 15.0, 5.0], 0, 0.0), ([60.0, 20.0], 2, 0.1)],
+        ids=["every_cell_measured", "two_of_4"],
+    )
+    def test_fit_meets_kkt_conditions_on_fixed_inputs(self, targets, unmeasured, shared):
+        fitted, w = synth_mod._mw_fit(targets, unmeasured, 100)
+        assert_mw_fit_kkt(targets, unmeasured, 100, fitted, w)
+        assert w == pytest.approx(shared, abs=1e-15)
 
-    def test_shared_weight_is_zero_once_every_cell_is_measured(self):
-        m, w = synth_mod._mw_update([0.25, 0.25, 0.25, 0.25], 0.25, 0, [60.0, 20.0, 15.0, 5.0], 100)
-        assert w == 0.0
-        assert math.fsum(m) == pytest.approx(1.0, abs=1e-12)
+    @pytest.mark.parametrize(
+        "cells,measurements,n",
+        [
+            (20, {3: 8.0, 11: 2.0, 17: 5.5}, 100),
+            (20, {0: 9.0, 4: 3.0, 7: -40.0, 12: -1e6}, 100),
+            (4, {0: 60.0, 1: 20.0}, 100),
+            (4, {2: 30.0, 0: 45.0, 3: 15.0}, 100),
+        ],
+        ids=["three_of_20", "negative", "two_of_4", "three_of_4"],
+    )
+    def test_fit_matches_converged_sweeps_on_interior_inputs(self, cells, measurements, n):
+        expected = dense_mw_update(np.full(cells, 1.0 / cells), measurements, n, 200_000, 1e-13)
+        fitted, w = synth_mod._mw_fit(list(measurements.values()), cells - len(measurements), n)
+        got = np.full(cells, w)
+        got[list(measurements)] = fitted
+        assert w > 0
+        assert np.max(np.abs(got - expected)) <= 1e-8
 
     def test_iteration_bounds(self):
         hist = hist_2x2(1, 1, 1, 1)
@@ -393,22 +414,18 @@ class TestMwem:
         with pytest.raises(ValueError):
             mwem(hist, PrivacyBudget(1.0), 5, RandomSource(0))
 
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            mwem(hist_2x2(0, 0, 0, 0), PrivacyBudget(1.0), 2, RandomSource(0))
+
     def test_noiseless_update_reaches_fixed_point(self):
         # T=1 with a huge budget: the exponential mechanism picks the worst
-        # cell against uniform (cell 0, |60 - 25| = 35) and after the update
-        # loop converges its approximated count sits within 1 of the truth.
+        # cell against uniform (cell 0, |60 - 25| = 35), and the fit gives it
+        # exactly its measured count.
         counts = np.array([[60, 20], [15, 5]])
         hist = two_axis(counts, uniform_bins(0, 2, 2))
         weights = mwem_weights(hist, PrivacyBudget(1e6), 1, RandomSource(7))
-        assert abs(100 * weights[0] - 60.0) <= 1.0
-
-    def test_distribution_invariants_after_update(self, monkeypatch):
-        monkeypatch.setattr(synth_mod, "_MW_SWEEPS", 500)
-        monkeypatch.setattr(synth_mod, "_MW_TOL", 1e-12)
-        a = compact_mw_update(np.full(4, 0.25), {0: 60.0, 1: 20.0}, 100)
-        assert np.all(a >= 0)
-        assert a.sum() == pytest.approx(1.0, abs=1e-12)
-        assert 100 * a[0] == pytest.approx(60.0, abs=1.0)
+        assert abs(100 * weights[0] - 60.0) <= 1e-3
 
     def test_two_cell_workload_fits(self):
         # Near-noiseless MWEM on a [75, 25] histogram: the fitted distribution
