@@ -5,7 +5,6 @@ from .data import (
     CountTable,
     GroupedDataset,
     IngestionError,
-    build_histogram,
     build_table,
     discretize,
     load_csv,
@@ -15,9 +14,10 @@ from .dpmw import DPMWConfig, dp_mann_whitney
 from .harness import ConfigError, ErrorRateReport, ExperimentConfig, GeneratorSpec, run_cell, run_grid
 from .rng import RandomSource, categorical_sample, discrete_laplace_sample, laplace_sample
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate
-from .stattests import FailureReason, TestOutcome, chi_squared, mann_whitney_u, median_test, t_test
+from .stattests import TESTS, FailureReason, TestOutcome, chi_squared
 from .report import emit_report
 from .synth import (
+    SYNTHESIZERS,
     PrivacyBudget,
     fit_marginal_joint,
     marginal_ipf,
@@ -26,7 +26,6 @@ from .synth import (
     perturbed_histogram,
     smoothed_histogram,
     smoothed_probabilities,
-    synthesize,
 )
 
 __version__ = "0.1.0"

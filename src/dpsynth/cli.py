@@ -23,7 +23,7 @@ from . import harness, report as report_mod
 from .data import (
     BINNINGS,
     IngestionError,
-    build_histogram,
+    build_table,
     load_csv,
     resolve_binning,
     samples_from_counts,
@@ -32,8 +32,8 @@ from .data import (
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .harness import ConfigError
 from .rng import RandomSource
-from .stattests import TESTS, tabulate
-from .synth import SYNTHESIZERS, PrivacyBudget, synthesize
+from .stattests import TESTS
+from .synth import SYNTHESIZERS, PrivacyBudget
 
 __all__ = ["main"]
 
@@ -81,7 +81,7 @@ def _binning_from_args(args) -> object:
 
 
 # The synth flags that one method alone reads: flag -> (method, default).
-_METHOD_FLAGS = {"m": ("smoothed", None), "iterations": ("mwem", 10)}
+_METHOD_FLAGS = {"m": ("smoothed", None), "iterations": ("mwem", harness.ExperimentConfig.mwem_iterations)}
 
 
 def _method_options(args) -> dict:
@@ -115,7 +115,7 @@ def _cmd_synth(args) -> int:
         },
     )
     original = load_csv(args.input)
-    released = synthesize(args.method, build_histogram(original, spec), budget, RandomSource(seed), **options)
+    released = SYNTHESIZERS[args.method](build_table(original, [(None, spec)]), budget, RandomSource(seed), **options)
     # The file holds the released counts as records at the bin midpoints, in cell order.
     synthetic = samples_from_counts(released)
     out = _outdir(args.out)
@@ -140,7 +140,8 @@ def _cmd_synth(args) -> int:
 def _cmd_test(args) -> int:
     _print_header("test", None, {"input": args.input, "test": args.test, "variable": args.variable})
     data = load_csv(args.input)
-    support, counts = tabulate(data.group_values(0, args.variable), data.group_values(1, args.variable))
+    table = build_table(data, [(args.variable, None)])
+    support, counts = table.levels[1], table.counts
     # Distinct observed values become the chi-squared table's categories.
     if args.test == "chi2" and support.size > 20:
         raise ConfigError("chi2 on the CLI expects a categorical column (<= 20 distinct values)")
@@ -212,7 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=list(SYNTHESIZERS))
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--m", type=int, help="synthetic size (smoothed method only)")
-    p.add_argument("--iterations", type=int, help="MWEM rounds (mwem method only; default 10)")
+    p.add_argument(
+        "--iterations",
+        type=int,
+        help=f"MWEM rounds (mwem method only; default {harness.ExperimentConfig.mwem_iterations})",
+    )
     p.add_argument("--binning", choices=list(BINNINGS), default="bmi24")
     p.add_argument("--bins", type=int, help="custom bin count (with --lo/--hi)")
     p.add_argument("--lo", type=float)

@@ -3,10 +3,9 @@
 The central objects are :class:`GroupedDataset` (binary group label plus a
 continuous value, optionally more named columns) and :class:`CountTable`
 (cell counts over named axes, the group axis first), which every
-synthesizer reads and releases. :func:`build_histogram` counts the
-(group, binned value) table over a :class:`BinningSpec`, :func:`build_table`
-any number of binned or categorical columns, and
-:func:`samples_from_counts` expands a table back into records.
+synthesizer reads and every test runs on. :func:`build_table` is the one
+way records become such a table, and :func:`samples_from_counts` expands a
+table back into records.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ __all__ = [
     "CountTable",
     "IngestionError",
     "discretize",
-    "build_histogram",
     "samples_from_counts",
     "load_csv",
     "save_grouped_csv",
@@ -152,9 +150,6 @@ class GroupedDataset:
     def n(self) -> int:
         return int(self.groups.size)
 
-    def group_values(self, group: int, name: str | None = None) -> np.ndarray:
-        return self.column(name)[self.groups == group]
-
     def column(self, name: str | None = None) -> np.ndarray:
         if name is None or name == self.value_name:
             return self.values
@@ -169,10 +164,12 @@ class CountTable:
     """Cell counts over named axes, the group axis first.
 
     ``levels[j]`` holds the strictly increasing values of axis ``j``: the
-    bin midpoints of a binned variable or the levels of a categorical one.
-    The builders check that order where the levels are made (a
-    :class:`BinningSpec`'s edges, :func:`build_table`'s category levels),
-    so a table does not check it again each time its counts are replaced.
+    bin midpoints of a binned variable, the levels of a categorical one, or
+    the distinct values that a column was observed to take.
+    The order is checked where the levels are made (a :class:`BinningSpec`'s
+    edges, the category levels given to :func:`build_table`; observed values
+    come sorted), so a table does not check it again each time its counts
+    are replaced.
     ``counts`` is an int64 array of shape ``domains``, and a record counted
     in cell ``(i, j, ...)`` reads ``levels[0][i], levels[1][j], ...``.
     """
@@ -211,15 +208,6 @@ def discretize(values, spec: BinningSpec) -> np.ndarray:
         raise ValueError("cannot discretize NaN values")
     idx = np.searchsorted(spec.edges, v, side="right") - 1
     return np.clip(idx, 0, spec.bin_count - 1).astype(np.int64)
-
-
-def build_histogram(data: GroupedDataset, spec: BinningSpec) -> CountTable:
-    """The (group, binned value) table of ``data``: records counted per (group, bin) cell."""
-    if data.n == 0:
-        raise ValueError("cannot build a histogram from an empty dataset")
-    bins = discretize(data.values, spec)
-    flat = np.bincount(data.groups * spec.bin_count + bins, minlength=2 * spec.bin_count)
-    return CountTable(("group", data.value_name), ((0.0, 1.0), spec.midpoints()), flat.reshape(2, spec.bin_count))
 
 
 def samples_from_counts(table: CountTable) -> GroupedDataset:
@@ -320,31 +308,37 @@ def load_csv(path) -> GroupedDataset:
     return GroupedDataset(arr[:, 0].astype(np.int64), arr[:, 1], extras)
 
 
-def build_table(columns: Sequence[tuple[str, np.ndarray, BinningSpec | Sequence[float]]]) -> CountTable:
-    """Count named columns' records per cell of a :class:`CountTable`, one axis per column.
+def build_table(
+    data: GroupedDataset, axes: Sequence[tuple[str | None, BinningSpec | Sequence[float] | None]]
+) -> CountTable:
+    """The records of ``data`` counted per cell: the group axis, then one axis per entry of ``axes``.
 
-    Each column comes with either a :class:`BinningSpec` (a continuous
-    variable, whose levels are the bin midpoints) or its strictly increasing
-    category levels, one of which every value must equal.
+    The group axis has levels (0, 1) and reads ``data.groups`` as they are.
+    Each further axis is a ``(column, encoder)`` pair, the column named as
+    :meth:`GroupedDataset.column` reads it (``None`` for the value column).
+    The encoder is a :class:`BinningSpec` (levels are its bin midpoints),
+    the column's strictly increasing category levels, one of which every
+    value must equal, or ``None`` for the column's observed distinct values.
     """
-    if not columns:
-        raise ValueError("at least one column is required")
-    names, levels, codes = [], [], []
-    for name, raw, enc in columns:
-        arr = np.asarray(raw, dtype=float)
-        if isinstance(enc, BinningSpec):
-            codes.append(discretize(arr, enc))
-            levels.append(enc.midpoints())
+    if data.n == 0:
+        raise ValueError("cannot build a table from an empty dataset")
+    names, levels, flat = ["group"], [(0.0, 1.0)], data.groups
+    for name, enc in axes:
+        column = data.column(name)
+        if enc is None:
+            lv, codes = np.unique(column, return_inverse=True)
+        elif isinstance(enc, BinningSpec):
+            lv, codes = enc.midpoints(), discretize(column, enc)
         else:
             lv = np.asarray(enc, dtype=float)
             if not np.all(lv[1:] > lv[:-1]):
                 raise ValueError(f"column {name!r} needs strictly increasing levels, got {enc}")
-            pos = np.clip(np.searchsorted(lv, arr), 0, lv.size - 1)
-            if not np.array_equal(lv[pos], arr):
+            codes = np.clip(np.searchsorted(lv, column), 0, lv.size - 1)
+            if not np.array_equal(lv[codes], column):
                 raise ValueError(f"column {name!r} contains values outside its declared levels")
-            codes.append(pos)
-            levels.append(lv)
-        names.append(name)
-    shape = tuple(lv.size for lv in levels)
-    flat = np.bincount(np.ravel_multi_index(codes, shape), minlength=math.prod(shape))
-    return CountTable(tuple(names), tuple(levels), flat.reshape(shape))
+        names.append(data.value_name if name is None else name)
+        levels.append(lv)
+        flat = flat * lv.size + codes
+    shape = tuple(len(lv) for lv in levels)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    return CountTable(tuple(names), tuple(levels), counts)

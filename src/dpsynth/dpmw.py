@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import GroupedDataset
+from .data import GroupedDataset, build_table
 from .rng import RandomSource, laplace_sample
 from .stattests import TestOutcome, u_statistic
 from .synth import BudgetLedger, PrivacyBudget
@@ -149,7 +149,7 @@ def dp_mann_whitney(data: GroupedDataset, cfg: DPMWConfig, rng: RandomSource) ->
     m_hat = int(np.clip(round(m_tilde), 1, n_total // 2))
     sensitivity = n_total - max(1, m_low)
 
-    u = u_statistic(data.group_values(0), data.group_values(1))
+    u = u_statistic(build_table(data, [(None, None)]).counts)
     u_tilde = u + laplace_sample(sensitivity / eps2, rng)
     ledger.close()
 

@@ -2,15 +2,16 @@
 
 Each grid cell runs R independent repetitions: generate an original dataset,
 synthesize (unless the cell is a baseline), run the configured test, and
-record feasibility and rejection at the significance level. A synthesizer
-reads the original's count table and releases synthetic counts, and the
-test runs on their (group, tested variable) marginal; only the ``none``
-baseline's records are tabulated at their distinct values. Every cell and
-repetition draws from a child stream derived from the master seed.
-:func:`run_grid` splits the work by (cell, repetition chunk), and a cell's
-report is built from the summed chunk tallies, so a full-grid run at any
-worker count and an isolated re-run of one cell all produce identical
-numbers.
+record feasibility and rejection at the significance level. The original
+becomes a count table through :func:`dpsynth.data.build_table`: binned (or
+categorical) for a synthesizer, which releases synthetic counts over the
+same cells, and at the tested variable's distinct values for the ``none``
+baseline. The test runs on the (group, tested variable) marginal of the
+table. Every cell and repetition draws from a child stream derived from the
+master seed. :func:`run_grid` splits the work by (cell, repetition chunk),
+and a cell's report is built from the summed chunk tallies, so a full-grid
+run at any worker count and an isolated re-run of one cell all produce
+identical numbers.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .data import (
     CountTable,
     GroupedDataset,
     bmi_bins,
-    build_histogram,
     build_table,
     gaussian_unit_bins,
     load_csv,
@@ -38,8 +38,8 @@ from .data import (
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
-from .stattests import TESTS, TestOutcome, tabulate
-from .synth import SYNTHESIZERS, PrivacyBudget, synthesize
+from .stattests import TESTS, TestOutcome
+from .synth import SYNTHESIZERS, PrivacyBudget
 
 __all__ = [
     "ConfigError",
@@ -105,14 +105,22 @@ class GeneratorSpec:
         elif self.variable is not None or self.copula is not None:
             raise ConfigError("generator.variable and generator.copula only apply to the copula generator")
         else:
-            self.binning_spec()
+            self.table_axes()
 
-    def binning_spec(self) -> BinningSpec:
-        """The value bins of the (group, value) table, for the gaussian and csv generators."""
+    def table_axes(self) -> list[tuple[str | None, BinningSpec | np.ndarray]]:
+        """The axes of the original's table that a synthesizer reads, after the group axis.
+
+        They are in the form :func:`build_table` takes. For the copula
+        generator, every variable by name: binned when it is continuous, at
+        its category levels otherwise. For the gaussian and csv generators,
+        the binned value column.
+        """
+        if self.kind == "copula":
+            return [(v.name, v.binning() or v.marginal.category_levels()) for v in self.copula.variables]
         if self.binning is None:
-            return gaussian_unit_bins() if self.kind == "gaussian" else bmi_bins()
+            return [(None, gaussian_unit_bins() if self.kind == "gaussian" else bmi_bins())]
         try:
-            return resolve_binning(self.binning)
+            return [(None, resolve_binning(self.binning))]
         except ValueError as exc:
             raise ConfigError(f"field 'generator.binning': {exc}") from None
 
@@ -151,8 +159,8 @@ class ExperimentConfig:
             raise ConfigError("epsilons must be non-empty")
         if not np.all(np.isfinite(self.epsilons)):
             raise ConfigError(f"field 'epsilons' must be finite, got {list(self.epsilons)}")
-        if self.synthesizer != "none" and any(e <= 0 for e in self.epsilons):
-            raise ConfigError("epsilons must be positive")
+        if any(e <= 0 for e in self.epsilons):
+            raise ConfigError(f"field 'epsilons' must be positive, got {list(self.epsilons)}")
         if not self.original_sizes or any(n < 2 for n in self.original_sizes):
             raise ConfigError("original_sizes must be non-empty with entries >= 2")
         odd = [n for n in self.original_sizes if n % 2]
@@ -191,7 +199,9 @@ class ExperimentConfig:
         if any(m < 1 for m in self.synthetic_sizes):
             raise ConfigError(f"synthetic_sizes entries must be at least 1, got {list(self.synthetic_sizes)}")
         if self.synthesizer == "mwem":
-            queries = 2 * self.generator.binning_spec().bin_count
+            # MWEM runs on the (group, binned value) table, one query per cell.
+            [(_, spec)] = self.generator.table_axes()
+            queries = 2 * spec.bin_count
             if not 1 <= self.mwem_iterations <= queries:
                 raise ConfigError(
                     f"mwem_iterations must lie in 1..{queries} (one query per group-by-bin cell), "
@@ -266,41 +276,23 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
         return gaussian_bivariate(n, gen.mode, rng)
     if gen.kind == "copula":
         return copula_multivariate(gen.copula, n, gen.mode, rng)
-    if source.n < n:
-        raise ConfigError(f"csv source has {source.n} records, cannot subsample {n}")
     idx = rng.generator.choice(source.n, size=n, replace=False)
     extras = {name: col[idx] for name, col in source.extras.items()}
     return GroupedDataset(source.groups[idx], source.values[idx], extras, source.value_name)
 
 
-def _copula_table(spec: CopulaSpec, data: GroupedDataset) -> CountTable:
-    columns = [("group", data.groups.astype(float), (0.0, 1.0))]
-    for v in spec.variables:
-        binning = v.binning()
-        encoder = binning if binning is not None else v.marginal.category_levels()
-        columns.append((v.name, data.column(v.name), encoder))
-    return build_table(columns)
+def run_test(config: ExperimentConfig, table: CountTable, levels: np.ndarray | None) -> TestOutcome:
+    """Run the configured classical test on the (group, tested variable) marginal of ``table``.
 
-
-def run_test(
-    config: ExperimentConfig, data: GroupedDataset | CountTable, levels: np.ndarray | None
-) -> TestOutcome:
-    """Run the configured classical test on the (group, tested variable) table of ``data``.
-
-    For a count table that is its marginal over the group axis and the
-    tested variable's axis, at that axis's levels; records are tabulated at
-    their distinct values. ``levels`` are the tested variable's category
+    The marginal sums the counts over every other axis and keeps the tested
+    variable's levels. ``levels`` are the tested variable's category
     levels, when it has any (:meth:`GeneratorSpec.category_domain`).
     """
     name = config.generator.variable
-    if isinstance(data, CountTable):
-        # The group axis comes first, and an unnamed tested variable next.
-        axis = 1 if name is None else data.variables.index(name)
-        other = tuple(j for j in range(1, data.counts.ndim) if j != axis)
-        support, counts = data.levels[axis], data.counts.sum(axis=other)
-    else:
-        support, counts = tabulate(data.group_values(0, name), data.group_values(1, name))
-    return TESTS[config.test](support, counts, levels)
+    # The group axis comes first, and an unnamed tested variable next.
+    axis = 1 if name is None else table.variables.index(name)
+    other = tuple(j for j in range(1, table.counts.ndim) if j != axis)
+    return TESTS[config.test](table.levels[axis], table.counts.sum(axis=other), levels)
 
 
 def _tally(
@@ -313,7 +305,7 @@ def _tally(
     repetitions are split.
     """
     gen = config.generator
-    binning = None if gen.kind == "copula" else gen.binning_spec()
+    axes = gen.table_axes()
     levels = gen.category_domain()
     feasible = 0
     rejections = 0
@@ -321,16 +313,14 @@ def _tally(
     for rep in reps:
         original = _generate(config, source, cell.n_original, rng.child(rep, 0))
         if config.synthesizer == "none":
-            outcome = run_test(config, original, levels)
+            outcome = run_test(config, build_table(original, [(gen.variable, None)]), levels)
         elif config.synthesizer == "dp_mw_baseline":
             cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
             tested = GroupedDataset(original.groups, original.column(gen.variable))
             outcome = dp_mann_whitney(tested, cfg, rng.child(rep, 1))
         else:
-            table = _copula_table(gen.copula, original) if binning is None else build_histogram(original, binning)
-            synthetic = synthesize(
-                config.synthesizer,
-                table,
+            synthetic = SYNTHESIZERS[config.synthesizer](
+                build_table(original, axes),
                 PrivacyBudget(cell.epsilon),
                 rng.child(rep, 1),
                 m=cell.n_synthetic,
@@ -381,9 +371,23 @@ def run_cell(
     A csv generator subsamples ``source``, the loaded CSV; :func:`run_grid`
     loads it once for all cells, and a lone call loads it when not given.
     """
-    if source is None and config.generator.kind == "csv":
-        source = load_csv(config.generator.csv_path)
+    if source is None:
+        source = _load_source(config)
     return _report(config, cell, *_tally(config, cell, rng, source, range(config.repetitions)))
+
+
+def _load_source(config: ExperimentConfig) -> GroupedDataset | None:
+    """The csv generator's file, which must hold every original size; None for the other generators."""
+    gen = config.generator
+    if gen.kind != "csv":
+        return None
+    source = load_csv(gen.csv_path)
+    too_large = [n for n in config.original_sizes if n > source.n]
+    if too_large:
+        raise ConfigError(
+            f"field 'original_sizes': {gen.csv_path} holds {source.n} records, cannot subsample {too_large}"
+        )
+    return source
 
 
 def _chunks(repetitions: int, workers: int) -> list[range]:
@@ -420,8 +424,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
-    gen = config.generator
-    source = load_csv(gen.csv_path) if gen.kind == "csv" else None
+    source = _load_source(config)
     cells = grid_cells(config)
     chunks = _chunks(config.repetitions, workers)
     tasks = [(config, cell, i, source, reps) for i, cell in enumerate(cells) for reps in chunks]

@@ -153,10 +153,14 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class CopulaSpec:
-    """Gaussian copula: named marginals, latent correlation, class overrides."""
+    """Gaussian copula: named marginals, latent correlation, class overrides.
+
+    ``correlation`` is kept as nested tuples of floats, so that two specs
+    (and the experiment configs holding them) compare with ``==``.
+    """
 
     variables: tuple[VariableSpec, ...]
-    correlation: np.ndarray
+    correlation: tuple[tuple[float, ...], ...]
     class_effect: Mapping[str, MarginalSpec] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -178,7 +182,7 @@ class CopulaSpec:
         for name in self.class_effect:
             if name not in names:
                 raise ValueError(f"class_effect refers to unknown variable {name!r}")
-        object.__setattr__(self, "correlation", corr)
+        object.__setattr__(self, "correlation", tuple(tuple(float(v) for v in row) for row in corr))
         object.__setattr__(self, "class_effect", dict(self.class_effect))
 
     def variable(self, name: str) -> VariableSpec:
@@ -222,7 +226,7 @@ class CopulaSpec:
                 }
                 for v in self.variables
             ],
-            "correlation": self.correlation.tolist(),
+            "correlation": [list(row) for row in self.correlation],
             "class_effect": {
                 name: {"kind": m.kind, "params": dict(m.params)}
                 for name, m in self.class_effect.items()
@@ -231,7 +235,7 @@ class CopulaSpec:
 
 
 def _latent_uniforms(spec: CopulaSpec, n: int, rng: RandomSource) -> np.ndarray:
-    chol = np.linalg.cholesky(spec.correlation)
+    chol = np.linalg.cholesky(np.asarray(spec.correlation))
     z = rng.generator.standard_normal((n, len(spec.variables))) @ chol.T
     return ndtr(z)
 

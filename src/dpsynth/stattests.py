@@ -8,11 +8,10 @@ always use the asymptotic approximations (normal, t, chi-squared); there is
 no silent switching to exact small-sample variants.
 
 Every test computes on a 2 x k table of each group's counts at strictly
-increasing ``support`` values, the form in which the histogram synthesizers
-release data (``*_counts``). Records become such a table through
-:func:`tabulate`, and each record form (``mann_whitney_u``, ``t_test``,
-``median_test``, ``two_sample_chi_squared``) is that one step followed by
-its counts form. :data:`TESTS` holds the counts forms by name.
+increasing ``support`` values: the (group, tested variable) marginal of a
+synthetic table, or the records of an original counted at their distinct
+values by :func:`dpsynth.data.build_table`. :data:`TESTS` holds the tests by
+name, each called as ``(support, counts, levels)``.
 """
 
 from __future__ import annotations
@@ -27,16 +26,11 @@ from .special import normal_cdf, regularized_incomplete_beta, regularized_upper_
 __all__ = [
     "FailureReason",
     "TestOutcome",
-    "tabulate",
-    "mann_whitney_u",
     "mann_whitney_u_counts",
     "u_statistic",
-    "t_test",
     "t_test_counts",
     "chi_squared",
-    "two_sample_chi_squared",
     "two_sample_chi_squared_counts",
-    "median_test",
     "median_test_counts",
     "TESTS",
 ]
@@ -98,26 +92,12 @@ def _u_and_tie_sum(counts: np.ndarray) -> tuple[float, float]:
     return u, float(np.sum(ties**3 - ties))
 
 
-def tabulate(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pooled values of two samples, ascending, and each group's 2 x k counts at them."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    support, inverse = np.unique(np.concatenate((x, y)), return_inverse=True)
-    k = support.size
-    counts = np.stack((np.bincount(inverse[: x.size], minlength=k), np.bincount(inverse[x.size :], minlength=k)))
-    return support, counts
-
-
-def u_statistic(x, y) -> float:
-    """U for group x: cross-group pairs won by x, ties counted half."""
-    _, counts = tabulate(x, y)
+def u_statistic(counts) -> float:
+    """U for group 0 of a 2 x k count table: cross-group pairs it wins, ties counted half."""
+    counts = np.asarray(counts, dtype=np.int64)
     if not counts.sum(axis=1).all():
         raise ValueError("both groups must be non-empty")
     return _u_and_tie_sum(counts)[0]
-
-
-def mann_whitney_u(x, y) -> TestOutcome:
-    """Two-sided Mann-Whitney U test on two samples; see :func:`mann_whitney_u_counts`."""
-    return mann_whitney_u_counts(*tabulate(x, y))
 
 
 def mann_whitney_u_counts(support, counts) -> TestOutcome:
@@ -156,11 +136,6 @@ def _count_table(support, counts) -> tuple[np.ndarray, np.ndarray]:
     if np.any(table < 0):
         raise ValueError("counts must be non-negative")
     return support, table
-
-
-def t_test(x, y) -> TestOutcome:
-    """Two-sided pooled-variance two-sample t-test; see :func:`t_test_counts`."""
-    return t_test_counts(*tabulate(x, y))
 
 
 def t_test_counts(support, counts) -> TestOutcome:
@@ -215,11 +190,6 @@ def chi_squared(table) -> TestOutcome:
     return _chi2_outcome(obs, 5.0)
 
 
-def two_sample_chi_squared(x, y, levels=None) -> TestOutcome:
-    """Chi-squared test of group against value; see :func:`two_sample_chi_squared_counts`."""
-    return two_sample_chi_squared_counts(*tabulate(x, y), levels)
-
-
 def two_sample_chi_squared_counts(support, counts, levels) -> TestOutcome:
     """Chi-squared test of group against value on a 2 x k table regrouped into columns.
 
@@ -239,11 +209,6 @@ def two_sample_chi_squared_counts(support, counts, levels) -> TestOutcome:
     else:
         table = [[row[support == level].sum() for level in levels] for row in counts]
     return chi_squared(np.array(table))
-
-
-def median_test(x, y) -> TestOutcome:
-    """Test for equal medians on two samples; see :func:`median_test_counts`."""
-    return median_test_counts(*tabulate(x, y))
 
 
 def median_test_counts(support, counts) -> TestOutcome:

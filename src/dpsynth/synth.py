@@ -48,7 +48,6 @@ __all__ = [
     "marginal_ipf",
     "all_low_order_marginals",
     "SYNTHESIZERS",
-    "synthesize",
 ]
 
 
@@ -319,7 +318,8 @@ def marginal_ipf(table: CountTable, budget: PrivacyBudget, rng: RandomSource) ->
 
 
 # The synthesizers by name; each call takes a table, a budget and a random
-# source and picks the options it uses.
+# source, and picks the keyword options it uses: ``m``, the smoothed
+# histogram's synthetic size, and ``iterations``, MWEM's rounds.
 SYNTHESIZERS = {
     "perturbed": lambda table, budget, rng, **_: perturbed_histogram(table, budget, rng),
     "smoothed": lambda table, budget, rng, m, **_: smoothed_histogram(table, budget, m, rng),
@@ -327,18 +327,3 @@ SYNTHESIZERS = {
     "marginal_ipf": lambda table, budget, rng, **_: marginal_ipf(table, budget, rng),
 }
 
-
-def synthesize(
-    method: str,
-    table: CountTable,
-    budget: PrivacyBudget,
-    rng: RandomSource,
-    m: int | None = None,
-    iterations: int = 10,
-) -> CountTable:
-    """Run the synthesizer registered as ``method`` on ``table``; returns its synthetic counts.
-
-    ``m`` is the smoothed histogram's synthetic size and ``iterations``
-    MWEM's rounds.
-    """
-    return SYNTHESIZERS[method](table, budget, rng, m=m, iterations=iterations)

@@ -12,12 +12,12 @@ import time
 import numpy as np
 import pytest
 
-from dpsynth.data import build_histogram, gaussian_unit_bins, load_csv, uniform_bins
+from dpsynth.data import GroupedDataset, build_table, gaussian_unit_bins, load_csv, uniform_bins
 from dpsynth.harness import Cell, ExperimentConfig, GeneratorSpec, grid_cells, run_cell, run_grid
 from dpsynth.report import emit_report
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import default_prostate_spec, gaussian_bivariate
-from dpsynth.stattests import mann_whitney_u, u_statistic
+from dpsynth.stattests import TESTS, u_statistic
 from dpsynth.synth import (
     PrivacyBudget,
     fit_marginal_joint,
@@ -49,7 +49,8 @@ def test_c01_rank_formula_equals_pair_counting():
         n1, n2 = g.integers(1, 13), g.integers(1, 13)
         x = g.integers(0, 8, size=n1).astype(float)  # small domain forces ties
         y = g.integers(0, 8, size=n2).astype(float)
-        if u_statistic(x, y) != brute_force_u(x, y):
+        data = GroupedDataset(np.repeat([0, 1], [n1, n2]), np.concatenate((x, y)))
+        if u_statistic(build_table(data, [(None, None)]).counts) != brute_force_u(x, y):
             mismatches += 1
     elapsed = time.time() - start
     ok = mismatches == 0 and elapsed < 5.0
@@ -83,8 +84,9 @@ def test_c02_nonprivate_calibration():
 
 
 def test_c03_cardio_bmi_statistic(cardio_path):
-    data = load_csv(cardio_path)
-    out = mann_whitney_u(data.group_values(1), data.group_values(0))
+    table = build_table(load_csv(cardio_path), [(None, None)])
+    # U is stated for the cardio group, group 1, so its row goes first.
+    out = TESTS["mw_u"](table.levels[1], table.counts[::-1], None)
     ok = out.statistic == 471_500_929.50 and out.p_value < 1e-10
     announce(3, ok, f"cardio BMI U statistic = {out.statistic} (p = {out.p_value:.3e})")
     assert out.statistic == 471_500_929.50
@@ -185,7 +187,7 @@ def test_c07_mechanism_limit_properties():
     rng = RandomSource(SEED + 8)
     # Perturbed histogram becomes the identity as the noise scale vanishes.
     data = gaussian_bivariate(2000, "null", rng.child(0))
-    hist = build_histogram(data, gaussian_unit_bins())
+    hist = build_table(data, [(None, gaussian_unit_bins())])
     identical = sum(
         np.array_equal(perturbed_histogram(hist, PrivacyBudget(1e6), rng.child(1, run)).counts, hist.counts)
         for run in range(1000)
@@ -201,7 +203,7 @@ def test_c07_mechanism_limit_properties():
     smoothed_exact = np.array_equal(probs, expected)
 
     # IPF on a full-joint marginal workload copies the empirical joint.
-    table = build_histogram(data, uniform_bins(40.0, 60.0, 50))
+    table = build_table(data, [(None, uniform_bins(40.0, 60.0, 50))])
     joint = fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(2), marginals=((0, 1),))
     empirical = table.counts / table.total_n
     tv = 0.5 * np.abs(joint - empirical).sum()

@@ -254,6 +254,23 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(experiment_config), "--out", "results"]) == 0
         assert (tmp_path / "envout" / "results" / "reports.csv").is_file()
 
+    def test_csv_sizes_beyond_the_file_are_config_errors(self, tmp_path, capsys):
+        source = tmp_path / "four.csv"
+        save_grouped_csv(GroupedDataset([0, 1, 0, 1], [20.0, 21.0, 22.0, 23.0]), source)
+        payload = {
+            "generator": {"kind": "csv", "mode": "null", "csv_path": str(source)},
+            "synthesizer": "perturbed",
+            "epsilons": [1.0],
+            "original_sizes": [2, 10],
+            "repetitions": 2,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        assert "original_sizes" in capsys.readouterr().err
+        assert not (out / "reports.json").exists() and not (out / "reports.csv").exists()
+
     def test_report_rerender(self, experiment_config, tmp_path):
         out = tmp_path / "run"
         assert main(["experiment", "--config", str(experiment_config), "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 """Binning, count tables, and CSV ingestion."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,7 +13,6 @@ from dpsynth.data import (
     GroupedDataset,
     IngestionError,
     bmi_bins,
-    build_histogram,
     build_table,
     discretize,
     gaussian_unit_bins,
@@ -70,23 +71,26 @@ class TestDiscretize:
 
 
 class TestBuildHistogram:
+    """The (group, binned value) table: ``build_table`` with one binned axis."""
+
     def test_single_cell(self):
         data = GroupedDataset([0, 0, 0], [1.0, 1.1, 1.2])
-        hist = build_histogram(data, uniform_bins(0.0, 10.0, 5))
+        hist = build_table(data, [(None, uniform_bins(0.0, 10.0, 5))])
         assert hist.total_n == 3
         assert hist.counts[0, 0] == 3
         assert hist.counts.sum() == 3
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_histogram(GroupedDataset([], []), bmi_bins())
+        for axes in ([(None, bmi_bins())], [(None, None)], [(None, (0.0, 1.0))]):
+            with pytest.raises(ValueError, match="empty"):
+                build_table(GroupedDataset([], []), axes)
 
     @given(st.lists(st.tuples(st.integers(0, 1), st.floats(-50, 150)), min_size=1, max_size=200))
     def test_conserves_counts_per_group(self, records):
         groups = [g for g, _ in records]
         values = [v for _, v in records]
         data = GroupedDataset(groups, values)
-        hist = build_histogram(data, bmi_bins())
+        hist = build_table(data, [(None, bmi_bins())])
         assert hist.counts[0].sum() == groups.count(0)
         assert hist.counts[1].sum() == groups.count(1)
 
@@ -122,7 +126,7 @@ class TestSamplesFromCounts:
         spec = uniform_bins(0.0, 8.0, 4)
         if counts.sum() == 0:
             return
-        hist = build_histogram(samples_from_counts(two_axis(counts, spec)), spec)
+        hist = build_table(samples_from_counts(two_axis(counts, spec)), [(None, spec)])
         assert np.array_equal(hist.counts, counts)
 
 
@@ -213,7 +217,7 @@ class TestCardioCsv:
 
     def test_per_group_totals(self, cardio_path):
         data = load_csv(cardio_path)
-        hist = build_histogram(data, bmi_bins())
+        hist = build_table(data, [(None, bmi_bins())])
         assert hist.counts[0].sum() == 35_021
         assert hist.counts[1].sum() == 34_979
 
@@ -299,31 +303,26 @@ class TestResolveBinning:
 
 class TestCountTable:
     def test_histogram_is_the_two_axis_table(self):
-        data = GroupedDataset([0, 1, 1], [0.5, 1.5, 1.6])
-        spec = uniform_bins(0.0, 2.0, 2)
-        hist = build_histogram(data, spec)
-        table = build_table([("group", data.groups, (0.0, 1.0)), ("value", data.values, spec)])
-        assert hist.variables == table.variables == ("group", "value")
-        assert hist.domains == table.domains == (2, 2)
-        assert hist.total_n == 3
-        assert np.array_equal(hist.counts, [[1, 0], [0, 2]])
-        assert np.array_equal(hist.counts, table.counts)
-        assert all(np.array_equal(a, b) for a, b in zip(hist.levels, table.levels))
+        data = GroupedDataset([0, 1, 1], [0.5, 1.5, 1.6], value_name="bmi")
+        table = build_table(data, [(None, uniform_bins(0.0, 2.0, 2))])
+        assert table.variables == ("group", "bmi")
+        assert table.domains == (2, 2)
+        assert table.total_n == 3
+        assert np.array_equal(table.counts, [[1, 0], [0, 2]])
+        assert np.array_equal(table.levels[0], [0.0, 1.0])
+        assert np.array_equal(table.levels[1], [0.5, 1.5])
 
     def test_categorical_levels_checked(self):
         # Every value must equal a level exactly, whichever side it misses on.
         for values in ([0.0, 0.5], [1e-9], [1.0000001], [-1e-9]):
+            data = GroupedDataset(np.zeros(len(values), dtype=int), [0.0] * len(values), {"flag": values})
             with pytest.raises(ValueError, match="declared levels"):
-                build_table([("flag", np.array(values), (0.0, 1.0))])
+                build_table(data, [("flag", (0.0, 1.0))])
 
     def test_mixed_columns(self):
-        table = build_table(
-            [
-                ("group", np.array([0.0, 1.0]), (0.0, 1.0)),
-                ("score", np.array([1.0, 3.0]), (1.0, 2.0, 3.0)),
-                ("x", np.array([0.2, 0.8]), uniform_bins(0.0, 1.0, 4)),
-            ]
-        )
+        data = GroupedDataset([0, 1], [1.0, 3.0], {"x": [0.2, 0.8]}, value_name="score")
+        table = build_table(data, [(None, (1.0, 2.0, 3.0)), ("x", uniform_bins(0.0, 1.0, 4))])
+        assert table.variables == ("group", "score", "x")
         assert table.domains == (2, 3, 4)
         assert np.argwhere(table.counts).tolist() == [[0, 0, 0], [1, 2, 3]]
         assert np.array_equal(table.levels[1], [1.0, 2.0, 3.0])
@@ -346,20 +345,73 @@ class TestCountTable:
     def test_category_levels_must_increase(self, levels):
         # searchsorted would place values by an unsorted order without a word.
         with pytest.raises(ValueError, match="strictly increasing"):
-            build_table([("group", np.array([0.0, 1.0]), (0.0, 1.0)), ("flag", np.array([1.0, 0.0]), levels)])
+            build_table(GroupedDataset([0, 1], [1.0, 0.0]), [(None, levels)])
 
-    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.floats(-1, 2)), max_size=50))
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 3), st.floats(-1, 2)), min_size=1, max_size=50))
     def test_records_round_trip_through_build_table(self, records):
         def table_of(data: GroupedDataset) -> CountTable:
-            return build_table(
-                [
-                    ("group", data.groups, (0.0, 1.0)),
-                    ("value", data.values, (0.0, 1.0, 2.0, 3.0)),
-                    ("x", data.extras["x"], uniform_bins(0.0, 1.0, 4)),
-                ]
-            )
+            return build_table(data, [(None, (0.0, 1.0, 2.0, 3.0)), ("x", uniform_bins(0.0, 1.0, 4))])
 
-        groups, values, xs = (list(column) for column in zip(*records)) if records else ([], [], [])
+        groups, values, xs = (list(column) for column in zip(*records))
         table = table_of(GroupedDataset(groups, values, {"x": np.array(xs, dtype=float)}))
         assert table.total_n == len(records)
         assert np.array_equal(table_of(samples_from_counts(table)).counts, table.counts)
+
+
+def counted_one_by_one(data: GroupedDataset, axes) -> tuple[list[list[float]], np.ndarray]:
+    """The levels and counts of each axis, every record's cell worked out on its own and tallied in a Counter."""
+    levels, codes = [[0.0, 1.0]], [[int(g) for g in data.groups]]
+    for name, enc in axes:
+        column = [float(v) for v in data.column(name)]
+        if enc is None:
+            lv = sorted(set(column))
+            code = [lv.index(v) for v in column]
+        elif isinstance(enc, BinningSpec):
+            # The bin of v is the number of inner edges at or below it, so the end bins take the overflow.
+            lv = [float(m) for m in enc.midpoints()]
+            code = [sum(v >= e for e in enc.edges[1:-1]) for v in column]
+        else:
+            lv = list(enc)
+            code = [lv.index(v) for v in column]
+        levels.append(lv)
+        codes.append(code)
+    counts = np.zeros([len(lv) for lv in levels], dtype=np.int64)
+    for cell, count in Counter(zip(*codes)).items():
+        counts[cell] = count
+    return levels, counts
+
+
+AXIS_KINDS = {
+    "binned": [(None, uniform_bins(0.0, 3.0, 4))],
+    "declared": [("grade", (1.0, 2.0, 3.0))],
+    "observed": [(None, None)],
+    "mixed": [("grade", (1.0, 2.0, 3.0)), (None, None), ("x", uniform_bins(-1.0, 2.0, 5)), ("x", None)],
+}
+
+
+class TestBuildTable:
+    records = st.lists(
+        st.tuples(
+            st.integers(0, 1),
+            st.integers(-4, 10).map(lambda k: k / 2),  # half-integers, so that values tie and overflow the bins
+            st.sampled_from([1.0, 2.0, 3.0]),
+            st.floats(-1.5, 2.5),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+
+    @pytest.mark.parametrize("kind", sorted(AXIS_KINDS))
+    @given(records=records)
+    def test_counts_equal_records_counted_one_by_one(self, kind, records):
+        groups, values, grades, xs = (list(column) for column in zip(*records))
+        data = GroupedDataset(groups, values, {"grade": grades, "x": xs})
+        axes = AXIS_KINDS[kind]
+        table = build_table(data, axes)
+        levels, counts = counted_one_by_one(data, axes)
+        assert table.variables == ("group", *(data.value_name if name is None else name for name, _ in axes))
+        assert [lv.tolist() for lv in table.levels] == levels
+        assert np.array_equal(table.counts, counts)
+        for axis, (name, enc) in enumerate(axes, start=1):
+            if enc is None:
+                assert np.array_equal(table.levels[axis], np.unique(data.column(name)))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpsynth.data import IngestionError
+from dpsynth.data import GroupedDataset, IngestionError, build_table, save_grouped_csv
 from dpsynth.harness import (
     Cell,
     ConfigError,
@@ -25,7 +25,9 @@ from dpsynth.harness import (
 from dpsynth.report import emit_report, load_reports_json, render_figure
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import default_prostate_spec
-from dpsynth.stattests import mann_whitney_u, median_test, t_test, two_sample_chi_squared
+from dpsynth.stattests import TESTS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gaussian_config(**overrides) -> ExperimentConfig:
@@ -132,9 +134,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="epsilons"):
             load_config(path)
 
-    def test_round_trip_through_dict(self):
-        config = gaussian_config()
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(config, id=f"{path.stem}-{number}")
+            for path in sorted(CONFIGS.glob("*.json"))
+            for number, config in enumerate(load_configs(path), start=1)
+        ],
+    )
+    def test_round_trip_through_dict(self, config):
         assert config_from_dict(config_to_dict(config)) == config
+
+    def test_none_baseline_needs_positive_epsilon(self):
+        # The none baseline spends no budget, but its epsilon is still a point on the plots' log axis.
+        with pytest.raises(ConfigError, match="epsilons"):
+            config_from_dict(
+                {"generator": {}, "synthesizer": "none", "epsilons": [0.0, 1.0], "original_sizes": [100]}
+            )
 
     def test_csv_generator_requires_path(self):
         with pytest.raises(ConfigError, match="csv_path"):
@@ -416,8 +432,6 @@ class TestGrid:
         assert report.feasible_count == 20
 
     def test_csv_generator_subsampling(self, tmp_path):
-        from dpsynth.data import GroupedDataset, save_grouped_csv
-
         g = np.random.default_rng(0)
         data = GroupedDataset(g.integers(0, 2, 500), g.normal(25, 3, 500))
         path = tmp_path / "src.csv"
@@ -433,7 +447,6 @@ class TestGrid:
 
     def test_csv_source_loaded_once_per_grid(self, tmp_path, monkeypatch):
         from dpsynth import harness
-        from dpsynth.data import GroupedDataset, save_grouped_csv
 
         g = np.random.default_rng(1)
         path = tmp_path / "src.csv"
@@ -462,6 +475,26 @@ class TestGrid:
         lone = run_cell(config, grid_cells(config)[3], RandomSource(config.seed).child(3))
         assert lone == serial[3]
 
+    def test_csv_sizes_beyond_the_file_named_before_any_cell_runs(self, tmp_path, monkeypatch):
+        from dpsynth import harness
+
+        path = tmp_path / "src.csv"
+        save_grouped_csv(GroupedDataset([0, 1, 0, 1], [20.0, 21.0, 22.0, 23.0]), path)
+        config = gaussian_config(
+            generator=GeneratorSpec(kind="csv", mode="null", csv_path=str(path)),
+            epsilons=(1.0,),
+            original_sizes=(2, 10),
+            repetitions=2,
+        )
+        tallied = []
+        monkeypatch.setattr(harness, "_tally", lambda *args: tallied.append(args))
+        with pytest.raises(ConfigError, match=r"'original_sizes'.* 4 records, cannot subsample \[10\]"):
+            run_grid(config)
+        # A lone cell that fits the file still checks every size of its config.
+        with pytest.raises(ConfigError, match="'original_sizes'"):
+            run_cell(config, grid_cells(config)[0], RandomSource(config.seed))
+        assert tallied == []
+
     def test_malformed_grouped_csv_reports_its_rows(self, tmp_path):
         path = tmp_path / "src.csv"
         path.write_text("group,value\n0,1.5\n1,abc\n1,2.5\n", encoding="utf-8")
@@ -476,7 +509,6 @@ class TestGrid:
 
     def test_dp_mw_baseline_tests_the_configured_column(self, monkeypatch):
         from dpsynth import harness
-        from dpsynth.data import GroupedDataset
         from dpsynth.dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
         from dpsynth.simgen import copula_multivariate
         from dpsynth.synth import PrivacyBudget
@@ -526,21 +558,14 @@ class TestGrid:
 
 
 def record_form_outcome(config: ExperimentConfig, table, levels) -> dict:
-    """The configured test's record form on the table's records, decoded cell by cell."""
+    """The configured test on the table's records, decoded cell by cell and counted at their distinct values."""
     columns = {name: [] for name in table.variables}
     for cell in zip(*np.nonzero(table.counts)):
         for name, lv, code in zip(table.variables, table.levels, cell):
             columns[name].extend([lv[code]] * int(table.counts[cell]))
-    groups = np.asarray(columns["group"])
-    tested = np.asarray(columns[config.generator.variable or table.variables[1]])
-    x, y = tested[groups == 0], tested[groups == 1]
-    record_forms = {
-        "mw_u": lambda: mann_whitney_u(x, y),
-        "t": lambda: t_test(x, y),
-        "chi2": lambda: two_sample_chi_squared(x, y, levels),
-        "median": lambda: median_test(x, y),
-    }
-    return record_forms[config.test]().to_dict()
+    tested = columns[config.generator.variable or table.variables[1]]
+    observed = build_table(GroupedDataset(np.asarray(columns["group"], dtype=int), tested), [(None, None)])
+    return TESTS[config.test](observed.levels[1], observed.counts, levels).to_dict()
 
 
 class TestRunTest:
@@ -548,14 +573,14 @@ class TestRunTest:
 
     @pytest.fixture(scope="class")
     def copula_tables(self):
-        from dpsynth import harness
         from dpsynth.simgen import copula_multivariate
         from dpsynth.synth import PrivacyBudget, marginal_ipf
 
         spec = default_prostate_spec()
+        axes = GeneratorSpec(kind="copula", mode="null", copula=spec).table_axes()
         rng = RandomSource(41)
         tables = [
-            harness._copula_table(spec, copula_multivariate(spec, n, mode, rng.child(n)))
+            build_table(copula_multivariate(spec, n, mode, rng.child(n)), axes)
             for n, mode in [(50, "null"), (500, "signal")]
         ]
         tables.append(marginal_ipf(tables[0], PrivacyBudget(1.0), rng.child(1)))
@@ -582,7 +607,7 @@ class TestRunTest:
 
     @pytest.mark.parametrize("test", ["mw_u", "t", "chi2", "median"])
     def test_two_axis_table_matches_records(self, test):
-        from dpsynth.data import build_histogram, gaussian_unit_bins
+        from dpsynth.data import gaussian_unit_bins
         from dpsynth.harness import run_test
         from dpsynth.simgen import gaussian_bivariate
         from dpsynth.synth import PrivacyBudget, perturbed_histogram
@@ -590,7 +615,7 @@ class TestRunTest:
         config = gaussian_config(synthesizer="perturbed", test=test)
         rng = RandomSource(43)
         for n, mode in [(50, "null"), (500, "signal")]:
-            original = build_histogram(gaussian_bivariate(n, mode, rng.child(n)), gaussian_unit_bins())
+            original = build_table(gaussian_bivariate(n, mode, rng.child(n)), [(None, gaussian_unit_bins())])
             for table in (original, perturbed_histogram(original, PrivacyBudget(1.0), rng.child(n, 1))):
                 assert run_test(config, table, None).to_dict() == record_form_outcome(config, table, None)
 

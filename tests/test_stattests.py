@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsynth.data import CountTable, load_csv, samples_from_counts, uniform_bins
+from dpsynth.data import CountTable, GroupedDataset, build_table, load_csv, samples_from_counts, uniform_bins
 from dpsynth.rng import RandomSource
 from dpsynth.special import normal_cdf, regularized_incomplete_beta, regularized_upper_gamma
 from dpsynth.stattests import (
@@ -15,14 +15,29 @@ from dpsynth.stattests import (
     FailureReason,
     TestOutcome,
     chi_squared,
-    mann_whitney_u,
     mann_whitney_u_counts,
-    median_test,
-    t_test,
-    tabulate,
-    two_sample_chi_squared,
     u_statistic,
 )
+
+
+def observed_table(x, y) -> CountTable:
+    """The (group, value) table of two samples at their distinct values; group 0 holds ``x``."""
+    data = GroupedDataset(np.repeat([0, 1], [len(x), len(y)]), np.concatenate((x, y)).astype(float))
+    return build_table(data, [(None, None)])
+
+
+def on_samples(name, x, y, levels=None) -> TestOutcome:
+    """The test ``name`` on two samples, counted at their distinct values."""
+    table = observed_table(x, y)
+    return TESTS[name](table.levels[1], table.counts, levels)
+
+
+def u_of(x, y) -> float:
+    return u_statistic(observed_table(x, y).counts)
+
+
+def group(data: GroupedDataset, g: int) -> np.ndarray:
+    return data.values[data.groups == g]
 
 
 def brute_force_u(x, y) -> float:
@@ -133,14 +148,6 @@ REFERENCES = {
     "median": lambda x, y, levels: reference_median_test(x, y),
 }
 
-RECORD_FORMS = {
-    "mw_u": lambda x, y, levels: mann_whitney_u(x, y),
-    "t": lambda x, y, levels: t_test(x, y),
-    "chi2": two_sample_chi_squared,
-    "median": lambda x, y, levels: median_test(x, y),
-}
-
-
 small_group = st.lists(st.integers(0, 6).map(float), min_size=1, max_size=12)
 
 
@@ -160,68 +167,69 @@ class TestOutcomeContract:
 
 class TestMannWhitney:
     def test_separated_groups(self):
-        out = mann_whitney_u([1, 2, 3], [4, 5, 6])
+        out = on_samples("mw_u", [1, 2, 3], [4, 5, 6])
         assert out.statistic == 0.0
         # z = (0 - 4.5 + 0.5)/sqrt(5.25) = -1.7457
         assert out.p_value == pytest.approx(0.0809, abs=5e-4)
 
     def test_constant_values_infeasible(self):
-        out = mann_whitney_u([5, 5, 5], [5, 5, 5])
+        out = on_samples("mw_u", [5, 5, 5], [5, 5, 5])
         assert not out.feasible
         assert out.failure_reason is FailureReason.CONSTANT_VALUES
 
     def test_empty_group_infeasible(self):
-        out = mann_whitney_u([], [1.0, 2.0])
+        out = on_samples("mw_u", [], [1.0, 2.0])
         assert out.failure_reason is FailureReason.SINGLE_CLASS
 
     @given(small_group, small_group)
     def test_matches_brute_force_pair_counting(self, x, y):
-        assert u_statistic(x, y) == brute_force_u(x, y)
+        assert u_of(x, y) == brute_force_u(x, y)
 
     @given(small_group, small_group)
     def test_complement_identity(self, x, y):
-        assert u_statistic(x, y) + u_statistic(y, x) == len(x) * len(y)
+        assert u_of(x, y) + u_of(y, x) == len(x) * len(y)
 
     @given(small_group, small_group)
     def test_permutation_invariance_within_groups(self, x, y):
         rng = np.random.default_rng(0)
-        out = mann_whitney_u(x, y)
-        shuffled = mann_whitney_u(rng.permutation(x), rng.permutation(y))
+        out = on_samples("mw_u", x, y)
+        shuffled = on_samples("mw_u", rng.permutation(x), rng.permutation(y))
         assert out.feasible == shuffled.feasible
         if out.feasible:
             assert out.statistic == shuffled.statistic
             assert out.p_value == shuffled.p_value
 
     def test_cardio_bmi_statistic(self, cardio_path):
-        data = load_csv(cardio_path)
-        out = mann_whitney_u(data.group_values(1), data.group_values(0))
+        table = build_table(load_csv(cardio_path), [(None, None)])
+        # U is stated for the cardio group, group 1, so its row goes first.
+        out = TESTS["mw_u"](table.levels[1], table.counts[::-1], None)
         assert out.statistic == 471_500_929.50
 
 
 class TestTTest:
     def test_hand_computed_example(self):
-        out = t_test([1, 2, 3], [2, 3, 4])
+        out = on_samples("t", [1, 2, 3], [2, 3, 4])
         assert out.statistic == pytest.approx(-1.2247, abs=1e-3)
         assert out.p_value == pytest.approx(0.288, abs=1e-2)
 
     def test_identical_lists_give_p_one(self):
-        out = t_test([1, 2, 3], [1, 2, 3])
+        out = on_samples("t", [1, 2, 3], [1, 2, 3])
         assert out.statistic == 0.0
         assert out.p_value == 1.0
 
     def test_zero_variance_infeasible(self):
-        out = t_test([1, 1], [1, 1])
+        out = on_samples("t", [1, 1], [1, 1])
         assert out.failure_reason is FailureReason.CONSTANT_VALUES
 
     def test_small_group_infeasible(self):
-        assert t_test([1.0], [1, 2, 3]).failure_reason is FailureReason.SINGLE_CLASS
+        assert on_samples("t", [1.0], [1, 2, 3]).failure_reason is FailureReason.SINGLE_CLASS
 
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=20),
         st.lists(st.floats(-10, 10), min_size=2, max_size=20),
     )
     def test_symmetric_under_group_swap(self, x, y):
-        a, b = t_test(x, y), t_test(y, x)
+        a, b = on_samples("t", x, y), on_samples("t", y, x)
         if a.feasible:
             assert b.p_value == pytest.approx(a.p_value, rel=1e-12)
             assert b.statistic == pytest.approx(-a.statistic, rel=1e-12)
@@ -257,39 +265,39 @@ class TestTwoSampleChiSquared:
     def test_levels_give_one_column_each(self):
         x = [1.0] * 12 + [2.0] * 8
         y = [1.0] * 6 + [2.0] * 14
-        assert two_sample_chi_squared(x, y, levels=[1.0, 2.0]) == chi_squared([[12, 8], [6, 14]])
+        assert on_samples("chi2", x, y, levels=[1.0, 2.0]) == chi_squared([[12, 8], [6, 14]])
 
     def test_quartile_columns_without_levels(self):
         x = np.arange(0.0, 40.0, 2.0)
         y = np.arange(1.0, 41.0, 2.0)
         edges = np.quantile(np.concatenate((x, y)), [0.25, 0.5, 0.75])
         table = [[(np.searchsorted(edges, v, side="right") == k).sum() for k in range(4)] for v in (x, y)]
-        assert two_sample_chi_squared(x, y) == chi_squared(table)
+        assert on_samples("chi2", x, y) == chi_squared(table)
 
     def test_empty_group_single_class(self):
-        out = two_sample_chi_squared([], [1.0, 2.0], levels=[1.0, 2.0])
+        out = on_samples("chi2", [], [1.0, 2.0], levels=[1.0, 2.0])
         assert out.failure_reason is FailureReason.SINGLE_CLASS
 
 
 class TestMedianTest:
     def test_fully_separated_groups(self):
-        out = median_test([1, 2, 3, 4], [5, 6, 7, 8])
+        out = on_samples("median", [1, 2, 3, 4], [5, 6, 7, 8])
         assert out.statistic == pytest.approx(4.5, abs=1e-12)
         assert out.p_value == pytest.approx(0.0339, abs=1e-3)
 
     def test_degenerate_median(self):
-        out = median_test([7, 7, 7, 7], [7, 7, 7, 7])
+        out = on_samples("median", [7, 7, 7, 7], [7, 7, 7, 7])
         assert out.failure_reason is FailureReason.DEGENERATE_MEDIAN
 
     def test_empty_group(self):
-        assert median_test([], [1.0]).failure_reason is FailureReason.SINGLE_CLASS
+        assert on_samples("median", [], [1.0]).failure_reason is FailureReason.SINGLE_CLASS
 
     @given(
         st.lists(st.floats(-5, 5), min_size=2, max_size=20),
         st.lists(st.floats(-5, 5), min_size=2, max_size=20),
     )
     def test_symmetric_under_group_swap(self, x, y):
-        a, b = median_test(x, y), median_test(y, x)
+        a, b = on_samples("median", x, y), on_samples("median", y, x)
         assert a.feasible == b.feasible
         if a.feasible:
             assert b.p_value == pytest.approx(a.p_value, rel=1e-12)
@@ -299,7 +307,7 @@ class TestMedianTest:
     def test_no_minimum_frequency_rule(self, seed):
         # Small samples stay feasible here, unlike the chi-squared policy.
         g = np.random.default_rng(seed)
-        out = median_test(g.normal(size=4), g.normal(size=4))
+        out = on_samples("median", g.normal(size=4), g.normal(size=4))
         assert out.feasible or out.failure_reason is FailureReason.DEGENERATE_MEDIAN
 
     def test_calibration_on_null_data(self):
@@ -313,7 +321,7 @@ class TestMedianTest:
         rejections = 0
         for rep in range(reps):
             g = rng.child(rep).generator
-            out = median_test(g.normal(size=100), g.normal(size=100))
+            out = on_samples("median", g.normal(size=100), g.normal(size=100))
             rejections += out.feasible and out.p_value <= 0.05
         rate = rejections / reps
         assert abs(rate - truth) <= 3 * np.sqrt(truth * (1 - truth) / reps)
@@ -335,7 +343,7 @@ def random_tables(seed: int, count: int):
 def record_outcome(name, counts, spec, levels=None) -> TestOutcome:
     """The pre-counts reference on the records expanded from ``counts``."""
     data = samples_from_counts(CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), counts))
-    return REFERENCES[name](data.group_values(0), data.group_values(1), levels)
+    return REFERENCES[name](group(data, 0), group(data, 1), levels)
 
 
 def counts_outcome(name, counts, spec, levels=None) -> TestOutcome:
@@ -404,7 +412,7 @@ class TestCountsForms:
                     x, y = np.round(x, decimals), np.round(y, decimals)
                 levels = np.unique(np.concatenate((x, y)))[:12] if decimals == 0 else None
                 for name, (a, b) in itertools.product(sorted(TESTS), ((x, y), (y, x))):
-                    got, want = RECORD_FORMS[name](a, b, levels), REFERENCES[name](a, b, levels)
+                    got, want = on_samples(name, a, b, levels), REFERENCES[name](a, b, levels)
                     if name != "t":
                         assert same(got, want), (n1, n2, decimals, got, want)
                         continue
@@ -414,9 +422,9 @@ class TestCountsForms:
                         assert got.p_value == pytest.approx(want.p_value, rel=1e-9, abs=0)
 
     def test_tabulate_counts_each_group_at_the_pooled_distinct_values(self):
-        support, counts = tabulate([2, 1, 2], [3.5, 1])
-        assert support.tolist() == [1.0, 2.0, 3.5]
-        assert counts.tolist() == [[1, 2, 0], [1, 0, 1]]
+        table = observed_table([2, 1, 2], [3.5, 1])
+        assert table.levels[1].tolist() == [1.0, 2.0, 3.5]
+        assert table.counts.tolist() == [[1, 2, 0], [1, 0, 1]]
 
     def test_counts_form_rejects_malformed_tables(self):
         with pytest.raises(ValueError, match="strictly increasing"):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from dpsynth import synth as synth_mod
 from dpsynth.data import (
     CountTable,
-    build_histogram,
+    GroupedDataset,
     build_table,
     samples_from_counts,
     uniform_bins,
@@ -21,6 +21,7 @@ from dpsynth.data import (
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import gaussian_bivariate
 from dpsynth.synth import (
+    SYNTHESIZERS,
     BudgetLedger,
     PrivacyBudget,
     all_low_order_marginals,
@@ -31,7 +32,6 @@ from dpsynth.synth import (
     perturbed_histogram,
     smoothed_histogram,
     smoothed_probabilities,
-    synthesize,
 )
 
 
@@ -39,7 +39,7 @@ class TestSynthesize:
     def test_registry_matches_direct_calls(self):
         data = gaussian_bivariate(200, "signal", RandomSource(1))
         spec = uniform_bins(45.0, 55.0, 10)
-        hist = build_histogram(data, spec)
+        hist = build_table(data, [(None, spec)])
         budget = PrivacyBudget(2.0)
         direct = {
             "perturbed": perturbed_histogram(hist, budget, RandomSource(2)),
@@ -48,7 +48,7 @@ class TestSynthesize:
             "marginal_ipf": marginal_ipf(hist, budget, RandomSource(2)),
         }
         for method, expected in direct.items():
-            got = synthesize(method, hist, budget, RandomSource(2), m=50, iterations=3)
+            got = SYNTHESIZERS[method](hist, budget, RandomSource(2), m=50, iterations=3)
             assert type(got) is CountTable
             assert got.variables == hist.variables
             assert all(np.array_equal(a, b) for a, b in zip(got.levels, hist.levels))
@@ -108,7 +108,7 @@ class TestBudgetLedger:
         perturbed_histogram(hist, PrivacyBudget(1.0), rng.child(0))
         smoothed_histogram(hist, PrivacyBudget(2.0), 50, rng.child(1))
         mwem(hist, PrivacyBudget(3.0), 3, rng.child(2))
-        marginal_ipf(build_histogram(gaussian_bivariate(100, "null", rng.child(3)), uniform_bins(40, 60, 5)), PrivacyBudget(4.0), rng.child(4))
+        marginal_ipf(build_table(gaussian_bivariate(100, "null", rng.child(3)), [(None, uniform_bins(40, 60, 5))]), PrivacyBudget(4.0), rng.child(4))
         assert [led.epsilon for led in ledgers] == [1.0, 2.0, 3.0, 4.0]
         for ledger in ledgers:
             assert ledger.spent == 1
@@ -285,7 +285,7 @@ class TestSmoothedHistogram:
         hist = two_axis(
             np.stack(
                 [
-                    np.bincount(np.digitize(data.group_values(g), spec.edges) - 1, minlength=100)[:100]
+                    np.bincount(np.digitize(data.values[data.groups == g], spec.edges) - 1, minlength=100)[:100]
                     for g in (0, 1)
                 ]
             ),
@@ -446,7 +446,7 @@ class TestMwem:
         hist = two_axis(
             np.stack(
                 [
-                    np.bincount(np.digitize(d1.group_values(g), spec.edges) - 1, minlength=10)[:10]
+                    np.bincount(np.digitize(d1.values[d1.groups == g], spec.edges) - 1, minlength=10)[:10]
                     for g in (0, 1)
                 ]
             ),
@@ -460,7 +460,7 @@ class TestMwem:
 class TestMarginalIpf:
     def test_full_marginal_copies_empirical(self):
         data = gaussian_bivariate(2000, "signal", RandomSource(21))
-        table = build_histogram(data, uniform_bins(45, 55, 20))
+        table = build_table(data, [(None, uniform_bins(45, 55, 20))])
         joint = fit_marginal_joint(table, PrivacyBudget(1e6), RandomSource(22), marginals=((0, 1),))
         empirical = table.counts / table.total_n
         assert 0.5 * np.abs(joint - empirical).sum() < 1e-6
@@ -468,12 +468,9 @@ class TestMarginalIpf:
     def test_independent_one_way_marginals_give_product(self):
         rng = RandomSource(23)
         g = rng.generator
-        table = build_table(
-            [
-                ("group", (g.random(5000) < 0.3).astype(float), (0.0, 1.0)),
-                ("value", g.integers(0, 4, size=5000).astype(float), (0.0, 1.0, 2.0, 3.0)),
-            ]
-        )
+        groups = (g.random(5000) < 0.3).astype(int)
+        data = GroupedDataset(groups, g.integers(0, 4, size=5000).astype(float))
+        table = build_table(data, [(None, (0.0, 1.0, 2.0, 3.0))])
         joint = fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(1), marginals=((0,), (1,)))
         marg0 = joint.sum(axis=1)
         marg1 = joint.sum(axis=0)
@@ -482,7 +479,7 @@ class TestMarginalIpf:
     @pytest.mark.parametrize("sweeps", [1, 2, 5, 50])
     def test_mass_and_positivity_preserved(self, sweeps):
         data = gaussian_bivariate(500, "null", RandomSource(24))
-        table = build_histogram(data, uniform_bins(40, 60, 10))
+        table = build_table(data, [(None, uniform_bins(40, 60, 10))])
         joint = fit_marginal_joint(table, PrivacyBudget(0.5), RandomSource(25), max_sweeps=sweeps)
         assert np.all(joint >= 0)
         assert joint.sum() == pytest.approx(1.0, abs=1e-9)
@@ -496,13 +493,13 @@ class TestMarginalIpf:
     )
     def test_invalid_marginal_sets_rejected(self, marginals):
         data = gaussian_bivariate(100, "null", RandomSource(26))
-        table = build_histogram(data, uniform_bins(40, 60, 5))
+        table = build_table(data, [(None, uniform_bins(40, 60, 5))])
         with pytest.raises(ValueError):
             fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(27), marginals=marginals)
 
     def test_synthetic_size_matches_original(self):
         data = gaussian_bivariate(300, "null", RandomSource(28))
-        table = build_histogram(data, uniform_bins(40, 60, 10))
+        table = build_table(data, [(None, uniform_bins(40, 60, 10))])
         out = marginal_ipf(table, PrivacyBudget(1.0), RandomSource(29))
         assert out.total_n == 300
 
@@ -510,7 +507,7 @@ class TestMarginalIpf:
         # At tiny epsilon, clamping can zero out whole marginals; the fit
         # must still return a proper distribution.
         data = gaussian_bivariate(50, "null", RandomSource(30))
-        table = build_histogram(data, uniform_bins(40, 60, 10))
+        table = build_table(data, [(None, uniform_bins(40, 60, 10))])
         for seed in range(20):
             joint = fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed))
             assert np.all(np.isfinite(joint))
@@ -551,7 +548,7 @@ class TestNoiseScale:
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     def test_marginal_ipf_uses_scale_2k_over_epsilon(self, recorded, eps):
         scales, ledgers = recorded
-        table = build_histogram(gaussian_bivariate(100, "null", RandomSource(4)), uniform_bins(40, 60, 5))
+        table = build_table(gaussian_bivariate(100, "null", RandomSource(4)), [(None, uniform_bins(40, 60, 5))])
         k = len(all_low_order_marginals(len(table.variables)))
         fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(5), max_sweeps=1)
         assert scales == pytest.approx([2 * k / eps] * k, rel=1e-12)
