@@ -2,16 +2,17 @@
 
 Each grid cell runs R independent repetitions: generate an original dataset,
 synthesize (unless the cell is a baseline), run the configured test, and
-record feasibility and rejection at the significance level. The original
-becomes a count table through :func:`dpsynth.data.build_table`: binned (or
-categorical) for a synthesizer, which releases synthetic counts over the
-same cells, and at the tested variable's distinct values for the ``none``
-baseline. The test runs on the (group, tested variable) marginal of the
-table. Every cell and repetition draws from a child stream derived from the
-master seed. :func:`run_grid` splits the work by (cell, repetition chunk),
-and a cell's report is built from the summed chunk tallies, so a full-grid
-run at any worker count and an isolated re-run of one cell all produce
-identical numbers.
+record feasibility and rejection at the significance level. A synthesizer
+reads the original's binned (or categorical) count table and releases
+synthetic counts over the same cells; for gaussian and csv data that table
+is drawn directly from its exact law, and copula records are counted by
+:func:`dpsynth.data.build_table`. The ``none`` baseline counts the original
+records at the tested variable's distinct values. The test runs on the
+(group, tested variable) marginal of the table. Every cell and repetition
+draws from a child stream derived from the master seed. :func:`run_grid`
+splits the work by (cell, repetition chunk), and a cell's report is built
+from the summed chunk tallies, so a full-grid run at any worker count and
+an isolated re-run of one cell all produce identical numbers.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .data import (
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
+from .simgen import gaussian_table, subsample_table
 from .stattests import TESTS, TestOutcome
 from .synth import SYNTHESIZERS, PrivacyBudget
 
@@ -281,6 +283,22 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
     return GroupedDataset(source.groups[idx], source.values[idx], extras, source.value_name)
 
 
+def _original_table(
+    config: ExperimentConfig, axes: list, source: CountTable | None, n: int, rng: RandomSource
+) -> CountTable:
+    """The original's table over ``axes``, which is all that a synthesizer reads.
+
+    Gaussian and csv tables (``source`` is the file's table) are drawn from their exact law.
+    """
+    gen = config.generator
+    if gen.kind == "gaussian":
+        [(_, spec)] = axes
+        return gaussian_table(n, gen.mode, spec, rng)
+    if gen.kind == "csv":
+        return subsample_table(source, n, rng)
+    return build_table(_generate(config, None, n, rng), axes)
+
+
 def run_test(config: ExperimentConfig, table: CountTable, levels: np.ndarray | None) -> TestOutcome:
     """Run the configured classical test on the (group, tested variable) marginal of ``table``.
 
@@ -307,20 +325,24 @@ def _tally(
     gen = config.generator
     axes = gen.table_axes()
     levels = gen.category_domain()
+    # A synthesizer cell draws from the csv file's table, counted once per chunk.
+    synthesizes = config.synthesizer in SYNTHESIZERS
+    source_table = build_table(source, axes) if synthesizes and source is not None else None
     feasible = 0
     rejections = 0
     failures: dict[str, int] = {}
     for rep in reps:
-        original = _generate(config, source, cell.n_original, rng.child(rep, 0))
         if config.synthesizer == "none":
+            original = _generate(config, source, cell.n_original, rng.child(rep, 0))
             outcome = run_test(config, build_table(original, [(gen.variable, None)]), levels)
         elif config.synthesizer == "dp_mw_baseline":
+            original = _generate(config, source, cell.n_original, rng.child(rep, 0))
             cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
             tested = GroupedDataset(original.groups, original.column(gen.variable))
             outcome = dp_mann_whitney(tested, cfg, rng.child(rep, 1))
         else:
             synthetic = SYNTHESIZERS[config.synthesizer](
-                build_table(original, axes),
+                _original_table(config, axes, source_table, cell.n_original, rng.child(rep, 0)),
                 PrivacyBudget(cell.epsilon),
                 rng.child(rep, 1),
                 m=cell.n_synthetic,

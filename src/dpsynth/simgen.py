@@ -2,7 +2,9 @@
 
 ``gaussian_bivariate`` produces the two-group Gaussian populations used to
 measure Type I (null mode: identical distributions) and Type II (signal
-mode: means one standard deviation apart) error rates.
+mode: means one standard deviation apart) error rates. ``gaussian_table``
+and ``subsample_table`` draw only the counts that a synthesizer reads, from
+their exact law.
 
 ``copula_multivariate`` produces a mixed-type multivariate dataset through
 a Gaussian copula: a correlated latent normal vector is pushed through the
@@ -16,7 +18,7 @@ association is spurious by construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Mapping
@@ -24,7 +26,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
 
-from .data import BinningSpec, GroupedDataset, uniform_bins
+from .data import BinningSpec, CountTable, GroupedDataset, resolve_binning
 from .rng import RandomSource
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "VariableSpec",
     "CopulaSpec",
     "gaussian_bivariate",
+    "gaussian_table",
+    "subsample_table",
     "copula_multivariate",
     "default_prostate_spec",
     "load_copula_spec",
@@ -43,10 +47,13 @@ SIGNAL_MEANS = (51.0, 50.0)
 SIGNAL_SIGMA = 1.0
 
 
-def _check_mode(mode: str) -> str:
+def _half(n: int, mode: str) -> int:
+    """The size of each group of an ``n``-record dataset in ``mode``, after checking both."""
     if mode not in ("null", "signal"):
         raise ValueError(f"mode must be 'null' or 'signal', got {mode!r}")
-    return mode
+    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
+        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    return n // 2
 
 
 def gaussian_bivariate(n: int, mode: str, rng: RandomSource) -> GroupedDataset:
@@ -55,10 +62,7 @@ def gaussian_bivariate(n: int, mode: str, rng: RandomSource) -> GroupedDataset:
     null mode: both groups N(50, 2). signal mode: group 1 is N(51, 1) and
     group 0 is N(50, 1), an effect size of one standard deviation.
     """
-    _check_mode(mode)
-    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
-    half = n // 2
+    half = _half(n, mode)
     if mode == "null":
         values = rng.generator.normal(NULL_MEAN, NULL_SIGMA, size=n)
     else:
@@ -71,6 +75,33 @@ def gaussian_bivariate(n: int, mode: str, rng: RandomSource) -> GroupedDataset:
         )
     groups = np.repeat([0, 1], half)
     return GroupedDataset(groups, values)
+
+
+def gaussian_table(n: int, mode: str, spec: BinningSpec, rng: RandomSource) -> CountTable:
+    """The (group, binned value) table of ``gaussian_bivariate(n, mode, ...)``, drawn from its exact law.
+
+    Each group is Multinomial(n/2, p), where p holds its normal's mass in
+    each bin: the differences of the normal CDF at the edges, with the two
+    end edges moved to -inf and +inf, so that the end bins absorb the tails
+    just as :func:`dpsynth.data.discretize` clamps values beyond the edges.
+    """
+    half = _half(n, mode)
+    mu1, mu0 = SIGNAL_MEANS
+    means, sigma = ((NULL_MEAN, NULL_MEAN), NULL_SIGMA) if mode == "null" else ((mu0, mu1), SIGNAL_SIGMA)
+    edges = np.array(spec.edges)
+    edges[0], edges[-1] = -np.inf, np.inf
+    p = np.diff(ndtr((edges - np.array(means)[:, None]) / sigma), axis=1)
+    return CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), rng.generator.multinomial(half, p))
+
+
+def subsample_table(table: CountTable, n: int, rng: RandomSource) -> CountTable:
+    """The table of ``n`` of the records counted in ``table``, drawn without replacement.
+
+    One multivariate hypergeometric draw over the cells: the exact law of
+    the counts of a ``choice(replace=False)`` subsample of those records.
+    """
+    counts = rng.generator.multivariate_hypergeometric(table.counts.ravel(), n)
+    return replace(table, counts=counts.reshape(table.domains))
 
 
 @dataclass(frozen=True)
@@ -136,19 +167,19 @@ class VariableSpec:
 
     def __post_init__(self):
         if self.marginal.is_continuous:
-            if not self.bins:
-                raise ValueError(f"continuous variable {self.name!r} needs a bins entry")
-            b = dict(self.bins)
-            if not ({"count", "lo", "hi"} <= set(b)) or int(b["count"]) < 2 or not b["lo"] < b["hi"]:
-                raise ValueError(f"bins for {self.name!r} need count >= 2 and lo < hi")
-            object.__setattr__(self, "bins", b)
+            if not isinstance(self.bins, Mapping):
+                raise ValueError(f"continuous variable {self.name!r} needs a bins entry {{count, lo, hi}}")
+            object.__setattr__(self, "bins", dict(self.bins))
+            try:
+                self.binning()
+            except ValueError as exc:
+                raise ValueError(f"bins for {self.name!r}: {exc}") from None
         elif self.bins:
             raise ValueError(f"categorical variable {self.name!r} must not define bins")
 
     def binning(self) -> BinningSpec | None:
-        if self.bins is None:
-            return None
-        return uniform_bins(float(self.bins["lo"]), float(self.bins["hi"]), int(self.bins["count"]))
+        """The uniform bins of a continuous variable, by the rule of ``generator.binning``; None otherwise."""
+        return None if self.bins is None else resolve_binning(self.bins)
 
 
 @dataclass(frozen=True)
@@ -254,10 +285,7 @@ def copula_multivariate(spec: CopulaSpec, n: int, mode: str, rng: RandomSource) 
     (label 1, class_effect marginals). null mode: all n records from the
     low-risk marginals, labels assigned afterwards by an exact fair split.
     """
-    _check_mode(mode)
-    if not isinstance(n, (int, np.integer)) or n < 2 or n % 2:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
-    half = n // 2
+    half = _half(n, mode)
     if mode == "signal":
         u_low = _latent_uniforms(spec, half, rng)
         u_high = _latent_uniforms(spec, half, rng)

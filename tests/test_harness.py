@@ -239,6 +239,18 @@ class TestConfigValidation:
         del payload["generator"]["binning"]
         assert config_from_dict(payload).generator.binning is None
 
+    def test_fractional_copula_bin_count_named_at_load(self):
+        copula = default_prostate_spec().to_dict()
+        copula["variables"][0]["bins"]["count"] = 10.7
+        payload = {
+            "generator": {"kind": "copula", "copula": copula},
+            "synthesizer": "marginal_ipf",
+            "epsilons": [1.0],
+            "original_sizes": [50],
+        }
+        with pytest.raises(ConfigError, match=r"'generator.copula'.*'age'.*integer"):
+            config_from_dict(payload)
+
     def test_copula_fields_rejected_for_other_generators(self):
         payload = config_to_dict(gaussian_config())
         payload["generator"]["copula_path"] = "default"
@@ -430,6 +442,21 @@ class TestGrid:
         config = gaussian_config(synthesizer="none", epsilons=(1.0,), original_sizes=(200,), repetitions=20)
         (report,) = run_grid(config)
         assert report.feasible_count == 20
+
+    def test_synthesizer_cells_draw_no_gaussian_records(self, monkeypatch):
+        from dpsynth import harness
+
+        class RecordsDrawn(Exception):
+            pass
+
+        def no_records(*args):
+            raise RecordsDrawn
+
+        monkeypatch.setattr(harness, "gaussian_bivariate", no_records)
+        (report,) = run_grid(gaussian_config(epsilons=(1.0,), original_sizes=(100,), repetitions=3))
+        assert report.feasible_count + sum(report.failure_counts.values()) == 3
+        with pytest.raises(RecordsDrawn):
+            run_grid(gaussian_config(synthesizer="none", epsilons=(1.0,), original_sizes=(100,), repetitions=3))
 
     def test_csv_generator_subsampling(self, tmp_path):
         g = np.random.default_rng(0)

@@ -12,10 +12,24 @@ from dpsynth.simgen import (
     copula_multivariate,
     default_prostate_spec,
     gaussian_bivariate,
+    gaussian_table,
     load_copula_spec,
+    subsample_table,
 )
-from dpsynth.data import build_table
+from dpsynth.data import GroupedDataset, bmi_bins, build_table, resolve_binning
 from dpsynth.stattests import TESTS
+
+
+def homogeneity_p_value(a: np.ndarray, b: np.ndarray) -> float:
+    """Chi-squared p-value that the summed cell counts ``a`` and ``b`` follow one law.
+
+    Cells holding fewer than 10 records of the two together are pooled into one.
+    """
+    a, b = np.ravel(a), np.ravel(b)
+    sparse = a + b < 10
+    table = np.array([np.append(a[~sparse], a[sparse].sum()), np.append(b[~sparse], b[sparse].sum())])
+    table = table[:, table.sum(axis=0) > 0]
+    return scipy.stats.chi2_contingency(table, correction=False).pvalue
 
 
 class TestGaussianBivariate:
@@ -46,6 +60,50 @@ class TestGaussianBivariate:
         a = gaussian_bivariate(100, "null", RandomSource(3))
         b = gaussian_bivariate(100, "null", RandomSource(3))
         assert np.array_equal(a.values, b.values)
+
+
+class TestCountLaws:
+    """The count laws against the records they replace: the record path is the reference."""
+
+    @pytest.mark.parametrize("mode", ["null", "signal"])
+    @pytest.mark.parametrize(
+        "binning", ["gaussian100", {"count": 8, "lo": 48, "hi": 52}], ids=["gaussian100", "narrow"]
+    )
+    def test_gaussian_table_matches_binned_records(self, mode, binning):
+        # The narrow bins leave real tail mass beyond both end edges, which the end bins must absorb.
+        spec = resolve_binning(binning)
+        root = RandomSource(11)
+        law = records = 0
+        for k in range(300):
+            table = gaussian_table(1000, mode, spec, root.child(k, 0))
+            reference = build_table(gaussian_bivariate(1000, mode, root.child(k, 1)), [(None, spec)])
+            assert table.counts.sum(axis=1).tolist() == [500, 500]
+            assert table.variables == reference.variables
+            assert all(np.array_equal(a, b) for a, b in zip(table.levels, reference.levels))
+            law = law + table.counts
+            records = records + reference.counts
+        assert homogeneity_p_value(law, records) > 1e-3
+
+    def test_subsample_table_matches_choice_subsampling(self):
+        g = np.random.default_rng(5)
+        source = GroupedDataset(g.integers(0, 2, 60), g.normal(25, 3, 60))
+        axes = [(None, bmi_bins())]
+        full = build_table(source, axes)
+        root = RandomSource(12)
+        law = records = 0
+        for k in range(2000):
+            table = subsample_table(full, 40, root.child(k, 0))
+            assert table.total_n == 40 and np.all(table.counts <= full.counts)
+            idx = root.child(k, 1).generator.choice(source.n, size=40, replace=False)
+            law = law + table.counts
+            records = records + build_table(GroupedDataset(source.groups[idx], source.values[idx]), axes).counts
+        assert homogeneity_p_value(law, records) > 1e-3
+
+    def test_gaussian_table_checks_size_and_mode(self):
+        with pytest.raises(ValueError, match="even"):
+            gaussian_table(7, "null", bmi_bins(), RandomSource(0))
+        with pytest.raises(ValueError, match="mode"):
+            gaussian_table(10, "both", bmi_bins(), RandomSource(0))
 
 
 def identity_spec() -> CopulaSpec:
@@ -88,6 +146,34 @@ class TestCopulaSpecValidation:
     def test_continuous_variable_requires_bins(self):
         with pytest.raises(ValueError, match="bins"):
             VariableSpec("x", MarginalSpec("normal", {"mu": 0.0, "sigma": 1.0}))
+
+    @pytest.mark.parametrize(
+        "bins",
+        [
+            {"count": 10.7, "lo": 30, "hi": 95},
+            {"count": 1, "lo": 30, "hi": 95},
+            {"count": 10, "lo": 95, "hi": 30},
+            {"count": 10, "lo": "30", "hi": 95},
+            {"count": 10, "hi": 95},
+            "psa40",
+        ],
+        ids=["fractional", "one", "reversed", "string", "missing", "named"],
+    )
+    def test_bad_bins_named_at_load(self, bins):
+        payload = default_prostate_spec().to_dict()
+        payload["variables"][0]["bins"] = bins
+        with pytest.raises(ValueError, match="'age'"):
+            CopulaSpec.from_dict(payload)
+
+    def test_shipped_bins_kept(self):
+        # An integral float count gives the same bins as the integer.
+        normal = MarginalSpec("normal", {"mu": 66.0, "sigma": 8.0})
+        age = VariableSpec("age", normal, {"count": 13.0, "lo": 30, "hi": 95})
+        assert age.binning().edges == tuple(np.linspace(30.0, 95.0, 14))
+        for v in default_prostate_spec().variables:
+            if v.bins is not None:
+                b = v.bins
+                assert v.binning().edges == tuple(np.linspace(float(b["lo"]), float(b["hi"]), int(b["count"]) + 1))
 
     def test_class_effect_must_reference_known_variable(self):
         with pytest.raises(ValueError, match="unknown variable"):
