@@ -84,8 +84,12 @@ def _binning_from_args(args) -> object:
 _METHOD_FLAGS = {"m": ("smoothed", None), "iterations": ("mwem", harness.ExperimentConfig.mwem_iterations)}
 
 
-def _method_options(args) -> dict:
-    """The method's own flags with their values; a flag another method reads is an error."""
+def _method_options(args, spec) -> dict:
+    """The method's own flags with their values; a flag another method reads is an error.
+
+    ``--m`` must be a positive integer, and ``--iterations`` must lie in
+    1..2B for the ``spec`` of B bins.
+    """
     options = {}
     for flag, (method, default) in _METHOD_FLAGS.items():
         value = getattr(args, flag)
@@ -93,6 +97,14 @@ def _method_options(args) -> dict:
             options[flag] = default if value is None else value
         elif value is not None:
             raise ConfigError(f"--{flag} applies only to --method {method}, not to --method {args.method}")
+    if args.method == "smoothed" and (options["m"] is None or options["m"] < 1):
+        raise ConfigError(f"--m must be a positive integer with --method smoothed, got {options['m']}")
+    # MWEM runs on the (group, bin) table, one query per cell.
+    queries = 2 * spec.bin_count
+    if args.method == "mwem" and not 1 <= options["iterations"] <= queries:
+        raise ConfigError(
+            f"--iterations must lie in 1..{queries} (one query per group-by-bin cell), got {options['iterations']}"
+        )
     return options
 
 
@@ -101,7 +113,7 @@ def _cmd_synth(args) -> int:
     binning = _binning_from_args(args)
     spec = resolve_binning(binning)
     budget = PrivacyBudget(args.epsilon)
-    options = _method_options(args)
+    options = _method_options(args, spec)
     _print_header(
         "synth",
         seed,
@@ -272,8 +284,12 @@ def main(argv=None) -> int:
     except (ConfigError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:
+        # str() of a KeyError quotes its message.
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return 2
 
 

@@ -172,6 +172,9 @@ class CountTable:
     are replaced.
     ``counts`` is an int64 array of shape ``domains``, and a record counted
     in cell ``(i, j, ...)`` reads ``levels[0][i], levels[1][j], ...``.
+    A stack of R tables over the same axes, one per repetition, has one
+    more, leading axis: ``counts`` of shape ``(R, *domains)``, whose row
+    ``r`` is the r-th table.
     """
 
     variables: tuple[str, ...]
@@ -181,8 +184,10 @@ class CountTable:
     def __post_init__(self):
         c = np.asarray(self.counts, dtype=np.int64)
         levels = tuple(np.asarray(lv, dtype=float) for lv in self.levels)
-        if len(self.variables) != c.ndim or c.shape != tuple(lv.size for lv in levels):
-            raise ValueError("counts need one axis per variable, as long as its levels")
+        shape = tuple(lv.size for lv in levels)
+        stack = c.ndim - len(shape)
+        if len(self.variables) != len(shape) or stack not in (0, 1) or c.shape[stack:] != shape:
+            raise ValueError("counts need one axis per variable, as long as its levels, after at most one stack axis")
         if c.size and c.min() < 0:
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", c)
@@ -190,10 +195,17 @@ class CountTable:
 
     @property
     def domains(self) -> tuple[int, ...]:
-        return self.counts.shape
+        """The shape of one table: the number of levels of each axis."""
+        return self.counts.shape[len(self.stack_shape) :]
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """``(R,)`` for a stack of R tables, ``()`` for one table."""
+        return self.counts.shape[: self.counts.ndim - len(self.variables)]
 
     @property
     def total_n(self) -> int:
+        """The number of records counted, in every table of a stack together."""
         return int(self.counts.sum())
 
 

@@ -8,11 +8,17 @@ synthetic counts over the same cells; for gaussian and csv data that table
 is drawn directly from its exact law, and copula records are counted by
 :func:`dpsynth.data.build_table`. The ``none`` baseline counts the original
 records at the tested variable's distinct values. The test runs on the
-(group, tested variable) marginal of the table. Every cell and repetition
-draws from a child stream derived from the master seed. :func:`run_grid`
-splits the work by (cell, repetition chunk), and a cell's report is built
-from the summed chunk tallies, so a full-grid run at any worker count and
-an isolated re-run of one cell all produce identical numbers.
+(group, tested variable) marginal of the table.
+
+A cell of a :data:`BATCHED` synthesizer runs its repetitions in blocks of
+:data:`BLOCK`: a block draws its originals as one stack of tables, releases
+a stack and tests every table of it in one call, all from one child stream
+of the cell's stream, ``child(block)``. Repetition ``rep`` of any other cell
+draws from ``child(rep, 0)`` and ``child(rep, 1)``. :func:`run_grid` splits
+the work by (cell, repetition chunk), cutting a batched cell's chunks at
+block boundaries, and a cell's report is built from the summed chunk
+tallies, so a full-grid run at any worker count and an isolated re-run of
+one cell all produce identical numbers.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
 from .simgen import gaussian_table, subsample_table
-from .stattests import TESTS, TestOutcome
+from .stattests import TESTS, FailureReason, Outcomes, TestOutcome, stack_outcomes
 from .synth import SYNTHESIZERS, PrivacyBudget
 
 __all__ = [
@@ -61,6 +67,11 @@ __all__ = [
 # The synthesizers plus two baselines: the test on the original data, and
 # the DP Mann-Whitney test on the original data.
 METHODS = ("none", *SYNTHESIZERS, "dp_mw_baseline")
+
+# The synthesizers whose cells run their repetitions as stacks of tables, and
+# the number of repetitions in each such stack, whatever the worker count.
+BATCHED = ("perturbed", "smoothed", "mwem")
+BLOCK = 50
 
 
 class ConfigError(ValueError):
@@ -284,18 +295,19 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
 
 
 def _original_table(
-    config: ExperimentConfig, axes: list, source: CountTable | None, n: int, rng: RandomSource
+    config: ExperimentConfig, axes: list, source: CountTable | None, n: int, rng: RandomSource, size: int | None = None
 ) -> CountTable:
     """The original's table over ``axes``, which is all that a synthesizer reads.
 
-    Gaussian and csv tables (``source`` is the file's table) are drawn from their exact law.
+    Gaussian and csv tables (``source`` is the file's table) are drawn from
+    their exact law, as a stack of ``size`` tables when it is given.
     """
     gen = config.generator
     if gen.kind == "gaussian":
         [(_, spec)] = axes
-        return gaussian_table(n, gen.mode, spec, rng)
+        return gaussian_table(n, gen.mode, spec, rng, size)
     if gen.kind == "csv":
-        return subsample_table(source, n, rng)
+        return subsample_table(source, n, rng, size)
     return build_table(_generate(config, None, n, rng), axes)
 
 
@@ -313,48 +325,82 @@ def run_test(config: ExperimentConfig, table: CountTable, levels: np.ndarray | N
     return TESTS[config.test](table.levels[axis], table.counts.sum(axis=other), levels)
 
 
+def _block(
+    config: ExperimentConfig, cell: Cell, axes: list, source: CountTable | None, size: int, rng: RandomSource
+) -> Outcomes:
+    """The outcomes of a block of ``size`` repetitions of a batched cell, all drawn from ``rng``.
+
+    The originals are one stack of (group, binned value) tables, which the
+    synthesizer releases as one stack, and the test runs on every table of
+    it; the binned value has no category levels.
+    """
+    original = _original_table(config, axes, source, cell.n_original, rng, size)
+    synthetic = SYNTHESIZERS[config.synthesizer](
+        original, PrivacyBudget(cell.epsilon), rng, m=cell.n_synthetic, iterations=config.mwem_iterations
+    )
+    return stack_outcomes(config.test, synthetic.levels[1], synthetic.counts, None)
+
+
+def _repetition(
+    config: ExperimentConfig,
+    cell: Cell,
+    axes: list,
+    source: GroupedDataset | None,
+    source_table: CountTable | None,
+    rep: int,
+    rng: RandomSource,
+) -> TestOutcome:
+    """The outcome of repetition ``rep`` of a cell that runs repetition by repetition.
+
+    It draws only from ``rng.child(rep, 0)`` and ``rng.child(rep, 1)``.
+    """
+    gen = config.generator
+    levels = gen.category_domain()
+    if config.synthesizer == "none":
+        original = _generate(config, source, cell.n_original, rng.child(rep, 0))
+        return run_test(config, build_table(original, [(gen.variable, None)]), levels)
+    if config.synthesizer == "dp_mw_baseline":
+        original = _generate(config, source, cell.n_original, rng.child(rep, 0))
+        cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
+        tested = GroupedDataset(original.groups, original.column(gen.variable))
+        return dp_mann_whitney(tested, cfg, rng.child(rep, 1))
+    original = _original_table(config, axes, source_table, cell.n_original, rng.child(rep, 0))
+    synthetic = SYNTHESIZERS[config.synthesizer](original, PrivacyBudget(cell.epsilon), rng.child(rep, 1))
+    return run_test(config, synthetic, levels)
+
+
 def _tally(
     config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None, reps: range
 ) -> Tally:
     """The tally of the repetitions ``reps`` of one cell.
 
-    Repetition ``rep`` draws only from ``rng.child(rep, 0)`` and
-    ``rng.child(rep, 1)``, so a tally does not depend on how a cell's
-    repetitions are split.
+    A batched cell runs ``reps`` as its blocks: block ``b`` holds
+    repetitions ``b*BLOCK`` up to ``(b+1)*BLOCK`` (or the cell's last) and
+    draws only from ``rng.child(b)``, so ``reps`` must start at a block
+    boundary and end at one or at the cell's last repetition. Repetition
+    ``rep`` of any other cell draws only from ``rng.child(rep, 0)`` and
+    ``rng.child(rep, 1)``. So a tally does not depend on how a cell's
+    repetitions are split at those boundaries. Failure reasons are counted
+    in the order that they first appear in, repetition by repetition.
     """
-    gen = config.generator
-    axes = gen.table_axes()
-    levels = gen.category_domain()
+    axes = config.generator.table_axes()
     # A synthesizer cell draws from the csv file's table, counted once per chunk.
     synthesizes = config.synthesizer in SYNTHESIZERS
     source_table = build_table(source, axes) if synthesizes and source is not None else None
-    feasible = 0
-    rejections = 0
+    if config.synthesizer in BATCHED:
+        parts = [
+            _block(config, cell, axes, source_table, min(BLOCK, reps.stop - start), rng.child(start // BLOCK))
+            for start in range(reps.start, reps.stop, BLOCK)
+        ]
+    else:
+        parts = [Outcomes.of([_repetition(config, cell, axes, source, source_table, rep, rng) for rep in reps])]
+    feasible = rejections = 0
     failures: dict[str, int] = {}
-    for rep in reps:
-        if config.synthesizer == "none":
-            original = _generate(config, source, cell.n_original, rng.child(rep, 0))
-            outcome = run_test(config, build_table(original, [(gen.variable, None)]), levels)
-        elif config.synthesizer == "dp_mw_baseline":
-            original = _generate(config, source, cell.n_original, rng.child(rep, 0))
-            cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
-            tested = GroupedDataset(original.groups, original.column(gen.variable))
-            outcome = dp_mann_whitney(tested, cfg, rng.child(rep, 1))
-        else:
-            synthetic = SYNTHESIZERS[config.synthesizer](
-                _original_table(config, axes, source_table, cell.n_original, rng.child(rep, 0)),
-                PrivacyBudget(cell.epsilon),
-                rng.child(rep, 1),
-                m=cell.n_synthetic,
-                iterations=config.mwem_iterations,
-            )
-            outcome = run_test(config, synthetic, levels)
-        if outcome.feasible:
-            feasible += 1
-            if outcome.p_value <= config.alpha:
-                rejections += 1
-        else:
-            reason = outcome.failure_reason.value
+    for outcomes in parts:
+        ok = outcomes.failure_reason == FailureReason.NONE.value
+        feasible += int(ok.sum())
+        rejections += int((outcomes.p_value[ok] <= config.alpha).sum())
+        for reason in outcomes.failure_reason[~ok].tolist():
             failures[reason] = failures.get(reason, 0) + 1
     return feasible, rejections, failures
 
@@ -412,10 +458,16 @@ def _load_source(config: ExperimentConfig) -> GroupedDataset | None:
     return source
 
 
-def _chunks(repetitions: int, workers: int) -> list[range]:
-    """``range(repetitions)`` cut into ``min(repetitions, workers)`` contiguous, near-equal parts."""
-    k = min(repetitions, workers)
-    return [range(repetitions * j // k, repetitions * (j + 1) // k) for j in range(k)]
+def _chunks(repetitions: int, workers: int, block: int = 1) -> list[range]:
+    """``range(repetitions)`` cut at multiples of ``block`` into at most ``workers`` contiguous parts.
+
+    The parts hold near-equal numbers of blocks, and there are as many as
+    there are blocks when fewer than ``workers``; with blocks of one,
+    ``min(repetitions, workers)`` parts.
+    """
+    blocks = -(-repetitions // block)
+    k = min(blocks, workers)
+    return [range(block * (blocks * j // k), min(repetitions, block * (blocks * (j + 1) // k))) for j in range(k)]
 
 
 def _merge(tallies: list[Tally]) -> Tally:
@@ -439,7 +491,8 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
     """Run every grid cell; results are identical for any worker count.
 
     The unit of work is a contiguous chunk of one cell's repetitions: each
-    cell is cut into ``min(repetitions, workers)`` chunks, so a grid of few
+    cell is cut into ``min(repetitions, workers)`` chunks, or a batched cell
+    into ``min(blocks, workers)`` chunks of whole blocks, so a grid of few
     or unevenly slow cells still keeps every worker busy. A cell's report is
     built once from the summed tallies of its chunks. A csv source is read
     once here and handed to every chunk.
@@ -448,7 +501,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
         raise ValueError(f"workers must be a positive integer, got {workers}")
     source = _load_source(config)
     cells = grid_cells(config)
-    chunks = _chunks(config.repetitions, workers)
+    chunks = _chunks(config.repetitions, workers, BLOCK if config.synthesizer in BATCHED else 1)
     tasks = [(config, cell, i, source, reps) for i, cell in enumerate(cells) for reps in chunks]
     size = min(workers, len(tasks))
     with ExitStack() as stack:

@@ -77,13 +77,15 @@ def gaussian_bivariate(n: int, mode: str, rng: RandomSource) -> GroupedDataset:
     return GroupedDataset(groups, values)
 
 
-def gaussian_table(n: int, mode: str, spec: BinningSpec, rng: RandomSource) -> CountTable:
+def gaussian_table(n: int, mode: str, spec: BinningSpec, rng: RandomSource, size: int | None = None) -> CountTable:
     """The (group, binned value) table of ``gaussian_bivariate(n, mode, ...)``, drawn from its exact law.
 
     Each group is Multinomial(n/2, p), where p holds its normal's mass in
     each bin: the differences of the normal CDF at the edges, with the two
     end edges moved to -inf and +inf, so that the end bins absorb the tails
     just as :func:`dpsynth.data.discretize` clamps values beyond the edges.
+    With ``size``, a stack of ``size`` independent tables, drawn at once; p
+    and the levels are computed once per call.
     """
     half = _half(n, mode)
     mu1, mu0 = SIGNAL_MEANS
@@ -91,17 +93,19 @@ def gaussian_table(n: int, mode: str, spec: BinningSpec, rng: RandomSource) -> C
     edges = np.array(spec.edges)
     edges[0], edges[-1] = -np.inf, np.inf
     p = np.diff(ndtr((edges - np.array(means)[:, None]) / sigma), axis=1)
-    return CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), rng.generator.multinomial(half, p))
+    counts = rng.generator.multinomial(half, p, size=None if size is None else (size, 2))
+    return CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), counts)
 
 
-def subsample_table(table: CountTable, n: int, rng: RandomSource) -> CountTable:
+def subsample_table(table: CountTable, n: int, rng: RandomSource, size: int | None = None) -> CountTable:
     """The table of ``n`` of the records counted in ``table``, drawn without replacement.
 
     One multivariate hypergeometric draw over the cells: the exact law of
     the counts of a ``choice(replace=False)`` subsample of those records.
+    With ``size``, a stack of ``size`` independent such tables, drawn at once.
     """
-    counts = rng.generator.multivariate_hypergeometric(table.counts.ravel(), n)
-    return replace(table, counts=counts.reshape(table.domains))
+    counts = rng.generator.multivariate_hypergeometric(table.counts.ravel(), n, size=size)
+    return replace(table, counts=counts.reshape(counts.shape[:-1] + table.domains))
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,31 @@
 """Special functions backing every p-value computed in this package.
 
-The normal CDF uses ``math.erfc``; the regularized incomplete beta and upper
-gamma functions call ``scipy.special``, behind the domain checks that name
-the bad argument. The test suite checks all three against a high-precision
-quadrature oracle.
+The normal CDF uses ``math.erfc``, entry by entry on an array; the
+regularized incomplete beta and upper gamma functions call
+``scipy.special``, behind the domain checks that name the bad argument.
+The test suite checks all three against a high-precision quadrature
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.special import betainc, gammaincc
 
 __all__ = ["normal_cdf", "regularized_incomplete_beta", "regularized_upper_gamma"]
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
+def normal_cdf(x):
+    """Standard normal CDF via the complementary error function.
+
+    A float for a number; for an array, an array of the same shape, each
+    entry computed as for that number alone.
+    """
+    values = np.asarray(x, dtype=float)
+    cdf = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in values.ravel().tolist()]
+    return cdf[0] if values.ndim == 0 else np.reshape(cdf, values.shape)
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:

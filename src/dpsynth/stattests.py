@@ -11,13 +11,17 @@ Every test computes on a 2 x k table of each group's counts at strictly
 increasing ``support`` values: the (group, tested variable) marginal of a
 synthetic table, or the records of an original counted at their distinct
 values by :func:`dpsynth.data.build_table`. :data:`TESTS` holds the tests by
-name, each called as ``(support, counts, levels)``.
+name, each called as ``(support, counts, levels)``. :func:`stack_outcomes`
+runs a test on each table of an R x 2 x k stack and returns its outcomes as
+arrays (:class:`Outcomes`); the Mann-Whitney U arithmetic runs on the whole
+stack at once, and one table is the case of a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +30,8 @@ from .special import normal_cdf, regularized_incomplete_beta, regularized_upper_
 __all__ = [
     "FailureReason",
     "TestOutcome",
+    "Outcomes",
+    "stack_outcomes",
     "mann_whitney_u_counts",
     "u_statistic",
     "t_test_counts",
@@ -75,8 +81,37 @@ def _infeasible(reason: FailureReason) -> TestOutcome:
     return TestOutcome(float("nan"), None, False, reason)
 
 
-def _u_and_tie_sum(counts: np.ndarray) -> tuple[float, float]:
-    """U for group 0 of a 2 x k count table, and the tie sum of the pooled sample.
+class Outcomes(NamedTuple):
+    """A test's outcomes on the tables of a stack, one entry per table in stack order.
+
+    ``statistic`` and ``p_value`` are nan where the test was infeasible, and
+    ``failure_reason`` holds each outcome's :class:`FailureReason` value
+    (``"none"`` where it was feasible).
+    """
+
+    statistic: np.ndarray
+    p_value: np.ndarray
+    failure_reason: np.ndarray
+
+    @classmethod
+    def of(cls, outcomes: list[TestOutcome]) -> "Outcomes":
+        """The outcomes of single tables, in the order given."""
+        return cls(
+            np.array([o.statistic for o in outcomes], dtype=float),
+            np.array([np.nan if o.p_value is None else o.p_value for o in outcomes], dtype=float),
+            np.array([o.failure_reason.value for o in outcomes], dtype=str),
+        )
+
+    def outcome(self, row: int) -> TestOutcome:
+        """The outcome of the table in ``row``."""
+        reason = FailureReason(self.failure_reason[row])
+        if reason is not FailureReason.NONE:
+            return _infeasible(reason)
+        return TestOutcome(float(self.statistic[row]), float(self.p_value[row]), True)
+
+
+def _u_and_tie_sum(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U for group 0 of each 2 x k table of an R x 2 x k stack, and the tie sum of each pooled sample.
 
     Column j holds the records at the j-th smallest distinct value, so its
     records share the midrank (cumulative count before j) + (t_j + 1)/2,
@@ -84,12 +119,12 @@ def _u_and_tie_sum(counts: np.ndarray) -> tuple[float, float]:
     U comes from the rank identity U = R1 - n1(n1+1)/2; every rank is a
     multiple of 0.5 and every tie term an integer, so both stay exact.
     """
-    t = counts.sum(axis=0)
-    midranks = (np.cumsum(t) - t) + (t + 1) / 2.0
-    n1 = int(counts[0].sum())
-    u = float(counts[0] @ midranks) - n1 * (n1 + 1) / 2.0
-    ties = t[t > 0].astype(float)
-    return u, float(np.sum(ties**3 - ties))
+    t = counts.sum(axis=1)
+    midranks = (np.cumsum(t, axis=1) - t) + (t + 1) / 2.0
+    n1 = counts[:, 0].sum(axis=1)
+    u = (counts[:, 0] * midranks).sum(axis=1) - n1 * (n1 + 1) / 2.0
+    ties = t.astype(float)
+    return u, np.sum(ties**3 - ties, axis=1)
 
 
 def u_statistic(counts) -> float:
@@ -97,7 +132,32 @@ def u_statistic(counts) -> float:
     counts = np.asarray(counts, dtype=np.int64)
     if not counts.sum(axis=1).all():
         raise ValueError("both groups must be non-empty")
-    return _u_and_tie_sum(counts)[0]
+    return float(_u_and_tie_sum(counts[None])[0][0])
+
+
+def _mann_whitney_u(counts: np.ndarray) -> Outcomes:
+    """Two-sided Mann-Whitney U test on each 2 x k table of a checked R x 2 x k stack.
+
+    z uses the normal approximation with the tie-corrected variance and a
+    0.5 continuity correction toward the null mean. Each p-value takes the
+    operations of the test on one table, in the same order, so it does not
+    depend on the stack around it.
+    """
+    sizes = counts.sum(axis=2)
+    n1, n2 = sizes[:, 0], sizes[:, 1]
+    single = (n1 == 0) | (n2 == 0)
+    u, tie_sum = _u_and_tie_sum(counts)
+    n = n1 + n2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tie_term = tie_sum / (n * (n - 1))
+        sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
+    feasible = ~single & (sigma2 > 0)
+    shift = u[feasible] - (n1 * n2)[feasible] / 2.0
+    z = (shift - 0.5 * np.sign(shift)) / np.sqrt(sigma2[feasible])
+    p = np.full(u.shape, np.nan)
+    p[feasible] = np.minimum(1.0, 2.0 * normal_cdf(-np.abs(z)))
+    reason = np.where(single, FailureReason.SINGLE_CLASS.value, FailureReason.CONSTANT_VALUES.value)
+    return Outcomes(np.where(feasible, u, np.nan), p, np.where(feasible, FailureReason.NONE.value, reason))
 
 
 def mann_whitney_u_counts(support, counts) -> TestOutcome:
@@ -109,28 +169,28 @@ def mann_whitney_u_counts(support, counts) -> TestOutcome:
     mean.
     """
     _, counts = _count_table(support, counts)
-    n1, n2 = (int(c) for c in counts.sum(axis=1))
-    if n1 == 0 or n2 == 0:
-        return _infeasible(FailureReason.SINGLE_CLASS)
-    u, tie_sum = _u_and_tie_sum(counts)
-    n = n1 + n2
-    tie_term = tie_sum / (n * (n - 1))
-    sigma2 = (n1 * n2 / 12.0) * ((n + 1) - tie_term)
-    if sigma2 <= 0:
-        return _infeasible(FailureReason.CONSTANT_VALUES)
-    shift = u - n1 * n2 / 2.0
-    cc = 0.5 if shift > 0 else (-0.5 if shift < 0 else 0.0)
-    z = (shift - cc) / np.sqrt(sigma2)
-    p = min(1.0, 2.0 * normal_cdf(-abs(z)))
-    return TestOutcome(u, p, True)
+    return _mann_whitney_u(counts[None]).outcome(0)
 
 
-def _count_table(support, counts) -> tuple[np.ndarray, np.ndarray]:
-    """``support`` as floats and ``counts`` as a checked 2 x k integer table over it."""
+def stack_outcomes(name: str, support, counts, levels) -> Outcomes:
+    """The test ``name`` on each 2 x k table of the R x 2 x k stack ``counts`` at ``support``.
+
+    Mann-Whitney U runs on the whole stack at once; every other test runs
+    table by table through :data:`TESTS`. Each entry equals the test's
+    outcome on that table alone.
+    """
+    if name == "mw_u":
+        return _mann_whitney_u(_count_table(support, counts, stacked=True)[1])
+    return Outcomes.of([TESTS[name](support, table, levels) for table in counts])
+
+
+def _count_table(support, counts, stacked: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` as floats and ``counts`` as a checked 2 x k integer table over it, or an R x 2 x k stack."""
     support = np.asarray(support, dtype=float)
     table = np.asarray(counts, dtype=np.int64)
-    if support.ndim != 1 or table.shape != (2, support.size):
-        raise ValueError(f"counts must have shape (2, {support.size}) to match the support")
+    if support.ndim != 1 or table.shape[-2:] != (2, support.size) or table.ndim != 2 + stacked:
+        shape = f"({'R, ' if stacked else ''}2, {support.size})"
+        raise ValueError(f"counts must have shape {shape} to match the support")
     if np.any(np.diff(support) <= 0):
         raise ValueError("support values must be strictly increasing")
     if np.any(table < 0):

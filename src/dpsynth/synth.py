@@ -17,7 +17,10 @@ Every mechanism reads a :class:`~dpsynth.data.CountTable` and releases
 synthetic counts over the same cells, a table of the same axes and levels
 (:func:`dpsynth.data.samples_from_counts` expands it into records). The
 histogram mechanisms run on the (group, binned value) table; ``marginal_ipf``
-runs on a table of any number of axes.
+runs on a table of any number of axes. The three histogram mechanisms also
+take a stack of tables, one per repetition, and release a stack: each
+table of it independently, from one stream, in one call. One table is the
+case of a stack of one; it draws the same values, without the stack axis.
 
 Every mechanism accounts for its privacy budget through a
 :class:`BudgetLedger`; a run that would not consume exactly the configured
@@ -94,6 +97,11 @@ def _draw_counts(table: CountTable, probs: np.ndarray, size: int, rng: RandomSou
     return replace(table, counts=np.bincount(cells, minlength=probs.size).reshape(table.domains))
 
 
+def _rows(table: CountTable) -> np.ndarray:
+    """The table's counts as one row of flat cells per table of a stack (one row for one table)."""
+    return table.counts.reshape(-1, math.prod(table.domains))
+
+
 def perturbed_histogram(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
     """Discrete Laplace(2/epsilon) noise per cell, negatives set to zero.
 
@@ -102,7 +110,7 @@ def perturbed_histogram(table: CountTable, budget: PrivacyBudget, rng: RandomSou
     """
     ledger = BudgetLedger(budget.epsilon)
     scale = 2.0 / ledger.spend(Fraction(1), "histogram release")
-    noise = discrete_laplace_sample(scale, rng, size=table.domains)
+    noise = discrete_laplace_sample(scale, rng, size=table.counts.shape)
     ledger.close()
     return replace(table, counts=np.maximum(table.counts + noise, 0))
 
@@ -117,13 +125,14 @@ def smoothed_probabilities(counts, epsilon: float, m: int) -> np.ndarray:
     loss is at most ``m*log(1 + 1/alpha)``, which this alpha makes exactly
     epsilon (Wasserman & Zhou, JASA 2010). alpha is computed as
     ``exp(-x)/-expm1(-x)`` with ``x = epsilon/m`` so that it falls smoothly to
-    0 for large x instead of overflowing.
+    0 for large x instead of overflowing. Rows of a 2-d ``counts`` are
+    normalised each on its own.
     """
     c = np.asarray(counts, dtype=float)
     x = epsilon / m
     alpha = math.exp(-x) / -math.expm1(-x)
     weights = c + alpha
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def smoothed_histogram(table: CountTable, budget: PrivacyBudget, m: int, rng: RandomSource) -> CountTable:
@@ -134,31 +143,39 @@ def smoothed_histogram(table: CountTable, budget: PrivacyBudget, m: int, rng: Ra
     neighbours the additive constant ``alpha = 1/(exp(epsilon/m) - 1)`` of
     :func:`smoothed_probabilities` makes the m draws jointly epsilon-DP, with
     privacy loss ``m*log(1 + 1/alpha) = epsilon``: the whole budget is spent.
+    The counts of the m draws are one Multinomial(m, probabilities) draw per table.
     """
     if not isinstance(m, (int, np.integer)) or m <= 0:
         raise ValueError(f"m must be a positive integer, got {m}")
     ledger = BudgetLedger(budget.epsilon)
     ledger.spend(Fraction(1), f"{m} smoothed draws")
     ledger.close()
-    return _draw_counts(table, smoothed_probabilities(table.counts.ravel(), budget.epsilon, int(m)), int(m), rng)
+    counts = rng.generator.multinomial(int(m), smoothed_probabilities(_rows(table), budget.epsilon, int(m)))
+    return replace(table, counts=counts.reshape(table.counts.shape))
 
 
-def _mw_fit(targets: list[float], unmeasured: int, n: int) -> tuple[np.ndarray, float]:
+def _mw_fit(targets, unmeasured: int, n) -> tuple[np.ndarray, np.ndarray]:
     """MWEM's fit to the noisy counts ``targets`` (stated in :func:`mwem_weights`).
 
+    ``targets`` holds one table's t targets, or one row of them per table
+    of a stack, each row fitted on its own with its record count in ``n``.
     Returns the measured cells' weights, in the order of ``targets``, and
-    the weight ``w`` shared by each of the ``unmeasured`` other cells.
+    the weight ``w`` (one per row) shared by each of the ``unmeasured``
+    other cells.
     """
-    r = np.asarray(targets) / n
+    r = np.asarray(targets) / np.asarray(n)[..., None]
     a = np.maximum(r, 0.0)
-    if unmeasured and a.sum() <= 1.0:
-        return a, (1.0 - a.sum()) / unmeasured
+    total = a.sum(axis=-1)
+    interior = (total <= 1.0) & (unmeasured > 0)
     # Euclidean projection of r onto the simplex (Duchi et al., ICML 2008):
     # a = max(r - c, 0) with the water level c that makes the weights sum to 1.
-    top = np.sort(r)[::-1]
-    excess = np.cumsum(top) - 1.0
-    k = np.nonzero(top * np.arange(1, r.size + 1) > excess)[0][-1]
-    return np.maximum(r - excess[k] / (k + 1), 0.0), 0.0
+    top = np.flip(np.sort(r, axis=-1), axis=-1)
+    excess = np.cumsum(top, axis=-1) - 1.0
+    above = top * np.arange(1, r.shape[-1] + 1) > excess
+    k = r.shape[-1] - 1 - np.argmax(np.flip(above, axis=-1), axis=-1)[..., None]
+    projected = np.maximum(r - np.take_along_axis(excess, k, axis=-1) / (k + 1), 0.0)
+    shared = (1.0 - total) / unmeasured if unmeasured else np.zeros_like(total)
+    return np.where(interior[..., None], a, projected), np.where(interior, shared, 0.0)
 
 
 def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> np.ndarray:
@@ -169,8 +186,8 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     score |true - approximated|) and epsilon/(2T) measuring it with
     Laplace(2T/epsilon) noise, then refits the distribution to every
     measurement so far. Queries are selected without replacement. Returns
-    the fitted cell distribution (flattened); consumes the whole budget, so
-    sampling from it is post-processing.
+    the fitted cell distribution (flattened; one row per table of a stack);
+    consumes the whole budget, so sampling from it is post-processing.
 
     The fit is the exact minimiser of the squared error that MWEM's
     multiplicative-weights updates descend from the uniform start: the
@@ -187,44 +204,52 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     It depends only on the noisy targets, so the state is the measured
     cells, their targets and ``w``; the selection keys only unmeasured
     cells, whose approximated count is ``n * w``, and the full vector is
-    built once for the return value.
+    built once for the return value. A stack's tables are run side by side:
+    each round draws one Gumbel key per cell of every table and one
+    Laplace value per table.
     """
-    cells = table.counts.size
+    cells = math.prod(table.domains)
     if not isinstance(iterations, (int, np.integer)) or iterations < 1:
         raise ValueError(f"iterations must be a positive integer, got {iterations}")
     if iterations > cells:
         raise ValueError(f"iterations ({iterations}) cannot exceed the {cells} cell queries")
     t_total = int(iterations)
-    n = table.total_n
-    if n < 1:
+    true_counts = _rows(table).astype(float)
+    n = true_counts.sum(axis=1)
+    if np.any(n < 1):
         raise ValueError("MWEM needs a table with at least one record")
-    true_counts = table.counts.ravel().astype(float)
+    index = np.arange(n.size)
     ledger = BudgetLedger(budget.epsilon)
-    measured: list[int] = []
-    targets: list[float] = []
-    w = 1.0 / cells
-    unmeasured = np.ones(cells, dtype=bool)
+    measured = np.empty((n.size, t_total), dtype=np.int64)
+    targets = np.empty((n.size, t_total))
+    w = np.full(n.size, 1.0 / cells)
+    unmeasured = np.ones(true_counts.shape, dtype=bool)
     for t in range(t_total):
         eps_select = ledger.spend(Fraction(1, 2 * t_total), f"selection {t + 1}")
         # Gumbel-max draw == exponential mechanism with sensitivity 1, and it
         # cannot overflow for large scores the way exp-normalization can.
-        gumbel = rng.generator.gumbel(size=cells)
-        keyed = np.where(unmeasured, eps_select * np.abs(true_counts - n * w) / 2.0 + gumbel, -np.inf)
-        query = int(np.argmax(keyed))
-        unmeasured[query] = False
+        gumbel = rng.generator.gumbel(size=true_counts.shape)
+        score = np.abs(true_counts - (n * w)[:, None])
+        query = np.argmax(np.where(unmeasured, eps_select * score / 2.0 + gumbel, -np.inf), axis=1)
+        unmeasured[index, query] = False
         eps_measure = ledger.spend(Fraction(1, 2 * t_total), f"measurement {t + 1}")
-        measured.append(query)
-        targets.append(float(true_counts[query] + laplace_sample(1.0 / eps_measure, rng)))
-        fitted, w = _mw_fit(targets, cells - len(measured), n)
+        measured[:, t] = query
+        targets[:, t] = true_counts[index, query] + laplace_sample(1.0 / eps_measure, rng, size=n.size)
+        fitted, w = _mw_fit(targets[:, : t + 1], cells - (t + 1), n)
     ledger.close()
-    a = np.full(cells, w)
-    a[measured] = fitted
-    return a
+    a = np.repeat(w[:, None], cells, axis=1)
+    a[index[:, None], measured] = fitted
+    return a.reshape(*table.stack_shape, cells)
 
 
 def mwem(table: CountTable, budget: PrivacyBudget, iterations: int, rng: RandomSource) -> CountTable:
-    """Counts of ``total_n`` draws from the MWEM-fitted cell distribution."""
-    return _draw_counts(table, mwem_weights(table, budget, iterations, rng), table.total_n, rng)
+    """Counts of as many draws as the table has records from the MWEM-fitted cell distribution.
+
+    The counts are one Multinomial(n, weights) draw per table.
+    """
+    weights = mwem_weights(table, budget, iterations, rng)
+    counts = rng.generator.multinomial(_rows(table).sum(axis=1).reshape(table.stack_shape), weights)
+    return replace(table, counts=counts.reshape(table.counts.shape))
 
 
 def all_low_order_marginals(n_variables: int) -> tuple[tuple[int, ...], ...]:

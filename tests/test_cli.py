@@ -94,6 +94,35 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "method,flags,named",
+        [
+            ("smoothed", [], "--m"),
+            ("smoothed", ["--m", "0"], "--m"),
+            ("smoothed", ["--m", "-3"], "--m"),
+            ("mwem", ["--iterations", "0"], "--iterations"),
+            ("mwem", ["--iterations", "49"], "--iterations"),
+        ],
+    )
+    def test_method_flag_out_of_range_named_before_the_input_is_read(self, tmp_path, capsys, method, flags, named):
+        # The input does not exist: a flag error must come first, before any header.
+        out = tmp_path / "x.csv"
+        argv = ["synth", "--input", str(tmp_path / "missing.csv"), "--method", method, "--epsilon", "1"]
+        assert main(argv + flags + ["--binning", "bmi24", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named} ") and "missing.csv" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_iterations_up_to_two_per_bin_accepted(self, toy_csv, tmp_path):
+        # bmi24 gives 2 x 24 cell queries.
+        argv = ["synth", "--input", str(toy_csv), "--method", "mwem", "--epsilon", "1", "--iterations", "48"]
+        assert main(argv + ["--binning", "bmi24", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_unknown_column_message_printed_unquoted(self, toy_csv, capsys):
+        assert main(["test", "--input", str(toy_csv), "--test", "mw_u", "--variable", "foo"]) == 2
+        assert capsys.readouterr().err == "error: no column named 'foo'\n"
+
 
 class TestSynthCommand:
     def test_smoothed_writes_exactly_m_rows(self, toy_csv, tmp_path, capsys):

@@ -25,7 +25,7 @@ from dpsynth.harness import (
 from dpsynth.report import emit_report, load_reports_json, render_figure
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import default_prostate_spec
-from dpsynth.stattests import TESTS
+from dpsynth.stattests import TESTS, Outcomes
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -582,6 +582,119 @@ class TestGrid:
         (report,) = run_grid(config)
         assert report.repetitions == 3
         assert report.feasible_count + sum(report.failure_counts.values()) == 3
+
+
+class TestBatchedCells:
+    """Perturbed, smoothed and MWEM cells run their repetitions in blocks of ``harness.BLOCK``."""
+
+    @staticmethod
+    def two_cells(synthesizer: str, repetitions: int) -> ExperimentConfig:
+        if synthesizer == "smoothed":
+            return gaussian_config(
+                synthesizer="smoothed",
+                epsilons=(1.0,),
+                original_sizes=(400,),
+                synthetic_sizes=(30, 80),
+                repetitions=repetitions,
+                min_feasible=1,
+            )
+        return gaussian_config(
+            synthesizer=synthesizer, epsilons=(1.0,), original_sizes=(50, 200), repetitions=repetitions, min_feasible=1
+        )
+
+    @pytest.mark.parametrize("repetitions", [1, 25, 75, 200])
+    @pytest.mark.parametrize("synthesizer", ["perturbed", "smoothed", "mwem"])
+    def test_reports_byte_identical_across_workers_and_alone(self, synthesizer, repetitions, tmp_path):
+        config = self.two_cells(synthesizer, repetitions)
+        runs = {workers: run_grid(config, workers=workers) for workers in (1, 2, 3, 8)}
+        written = {
+            workers: [path.read_bytes() for path in emit_report(runs[workers], tmp_path / str(workers), ("csv", "json"))]
+            for workers in runs
+        }
+        assert written[1] == written[2] == written[3] == written[8]
+        for index, cell in enumerate(grid_cells(config)):
+            assert run_cell(config, cell, RandomSource(config.seed).child(index)) == runs[1][index]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("repetitions", [1, 25, 50, 75, 200, 201])
+    def test_chunks_cut_at_block_boundaries(self, repetitions, workers):
+        from dpsynth.harness import BLOCK, _chunks
+
+        chunks = _chunks(repetitions, workers, BLOCK)
+        assert len(chunks) == min(-(-repetitions // BLOCK), workers)
+        assert [rep for chunk in chunks for rep in chunk] == list(range(repetitions))
+        assert all(chunk.start % BLOCK == 0 for chunk in chunks)
+        blocks = [-(-len(chunk) // BLOCK) for chunk in chunks]
+        assert max(blocks) - min(blocks) <= 1
+
+    def test_only_batched_cells_are_chunked_by_block(self, monkeypatch):
+        from dpsynth import harness
+
+        class SerialPool:
+            """Runs the pool's tasks in this process."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        chunks = []
+        task = harness._chunk_task
+
+        def recording(payload):
+            chunks.append(payload[-1])
+            return task(payload)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_chunk_task", recording)
+        for repetitions in (200, 25):
+            run_grid(gaussian_config(epsilons=(1.0,), original_sizes=(100,), repetitions=repetitions), workers=2)
+        # A marginal IPF cell of two repetitions still splits over two workers.
+        run_grid(gaussian_config(synthesizer="marginal_ipf", epsilons=(10.0,), original_sizes=(100,), repetitions=2), 2)
+        assert chunks == [range(0, 100), range(100, 200), range(0, 25), range(0, 1), range(1, 2)]
+
+    def test_each_block_draws_from_its_own_child_stream(self, monkeypatch):
+        from dpsynth import harness
+
+        seen = []
+        block = harness._block
+
+        def recording(config, cell, axes, source, size, rng):
+            seen.append((rng.path, size))
+            return block(config, cell, axes, source, size, rng)
+
+        monkeypatch.setattr(harness, "_block", recording)
+        run_grid(gaussian_config(epsilons=(1.0,), original_sizes=(100, 200), repetitions=120))
+        assert seen == [((0, 0), 50), ((0, 1), 50), ((0, 2), 20), ((1, 0), 50), ((1, 1), 50), ((1, 2), 20)]
+
+    @pytest.mark.parametrize(
+        "reasons",
+        [
+            ["none", "constant-values", "single-class", "constant-values"],
+            ["single-class", "none", "constant-values", "single-class"],
+        ],
+    )
+    def test_failure_reasons_keep_repetition_order_within_a_block(self, reasons, monkeypatch):
+        from dpsynth import harness
+
+        def fixed(name, support, counts, levels):
+            assert counts.shape[0] == len(reasons)
+            feasible = np.array(reasons) == "none"
+            return Outcomes(np.where(feasible, 1.0, np.nan), np.where(feasible, 0.01, np.nan), np.array(reasons))
+
+        monkeypatch.setattr(harness, "stack_outcomes", fixed)
+        config = gaussian_config(epsilons=(1.0,), original_sizes=(100,), repetitions=len(reasons), min_feasible=1)
+        (report,) = run_grid(config)
+        first_seen = list(dict.fromkeys(r for r in reasons if r != "none"))
+        assert list(report.failure_counts) == first_seen
+        assert report.failure_counts == {r: reasons.count(r) for r in first_seen}
+        assert report.rejections == report.feasible_count == reasons.count("none")
 
 
 def record_form_outcome(config: ExperimentConfig, table, levels) -> dict:

@@ -99,6 +99,35 @@ class TestCountLaws:
             records = records + build_table(GroupedDataset(source.groups[idx], source.values[idx]), axes).counts
         assert homogeneity_p_value(law, records) > 1e-3
 
+    @pytest.mark.parametrize("mode", ["null", "signal"])
+    def test_gaussian_table_stack_rows_match_binned_records(self, mode):
+        # One call draws every row; the rows together follow the law of as many binned record sets.
+        spec = resolve_binning({"count": 8, "lo": 48, "hi": 52})
+        root = RandomSource(14)
+        stack = gaussian_table(1000, mode, spec, root.child(0), size=300)
+        assert stack.counts.shape == (300, 2, 8) and stack.stack_shape == (300,) and stack.domains == (2, 8)
+        assert np.all(stack.counts.sum(axis=2) == 500)
+        assert len({row.tobytes() for row in stack.counts}) == 300
+        records = sum(
+            build_table(gaussian_bivariate(1000, mode, root.child(1, k)), [(None, spec)]).counts for k in range(300)
+        )
+        assert homogeneity_p_value(stack.counts.sum(axis=0), records) > 1e-3
+
+    def test_subsample_table_stack_rows_match_choice_subsampling(self):
+        g = np.random.default_rng(6)
+        source = GroupedDataset(g.integers(0, 2, 60), g.normal(25, 3, 60))
+        axes = [(None, bmi_bins())]
+        full = build_table(source, axes)
+        root = RandomSource(15)
+        stack = subsample_table(full, 40, root.child(0), size=2000)
+        assert stack.counts.shape == (2000, *full.domains)
+        assert np.all(stack.counts.sum(axis=(1, 2)) == 40) and np.all(stack.counts <= full.counts)
+        records = 0
+        for k in range(2000):
+            idx = root.child(1, k).generator.choice(source.n, size=40, replace=False)
+            records = records + build_table(GroupedDataset(source.groups[idx], source.values[idx]), axes).counts
+        assert homogeneity_p_value(stack.counts.sum(axis=0), records) > 1e-3
+
     def test_gaussian_table_checks_size_and_mode(self):
         with pytest.raises(ValueError, match="even"):
             gaussian_table(7, "null", bmi_bins(), RandomSource(0))

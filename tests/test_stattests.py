@@ -13,9 +13,11 @@ from dpsynth.special import normal_cdf, regularized_incomplete_beta, regularized
 from dpsynth.stattests import (
     TESTS,
     FailureReason,
+    Outcomes,
     TestOutcome,
     chi_squared,
     mann_whitney_u_counts,
+    stack_outcomes,
     u_statistic,
 )
 
@@ -433,3 +435,48 @@ class TestCountsForms:
             mann_whitney_u_counts([1.0, 2.0, 3.0], [[1, 2], [3, 4]])
         with pytest.raises(ValueError, match="non-negative"):
             TESTS["t"]([1.0, 2.0], [[1, -2], [3, 4]], None)
+
+
+class TestStackOutcomes:
+    """Each table of a stack gets exactly the outcome, and so the rejection, that it gets alone."""
+
+    DEGENERATE = [
+        [[0, 0, 0, 0], [3, 0, 9, 1]],
+        [[4, 9, 1, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 7, 0, 0], [0, 5, 0, 0]],
+        [[1, 0, 0, 4], [0, 0, 0, 5]],
+        [[1, 0, 0, 0], [0, 0, 0, 1]],
+    ]
+
+    def stacks(self):
+        """One stack of random tables per width, and one of the degenerate 2 x 4 tables around an ordinary one."""
+        tables = list(random_tables(seed=11, count=400))
+        for bins in (2, 5, 24, 100):
+            yield np.array([t for t in tables if t.shape[1] == bins])
+        yield np.array(self.DEGENERATE[:3] + [[[2, 1, 0, 3], [0, 4, 4, 1]]] + self.DEGENERATE[3:])
+
+    @pytest.mark.parametrize("name", sorted(TESTS))
+    def test_each_row_matches_the_table_alone(self, name):
+        for stack in self.stacks():
+            support = np.arange(stack.shape[2], dtype=float)
+            levels = support if name == "chi2" else None
+            outcomes = stack_outcomes(name, support, stack, levels)
+            assert all(len(field) == len(stack) for field in outcomes)
+            for row, table in enumerate(stack):
+                alone = TESTS[name](support, table, levels)
+                assert same(outcomes.outcome(row), alone), (name, table.tolist())
+                rejected = bool(outcomes.p_value[row] <= 0.05)
+                assert rejected == (alone.feasible and alone.p_value <= 0.05)
+
+    def test_outcomes_of_single_tables_round_trip(self):
+        singles = [TESTS["median"](np.arange(4.0), np.array(t), None) for t in self.DEGENERATE]
+        outcomes = Outcomes.of(singles)
+        assert [outcomes.outcome(row).to_dict() for row in range(len(singles))] == [o.to_dict() for o in singles]
+        assert outcomes.failure_reason.tolist()[:3] == ["single-class"] * 3
+
+    def test_malformed_stack_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            stack_outcomes("mw_u", [1.0, 2.0], [[1, 2], [3, 4]], None)
+        with pytest.raises(ValueError, match="non-negative"):
+            stack_outcomes("mw_u", [1.0, 2.0], [[[1, -2], [3, 4]]], None)

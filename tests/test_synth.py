@@ -554,3 +554,173 @@ class TestNoiseScale:
         assert scales == pytest.approx([2 * k / eps] * k, rel=1e-12)
         (ledger,) = ledgers
         assert [share for _, share in ledger.entries] == [Fraction(1, k)] * k
+
+
+def reference_perturbed_counts(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> np.ndarray:
+    """The per-table perturbed histogram's counts as they stood before stacks."""
+    noise = synth_mod.discrete_laplace_sample(2.0 / (float(Fraction(1)) * budget.epsilon), rng, size=table.domains)
+    return np.maximum(table.counts + noise, 0)
+
+
+def reference_mw_fit(targets: list[float], unmeasured: int, n: int) -> tuple[np.ndarray, float]:
+    """The per-table MWEM fit as it stood before stacks."""
+    r = np.asarray(targets) / n
+    a = np.maximum(r, 0.0)
+    if unmeasured and a.sum() <= 1.0:
+        return a, (1.0 - a.sum()) / unmeasured
+    top = np.sort(r)[::-1]
+    excess = np.cumsum(top) - 1.0
+    k = np.nonzero(top * np.arange(1, r.size + 1) > excess)[0][-1]
+    return np.maximum(r - excess[k] / (k + 1), 0.0), 0.0
+
+
+def reference_mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng: RandomSource):
+    """The per-table MWEM weights as they stood before stacks, and the cells it selected."""
+    cells = table.counts.size
+    n = table.total_n
+    true_counts = table.counts.ravel().astype(float)
+    share = float(Fraction(1, 2 * iterations)) * budget.epsilon
+    measured, targets = [], []
+    w = 1.0 / cells
+    unmeasured = np.ones(cells, dtype=bool)
+    for _ in range(iterations):
+        gumbel = rng.generator.gumbel(size=cells)
+        keyed = np.where(unmeasured, share * np.abs(true_counts - n * w) / 2.0 + gumbel, -np.inf)
+        query = int(np.argmax(keyed))
+        unmeasured[query] = False
+        measured.append(query)
+        targets.append(float(true_counts[query] + synth_mod.laplace_sample(1.0 / share, rng)))
+        fitted, w = reference_mw_fit(targets, cells - len(measured), n)
+    a = np.full(cells, w)
+    a[measured] = fitted
+    return a, measured
+
+
+def random_two_axis(g: np.random.Generator, bins: int, n: int) -> CountTable:
+    """A (group, value) table of ``n`` records per group, spread unevenly over ``bins`` bins."""
+    p = g.dirichlet(np.full(bins, 0.3), size=2)
+    return two_axis(np.stack([g.multinomial(n, row) for row in p]), uniform_bins(0.0, float(bins), bins))
+
+
+def stack_of(tables: list[CountTable]) -> CountTable:
+    return CountTable(tables[0].variables, tables[0].levels, np.stack([t.counts for t in tables]))
+
+
+class TestStacks:
+    """A stack of tables releases each table as that table alone would, and a table alone is a stack of one."""
+
+    CASES = [
+        (bins, n, eps, seed)
+        for seed, (bins, n, eps) in enumerate(itertools.product((2, 10, 100), (1, 60, 20_000), (0.1, 1.0, 1e3)))
+    ]
+
+    @pytest.mark.parametrize("bins,n,eps,seed", CASES)
+    def test_perturbed_stack_of_one_equals_the_per_table_release(self, bins, n, eps, seed):
+        table = random_two_axis(np.random.default_rng(seed), bins, n)
+        expected = reference_perturbed_counts(table, PrivacyBudget(eps), RandomSource(seed))
+        stacked = perturbed_histogram(stack_of([table]), PrivacyBudget(eps), RandomSource(seed))
+        assert stacked.counts.shape == (1, 2, bins)
+        assert np.array_equal(stacked.counts[0], expected)
+        assert np.array_equal(perturbed_histogram(table, PrivacyBudget(eps), RandomSource(seed)).counts, expected)
+
+    @pytest.mark.parametrize("bins,n,eps,seed", CASES)
+    def test_mwem_stack_of_one_equals_the_per_table_weights(self, bins, n, eps, seed):
+        # A different selection would move a measured cell's weight, so equal weights mean equal selections.
+        table = random_two_axis(np.random.default_rng(seed), bins, n)
+        for iterations in sorted({1, 3, min(10, 2 * bins), 2 * bins}):
+            expected, measured = reference_mwem_weights(table, PrivacyBudget(eps), iterations, RandomSource(seed))
+            stacked = mwem_weights(stack_of([table]), PrivacyBudget(eps), iterations, RandomSource(seed))
+            alone = mwem_weights(table, PrivacyBudget(eps), iterations, RandomSource(seed))
+            assert stacked.shape == (1, 2 * bins) and alone.shape == (2 * bins,)
+            assert np.max(np.abs(stacked[0] - expected)) <= 1e-12
+            assert np.array_equal(alone, stacked[0])
+            assert len(set(measured)) == iterations
+
+    def test_rows_do_not_interact(self):
+        # Every draw but the smoothed release has a size fixed by the stack's
+        # shape, so each row's release depends on its own table and the stream
+        # alone: replacing the other rows leaves it unchanged.
+        g = np.random.default_rng(3)
+        tables = [random_two_axis(g, 10, n) for n in (1, 5, 50, 500, 5000)]
+        others = [random_two_axis(g, 10, n) for n in (7, 70, 700, 7, 70)]
+        budget = PrivacyBudget(1.0)
+        for row in range(len(tables)):
+            mixed = stack_of([t if i == row else o for i, (t, o) in enumerate(zip(tables, others))])
+            for release in (
+                lambda s: perturbed_histogram(s, budget, RandomSource(4)).counts,
+                lambda s: mwem_weights(s, budget, 5, RandomSource(5)),
+            ):
+                assert np.array_equal(release(mixed)[row], release(stack_of(tables))[row])
+        # The smoothed release draws row after row, so its first row is fixed by its table alone.
+        first = [smoothed_histogram(stack_of([tables[0], t]), budget, 300, RandomSource(6)).counts[0] for t in others]
+        assert all(np.array_equal(counts, first[0]) for counts in first)
+
+    def test_rows_draw_their_own_noise(self):
+        # Equal tables in one stack get independent releases, not copies of one draw.
+        table = random_two_axis(np.random.default_rng(10), 10, 200)
+        stack = stack_of([table] * 10)
+        budget = PrivacyBudget(0.5)
+        for released in (
+            perturbed_histogram(stack, budget, RandomSource(11)).counts,
+            smoothed_histogram(stack, budget, 100, RandomSource(12)).counts,
+            mwem(stack, budget, 5, RandomSource(13)).counts,
+            mwem_weights(stack, budget, 5, RandomSource(14)),
+        ):
+            assert len({row.tobytes() for row in released}) == 10
+
+    def test_mwem_rows_select_their_own_cells(self):
+        # At T = 1 a row's one measured cell is the one whose weight differs from the shared weight.
+        stack = stack_of([random_two_axis(np.random.default_rng(15), 10, 200)] * 30)
+        weights = mwem_weights(stack, PrivacyBudget(0.01), 1, RandomSource(16))
+        selected = set()
+        for row in weights:
+            values, counts = np.unique(row, return_counts=True)
+            (measured,) = np.flatnonzero(row == values[counts == 1])
+            selected.add(int(measured))
+        assert len(selected) > 5
+
+    def test_rows_release_their_own_tables(self):
+        # Tables on disjoint cells, released at a budget so large that no noise or smoothing
+        # moves a record: each row stays on its own table's cells.
+        spec = uniform_bins(0.0, 4.0, 4)
+        tables = [two_axis(counts, spec) for counts in ([[9, 0, 0, 0], [0, 7, 0, 0]], [[0, 0, 5, 0], [0, 0, 0, 8]])]
+        stack = stack_of(tables)
+        budget = PrivacyBudget(1e9)
+        for released in (
+            perturbed_histogram(stack, budget, RandomSource(17)).counts,
+            smoothed_histogram(stack, budget, 50, RandomSource(18)).counts,
+            mwem(stack, budget, 8, RandomSource(19)).counts,
+        ):
+            for row, table in zip(released, tables):
+                assert np.all(row[table.counts == 0] == 0) and row.sum() > 0
+
+    def test_smoothed_probabilities_row_by_row(self):
+        g = np.random.default_rng(7)
+        rows = g.integers(0, 1000, size=(20, 200)).astype(float)
+        stacked = smoothed_probabilities(rows, 0.5, 100)
+        for row, probs in zip(rows, stacked):
+            assert np.array_equal(probs, smoothed_probabilities(row, 0.5, 100))
+
+    @pytest.mark.parametrize("unmeasured", [0, 1, 190])
+    def test_mw_fit_row_by_row(self, unmeasured):
+        # Interior, over-full and all-measured rows side by side, each fitted as if alone.
+        g = np.random.default_rng(unmeasured)
+        t, n = 10, g.integers(1, 2000, size=40)
+        targets = g.normal(1.0, 3.0, size=(40, t)) * (n / t)[:, None] * g.uniform(0.2, 2.0, size=(40, 1))
+        fitted, w = synth_mod._mw_fit(targets, unmeasured, n)
+        assert fitted.shape == (40, t) and w.shape == (40,)
+        for row in range(40):
+            alone_fitted, alone_w = reference_mw_fit(targets[row].tolist(), unmeasured, int(n[row]))
+            assert np.max(np.abs(fitted[row] - alone_fitted)) <= 1e-15
+            assert abs(w[row] - alone_w) <= 1e-15
+
+    def test_stack_releases_keep_sizes_and_shape(self):
+        g = np.random.default_rng(8)
+        stack = stack_of([random_two_axis(g, 10, n) for n in (3, 30, 300)])
+        budget = PrivacyBudget(1.0)
+        smoothed = smoothed_histogram(stack, budget, 40, RandomSource(9))
+        released = mwem(stack, budget, 4, RandomSource(9))
+        assert smoothed.counts.shape == released.counts.shape == stack.counts.shape
+        assert smoothed.counts.sum(axis=(1, 2)).tolist() == [40, 40, 40]
+        assert released.counts.sum(axis=(1, 2)).tolist() == [6, 60, 600]
+        assert np.all(perturbed_histogram(stack, PrivacyBudget(0.01), RandomSource(9)).counts >= 0)
