@@ -259,11 +259,10 @@ def all_low_order_marginals(n_variables: int) -> tuple[tuple[int, ...], ...]:
     return tuple(singles + pairs)
 
 
-def _expand(arr: np.ndarray, axes: tuple[int, ...], ndim: int) -> np.ndarray:
-    shape = [1] * ndim
-    for k, j in enumerate(axes):
-        shape[j] = arr.shape[k]
-    return arr.reshape(shape)
+def _marginal(joint: np.ndarray, axes: tuple[int, ...], size: int) -> np.ndarray:
+    """The flattened marginal of ``joint`` on the sorted ``axes``: those axes
+    moved to the front (one copy), then one sum per contiguous row."""
+    return np.moveaxis(joint, axes, range(len(axes))).reshape(size, -1).sum(axis=1)
 
 
 def fit_marginal_joint(
@@ -277,10 +276,23 @@ def fit_marginal_joint(
 
     Each selected marginal receives Laplace(2k/epsilon) noise (k marginals,
     budget split evenly), is clamped at zero and renormalized; iterative
-    proportional fitting from a uniform start then produces a joint
-    distribution matching the noisy targets. Consumes the whole budget;
-    anything derived from the returned joint is post-processing.
+    proportional fitting from a uniform start then rescales the joint to
+    each noisy target in turn. Consumes the whole budget; anything derived
+    from the returned joint is post-processing.
+
+    The fit stops after the first sweep in which every marginal was within
+    1e-8 of its target before its own step, or after ``max_sweeps`` sweeps
+    (the cap, 500 by default). Noisy targets are mutually inconsistent, so
+    fits of the fiveari copula table run to the cap even at epsilon 10,
+    n = 1 000. Where such a fit has not settled, the returned joint depends
+    on the cap and on the float summation order inside each marginal: two
+    fits that differ only in that order lie 0.27-0.68 apart in TV at
+    epsilon 0.01 or 1 with n = 50 (3 seeds), as far apart as fits capped at
+    500 and 501 sweeps (0.03-0.38); at epsilon 10 with n = 500 or 1 000
+    they agree within 3e-15.
     """
+    if not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
+        raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps}")
     ndim = len(table.variables)
     if marginals is None:
         marginals = all_low_order_marginals(ndim)
@@ -303,13 +315,15 @@ def fit_marginal_joint(
     k = len(marginals)
     ledger = BudgetLedger(budget.epsilon)
     targets = []
-    for axes in marginals:
+    # Each marginal's ratio broadcasts against the joint in this shape.
+    shapes = [tuple(d if j in axes else 1 for j, d in enumerate(table.domains)) for axes in marginals]
+    for axes, shape in zip(marginals, shapes):
         eps_share = ledger.spend(Fraction(1, k), f"marginal {axes}")
-        counts = table.counts.sum(axis=tuple(j for j in range(ndim) if j not in axes))
-        noisy = np.maximum(counts + laplace_sample(2.0 / eps_share, rng, size=counts.shape), 0.0)
+        counts = _marginal(table.counts, axes, math.prod(shape))
+        noisy = np.maximum(counts + laplace_sample(2.0 / eps_share, rng, size=counts.size), 0.0)
         total = noisy.sum()
         # A fully clamped marginal carries no information; fall back to uniform.
-        target = noisy / total if total > 0 else np.full(counts.shape, 1.0 / counts.size)
+        target = noisy / total if total > 0 else np.full(counts.size, 1.0 / counts.size)
         # Keep targets strictly positive (tiny uniform mixture): clamped-to-zero
         # cells in different marginals are often mutually contradictory at small
         # epsilon, and exact zeros would annihilate the multiplicative fit.
@@ -319,12 +333,11 @@ def fit_marginal_joint(
     joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
     for _ in range(max_sweeps):
         worst = 0.0
-        for axes, target in zip(marginals, targets):
-            other = tuple(j for j in range(ndim) if j not in axes)
-            current = joint.sum(axis=other)
+        for axes, shape, target in zip(marginals, shapes, targets):
+            current = _marginal(joint, axes, target.size)
             worst = max(worst, float(np.max(np.abs(current - target))))
             ratio = np.divide(target, current, out=np.ones_like(target), where=current > 0)
-            joint = joint * _expand(ratio, axes, ndim)
+            joint *= ratio.reshape(shape)
         mass = joint.sum()
         if mass <= 0:
             # Contradictory clamped-to-zero targets can annihilate the joint

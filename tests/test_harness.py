@@ -400,20 +400,20 @@ class TestGrid:
         assert written[1] == written[2] == written[3]
 
     def test_failure_counts_merged_across_chunks(self):
-        # At n = 50 the synthetic fiveari table mostly fails chi2's
-        # expected-frequency rule; at this seed both repetitions fail, one per chunk.
+        # Two synthetic records can never pass chi2, whatever the fit, so
+        # each repetition fails, one per chunk.
         config = ExperimentConfig(
             generator=GeneratorSpec(kind="copula", mode="null", copula=default_prostate_spec(), variable="fiveari"),
             synthesizer="marginal_ipf",
             epsilons=(0.1,),
-            original_sizes=(50,),
+            original_sizes=(2,),
             repetitions=2,
             test="chi2",
             seed=3,
         )
         (serial,) = run_grid(config, workers=1)
         (parallel,) = run_grid(config, workers=2)
-        assert serial.failure_counts == {"low-expected-frequency": 2}
+        assert sum(serial.failure_counts.values()) == 2
         assert parallel == serial
 
     def test_cell_rerun_in_isolation_matches_grid(self):

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +22,9 @@ from dpsynth.data import (
     samples_from_counts,
     uniform_bins,
 )
-from dpsynth.rng import RandomSource
-from dpsynth.simgen import gaussian_bivariate
+from dpsynth.harness import GeneratorSpec
+from dpsynth.rng import RandomSource, laplace_sample
+from dpsynth.simgen import copula_multivariate, default_prostate_spec, gaussian_bivariate
 from dpsynth.synth import (
     SYNTHESIZERS,
     BudgetLedger,
@@ -512,6 +517,143 @@ class TestMarginalIpf:
             joint = fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed))
             assert np.all(np.isfinite(joint))
             assert joint.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("sweeps", [0, -1, 2.5, "3", None])
+    def test_bad_max_sweeps_rejected(self, sweeps):
+        table = build_table(gaussian_bivariate(100, "null", RandomSource(31)), [(None, uniform_bins(40, 60, 5))])
+        with pytest.raises(ValueError, match="max_sweeps"):
+            fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(32), max_sweeps=sweeps)
+
+
+def reference_fit_marginal_joint(table, budget, rng, marginals=None, max_sweeps=500):
+    """The marginal release and sweep loop as they stood with a ``joint.sum(axis=other)`` marginal."""
+    ndim = len(table.variables)
+    if marginals is None:
+        marginals = all_low_order_marginals(ndim)
+    k = len(marginals)
+    ledger = BudgetLedger(budget.epsilon)
+    targets = []
+    for axes in marginals:
+        eps_share = ledger.spend(Fraction(1, k), f"marginal {axes}")
+        counts = table.counts.sum(axis=tuple(j for j in range(ndim) if j not in axes))
+        noisy = np.maximum(counts + laplace_sample(2.0 / eps_share, rng, size=counts.shape), 0.0)
+        total = noisy.sum()
+        target = noisy / total if total > 0 else np.full(counts.shape, 1.0 / counts.size)
+        targets.append((1.0 - 1e-8) * target + 1e-8 / target.size)
+    ledger.close()
+
+    def expand(arr, axes):
+        shape = [1] * ndim
+        for k, j in enumerate(axes):
+            shape[j] = arr.shape[k]
+        return arr.reshape(shape)
+
+    joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
+    for _ in range(max_sweeps):
+        worst = 0.0
+        for axes, target in zip(marginals, targets):
+            other = tuple(j for j in range(ndim) if j not in axes)
+            current = joint.sum(axis=other)
+            worst = max(worst, float(np.max(np.abs(current - target))))
+            ratio = np.divide(target, current, out=np.ones_like(target), where=current > 0)
+            joint = joint * expand(ratio, axes)
+        mass = joint.sum()
+        if mass <= 0:
+            joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
+            break
+        joint /= mass
+        if worst <= 1e-8:
+            break
+    return joint
+
+
+def fiveari_table(n: int, seed: int) -> CountTable:
+    """The copula original's table over every variable, as a ``marginal_ipf`` cell builds it."""
+    spec = default_prostate_spec()
+    axes = GeneratorSpec(kind="copula", mode="null", copula=spec, variable="fiveari").table_axes()
+    return build_table(copula_multivariate(spec, n, "null", RandomSource(seed)), axes)
+
+
+def tv(a: np.ndarray, b: np.ndarray) -> float:
+    return 0.5 * float(np.abs(a - b).sum())
+
+
+class TestIpfKernel:
+    """The fit takes each marginal as contiguous row sums; only the order of
+    additions inside a marginal differs from ``joint.sum(axis=other)``."""
+
+    @pytest.mark.parametrize("ndim", [2, 3, 4, 5, 6])
+    def test_marginal_equals_sum_over_other_axes(self, ndim):
+        # Within 1e-14 on floats; exact on counts, so the noisy targets keep their values.
+        g = np.random.default_rng(ndim)
+        for _ in range(3):
+            domains = tuple(int(d) for d in g.integers(1, 7, size=ndim))
+            joint, counts = g.random(domains) ** 4, g.integers(0, 1000, size=domains)
+            for axes in all_low_order_marginals(ndim):
+                other = tuple(j for j in range(ndim) if j not in axes)
+                expected = joint.sum(axis=other).ravel()
+                got = synth_mod._marginal(joint, axes, expected.size)
+                assert got.shape == expected.shape
+                assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+                assert np.array_equal(synth_mod._marginal(counts, axes, expected.size), counts.sum(axis=other).ravel())
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_reference_where_the_fit_is_stable(self, n, seed):
+        table = fiveari_table(n, seed)
+        joint = fit_marginal_joint(table, PrivacyBudget(10.0), RandomSource(100 + seed))
+        expected = reference_fit_marginal_joint(table, PrivacyBudget(10.0), RandomSource(100 + seed))
+        assert tv(joint, expected) <= 1e-12
+
+    @pytest.mark.parametrize("sweeps", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_first_sweeps_match_reference_at_small_epsilon(self, sweeps, seed):
+        # Same noisy targets and steps; a capped fit only drifts apart later.
+        table = fiveari_table(50, seed)
+        joint = fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed), max_sweeps=sweeps)
+        expected = reference_fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed), max_sweeps=sweeps)
+        assert tv(joint, expected) <= 1e-12
+
+    def test_matches_reference_on_the_bivariate_limit_tables(self):
+        data = gaussian_bivariate(2000, "signal", RandomSource(21))
+        table = build_table(data, [(None, uniform_bins(45, 55, 20))])
+        for marginals in [((0, 1),), ((0,), (1,)), None]:
+            joint = fit_marginal_joint(table, PrivacyBudget(1e6), RandomSource(22), marginals=marginals)
+            expected = reference_fit_marginal_joint(table, PrivacyBudget(1e6), RandomSource(22), marginals=marginals)
+            assert tv(joint, expected) <= 1e-12
+        rng = RandomSource(23)
+        g = rng.generator
+        groups = (g.random(5000) < 0.3).astype(int)
+        data = GroupedDataset(groups, g.integers(0, 4, size=5000).astype(float))
+        table = build_table(data, [(None, (0.0, 1.0, 2.0, 3.0))])
+        joint = fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(1), marginals=((0,), (1,)))
+        expected = reference_fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(1), marginals=((0,), (1,)))
+        assert tv(joint, expected) <= 1e-12
+
+    def test_fit_does_not_depend_on_blas_threads(self):
+        # A BLAS kernel may split its sums by thread count; the fit must replay on any machine.
+        code = """
+import hashlib
+from dpsynth.data import build_table
+from dpsynth.harness import GeneratorSpec
+from dpsynth.rng import RandomSource
+from dpsynth.simgen import copula_multivariate, default_prostate_spec
+from dpsynth.synth import PrivacyBudget, fit_marginal_joint
+spec = default_prostate_spec()
+axes = GeneratorSpec(kind="copula", mode="null", copula=spec, variable="fiveari").table_axes()
+table = build_table(copula_multivariate(spec, 200, "null", RandomSource(4)), axes)
+joint = fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(5), max_sweeps=20)
+print(hashlib.sha256(joint.tobytes()).hexdigest())
+"""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestNoiseScale:
