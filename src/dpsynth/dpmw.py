@@ -18,6 +18,13 @@ block starting after rank o is c*o plus the sum of a uniform c-subset of
 1..b, which is drawn by inverse CDF from an exact integer table of
 c-subset-sum counts. b = 63 is the largest block for which that table is
 exact in uint64: all its counts, stacked over c, sum to 2**63 < 2**64.
+
+The inverse CDF is an indexed search (Chen & Asau, 1974; Devroye 1986,
+section III.2.4) rather than a binary search of the whole table. Row c's
+uniform key r in [0, C(b, c)) picks guide entry r >> shift[c], the first
+CDF position above the bucket's smallest key, and a forward scan finishes
+the search. The start is never past the answer and the scan stops at it,
+so each block sum equals a binary search's, in integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -40,6 +48,8 @@ __all__ = ["DEFAULT_DELTA", "DPMWConfig", "dp_mann_whitney"]
 _BLOCK = 63
 # (row, block) pairs drawn at once: 4 MB per 64-bit array of a chunk.
 _CHUNK_PAIRS = 1 << 19
+# Each CDF row's guide table has 2**_GUIDE_BITS buckets of equal key width.
+_GUIDE_BITS = 12
 
 # The budget's delta when a caller sets none; only the size bound spends it.
 DEFAULT_DELTA = 1e-6
@@ -60,23 +70,27 @@ class DPMWConfig:
     def __post_init__(self):
         if not self.budget.delta > 0:
             raise ValueError("the DP Mann-Whitney test requires delta > 0")
-        if not 0.0 < self.size_fraction < 1.0:
-            raise ValueError(f"size_fraction must be in (0, 1), got {self.size_fraction}")
-        if self.null_samples < 1000:
-            raise ValueError(f"null_samples must be at least 1000, got {self.null_samples}")
+        frac, k = self.size_fraction, self.null_samples
+        if isinstance(frac, bool) or not isinstance(frac, Real) or not 0.0 < frac < 1.0:
+            raise ValueError(f"size_fraction must be a number in (0, 1), got {frac!r}")
+        if isinstance(k, bool) or not isinstance(k, Integral) or k < 1000:
+            raise ValueError(f"null_samples must be an integer of at least 1000, got {k!r}")
 
 
 @lru_cache(maxsize=2)
-def _subset_sum_cdf(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _subset_sum_cdf(b: int) -> tuple[np.ndarray, ...]:
     """Exact inverse-CDF table of the sum of a uniform c-subset of 1..b.
 
     Row c of the count table holds, at column s, the number of c-subsets
     of 1..b that sum to s, for s in 0..b(b+1)/2; row c sums to C(b, c).
-    Returns ``(cdf, first, size)``: the running total of the rows laid end
-    to end, ``first[c]`` the total before row c and ``size[c] = C(b, c)``.
-    A uniform integer in ``[first[c], first[c] + size[c])`` then falls in
-    row c at column s with probability count/C(b, c). Everything is exact
-    in uint64 while b <= 63, since the grand total is 2**b.
+    Returns ``(cdf, first, size, shift, guide)``: the running total of the
+    rows laid end to end, ``first[c]`` the total before row c and
+    ``size[c] = C(b, c)``. A uniform integer in ``[first[c], first[c] +
+    size[c])`` then falls in row c at column s with probability
+    count/C(b, c). Everything is exact in uint64 while b <= 63, since the
+    grand total is 2**b. ``guide[c, g]`` is the first position whose CDF
+    exceeds ``first[c] + (g << shift[c])``, and ``size[c] >> shift[c]`` is
+    below ``2**_GUIDE_BITS``.
     """
     width = b * (b + 1) // 2 + 1
     counts = np.zeros((b + 1, width), dtype=np.uint64)
@@ -88,9 +102,34 @@ def _subset_sum_cdf(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cdf = np.cumsum(counts, axis=None, dtype=np.uint64)
     size = counts.sum(axis=1, dtype=np.uint64)
     first = cdf[width - 1 :: width] - size
-    for shared in (cdf, first, size):
+    shift = np.array(
+        [max(0, math.comb(b, c).bit_length() - _GUIDE_BITS) for c in range(b + 1)], dtype=np.uint64
+    )
+    buckets = np.arange(1 << _GUIDE_BITS, dtype=np.uint64)
+    # int32 holds every position (b = 63 has 129 088) in half the memory.
+    guide = np.searchsorted(cdf, first[:, None] + (buckets << shift[:, None]), side="right")
+    guide = guide.astype(np.int32)
+    for shared in (cdf, first, size, shift, guide):
         shared.flags.writeable = False  # every caller gets the cached arrays
-    return cdf, first, size
+    return cdf, first, size, shift, guide
+
+
+def _inverse_cdf(table: tuple[np.ndarray, ...], c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, first[c] + r, "right")``, by guide table and forward scan.
+
+    Exact for every key (see the module docstring). Uses ``r`` as scratch.
+    """
+    cdf, first, _, shift, guide = table
+    key = shift[c]
+    np.right_shift(r, key, out=key)
+    pos = guide[c, key]
+    del key
+    r += first[c]
+    todo = np.flatnonzero(cdf[pos] <= r)
+    while todo.size:
+        pos[todo] += 1
+        todo = todo[cdf[pos[todo]] <= r[todo]]
+    return pos
 
 
 def _null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.ndarray:
@@ -98,10 +137,10 @@ def _null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.n
 
     Exact in distribution (see the module docstring): per-block counts from
     one multivariate hypergeometric draw per row, then each block's local
-    sum by inverse CDF from ``_subset_sum_cdf``. Offsetting each draw by its
-    row's start in the flattened CDF lets one ``searchsorted`` serve every
-    (row, block) pair. Rows are drawn in chunks of about ``_CHUNK_PAIRS``
-    pairs to bound memory.
+    sum by inverse CDF from ``_subset_sum_cdf``, for every (row, block)
+    pair at once by ``_inverse_cdf``: a guide-table start that is never past
+    the answer, then a forward scan that stops on it. Rows are drawn in
+    chunks of about ``_CHUNK_PAIRS`` pairs to bound memory.
     """
     n_full, rest = divmod(n_total, _BLOCK)
     sizes = np.array([_BLOCK] * n_full + ([rest] if rest else []), dtype=np.int64)
@@ -114,11 +153,13 @@ def _null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.n
         rows = min(chunk, k - lo)
         counts = gen.multivariate_hypergeometric(sizes, m_hat, size=rows, method="marginals")
         sums = counts @ starts
-        for cols, (cdf, first, size) in tables:
-            c = counts[:, cols]
-            u = gen.integers(0, size[c], dtype=np.uint64) + first[c]
-            flat = np.searchsorted(cdf, u, side="right")
-            sums += (flat - c * (cdf.size // size.size)).sum(axis=1)
+        for cols, table in tables:
+            cdf, _, size = table[:3]
+            c = counts.compress(cols, axis=1).reshape(-1).astype(np.int32)  # half the int64 bytes
+            pos = _inverse_cdf(table, c, gen.integers(0, size[c], dtype=np.uint64))
+            c *= cdf.size // size.size
+            pos -= c
+            sums += pos.reshape(rows, -1).sum(axis=1)
         out[lo : lo + rows] = sums
     return out
 

@@ -34,6 +34,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             DPMWConfig(PrivacyBudget(1.0, 1e-6), null_samples=999)
 
+    @pytest.mark.parametrize("k", [2500.5, 10_000.0, True, "10000", None])
+    def test_null_samples_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="null_samples"):
+            DPMWConfig(PrivacyBudget(1.0, 1e-6), null_samples=k)
+
+    @pytest.mark.parametrize("frac", ["0.5", True, None, float("nan")])
+    def test_size_fraction_must_be_a_number(self, frac):
+        with pytest.raises(ValueError, match="size_fraction"):
+            DPMWConfig(PrivacyBudget(1.0, 1e-6), size_fraction=frac)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = DPMWConfig(PrivacyBudget(1.0, 1e-6), size_fraction=np.float64(0.5), null_samples=np.int64(2000))
+        assert cfg.null_samples == 2000
+
 
 class TestMechanism:
     def test_empty_group_rejected(self):
@@ -149,7 +163,7 @@ def exact_rank_sum_pmf(n_total: int, m: int) -> np.ndarray:
 class TestNullSampler:
     @pytest.mark.parametrize("b", [63, 20])
     def test_tables_are_exact_integers(self, b):
-        cdf, first, size = dpmw_mod._subset_sum_cdf(b)
+        cdf, first, size, _, _ = dpmw_mod._subset_sum_cdf(b)
         assert cdf.dtype == np.uint64
         counts = np.diff(cdf, prepend=np.uint64(0)).reshape(b + 1, -1)
         assert [int(x) for x in counts.sum(axis=1, dtype=np.uint64)] == [math.comb(b, c) for c in range(b + 1)]
@@ -159,7 +173,7 @@ class TestNullSampler:
 
     def test_table_matches_enumeration(self):
         b = 10
-        cdf, _, _ = dpmw_mod._subset_sum_cdf(b)
+        cdf, _, _, _, _ = dpmw_mod._subset_sum_cdf(b)
         counts = np.diff(cdf, prepend=np.uint64(0)).reshape(b + 1, -1)
         expected = np.zeros_like(counts)
         for c in range(b + 1):
@@ -208,3 +222,75 @@ class TestNullSampler:
         c = dpmw_mod._null_rank_sums(1000, 400, 5000, RandomSource(4))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+def reference_null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.ndarray:
+    """The sampler as it was before the guide table: one binary search of the whole CDF.
+
+    Kept verbatim but for taking the first three of ``_subset_sum_cdf``'s
+    arrays, so that the guide-table sampler can be pinned to it draw for draw.
+    """
+    _BLOCK, _CHUNK_PAIRS = dpmw_mod._BLOCK, dpmw_mod._CHUNK_PAIRS
+    n_full, rest = divmod(n_total, _BLOCK)
+    sizes = np.array([_BLOCK] * n_full + ([rest] if rest else []), dtype=np.int64)
+    starts = np.arange(sizes.size, dtype=np.int64) * _BLOCK
+    tables = [(sizes == b, dpmw_mod._subset_sum_cdf(int(b))[:3]) for b in np.unique(sizes)]
+    gen = rng.generator
+    out = np.empty(k, dtype=np.int64)
+    chunk = max(1, _CHUNK_PAIRS // sizes.size)
+    for lo in range(0, k, chunk):
+        rows = min(chunk, k - lo)
+        counts = gen.multivariate_hypergeometric(sizes, m_hat, size=rows, method="marginals")
+        sums = counts @ starts
+        for cols, (cdf, first, size) in tables:
+            c = counts[:, cols]
+            u = gen.integers(0, size[c], dtype=np.uint64) + first[c]
+            flat = np.searchsorted(cdf, u, side="right")
+            sums += (flat - c * (cdf.size // size.size)).sum(axis=1)
+        out[lo : lo + rows] = sums
+    return out
+
+
+# (N, m_hat) pairs: one-block, exact-block and remainder-block N, with m_hat
+# at 1, 137 where it fits and N // 2.
+REFERENCE_CASES = [
+    (n, m) for n in (12, 63, 64, 126, 130, 1000, 20_000) for m in sorted({1, 137, n // 2}) if m <= n // 2
+]
+
+
+class TestGuideTable:
+    """The guide-table sampler returns exactly what a binary search of the CDF does."""
+
+    @pytest.mark.parametrize("n_total, m", REFERENCE_CASES)
+    def test_matches_reference_sampler(self, n_total, m):
+        # 4 000 rows at n_total = 20 000 span three chunks of 1 648 rows.
+        k = 4_000 if n_total == 20_000 else 5_000
+        got = dpmw_mod._null_rank_sums(n_total, m, k, RandomSource(n_total + m))
+        want = reference_null_rank_sums(n_total, m, k, RandomSource(n_total + m))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["null", "signal"])
+    def test_dp_mann_whitney_unchanged(self, monkeypatch, seed, mode):
+        data = gaussian_bivariate(1000, mode, RandomSource(100 + seed))
+        cfg = DPMWConfig(PrivacyBudget(1.0, 1e-6))
+        got = dp_mann_whitney(data, cfg, RandomSource(seed))
+        monkeypatch.setattr(dpmw_mod, "_null_rank_sums", reference_null_rank_sums)
+        want = dp_mann_whitney(data, cfg, RandomSource(seed))
+        assert got == want
+
+    @pytest.mark.parametrize("b", range(1, 64))
+    def test_lookup_at_every_cdf_boundary(self, b):
+        table = dpmw_mod._subset_sum_cdf(b)
+        cdf, first, size = table[:3]
+        width = cdf.size // size.size
+        # Row-local CDF F_c(s), the number of c-subsets with sum at most s;
+        # it stays below C(63, 31) < 2**63, so int64 holds it and F_c(s) - 1.
+        local = (cdf.reshape(b + 1, width) - first[:, None]).astype(np.int64)
+        top = size.astype(np.int64)[:, None]
+        r = np.concatenate([np.zeros_like(top), top - 1, local - 1, local], axis=1)
+        c = np.broadcast_to(np.arange(b + 1)[:, None], r.shape)
+        keep = (r >= 0) & (r < top)
+        c, r = c[keep], r[keep].astype(np.uint64)
+        want = np.searchsorted(cdf, first[c] + r, side="right")
+        assert np.array_equal(dpmw_mod._inverse_cdf(table, c, r), want)
