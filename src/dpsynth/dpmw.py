@@ -167,38 +167,35 @@ def _null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.n
 def dp_mann_whitney(data: GroupedDataset, cfg: DPMWConfig, rng: RandomSource) -> TestOutcome:
     """(epsilon, delta)-DP two-sided Mann-Whitney U test on the original data.
 
-    Steps: privatize the minimum group size with Laplace(1/eps1); derive a
-    high-probability lower bound on it, which bounds the U sensitivity by
-    Delta = N - max(1, lower); release u_tilde = U + Laplace(Delta/eps2);
-    compare |u_tilde - mu| against ``null_samples`` permutation statistics
-    of sizes (m_hat, N - m_hat), each re-noised with the same Laplace scale.
+    Steps: privatize the minimum group size with Laplace(1/eps1) (it passes
+    the ledger sensitivity 1); derive a high-probability lower bound on it,
+    which bounds the U sensitivity by Delta = N - max(1, lower); release
+    u_tilde = U + Laplace(Delta/eps2) (sensitivity Delta); compare
+    |u_tilde - mu| against ``null_samples`` permutation statistics of sizes
+    (m_hat, N - m_hat), each re-noised at the scale of the ledger's U entry.
     """
     n0 = int((data.groups == 0).sum())
     n1 = int((data.groups == 1).sum())
     if n0 == 0 or n1 == 0:
         raise ValueError("both groups must be non-empty")
     n_total = n0 + n1
-    eps = cfg.budget.epsilon
-    ledger = BudgetLedger(eps)
+    ledger = BudgetLedger(cfg.budget.epsilon)
     size_frac = Fraction(cfg.size_fraction)
-    eps1 = ledger.spend(size_frac, "group size")
-    eps2 = ledger.spend(1 - size_frac, "u statistic")
-
-    m = min(n0, n1)
-    m_tilde = m + laplace_sample(1.0 / eps1, rng)
+    m_tilde = min(n0, n1) + ledger.noise(laplace_sample, size_frac, 1, "group size", rng)
+    eps1 = ledger.entries[0].epsilon
     m_low = math.floor(m_tilde - math.log(1.0 / (2.0 * cfg.budget.delta)) / eps1)
     m_hat = int(np.clip(round(m_tilde), 1, n_total // 2))
     sensitivity = n_total - max(1, m_low)
 
     u = u_statistic(build_table(data, [(None, None)]).counts)
-    u_tilde = u + laplace_sample(sensitivity / eps2, rng)
+    u_tilde = u + ledger.noise(laplace_sample, 1 - size_frac, sensitivity, "u statistic", rng)
     ledger.close()
 
     # Null distribution: untied ranks split into groups of sizes (m_hat, rest).
     k = cfg.null_samples
     rank_sums = _null_rank_sums(n_total, m_hat, k, rng)
     u_null = rank_sums.astype(float) - m_hat * (m_hat + 1) / 2.0
-    u_null += laplace_sample(sensitivity / eps2, rng, size=k)
+    u_null += laplace_sample(ledger.entries[1].scale, rng, size=k)
     mu = m_hat * (n_total - m_hat) / 2.0
     # Both sides of the comparison are snapped back to U's half-integer
     # lattice (identical post-processing, so exchangeability under the null

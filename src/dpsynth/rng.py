@@ -1,4 +1,4 @@
-"""Seedable random streams and the noise samplers used by every mechanism.
+"""Seedable random streams and the noise samplers that the budget ledger draws from.
 
 All randomness in the package flows through :class:`RandomSource`, a thin
 wrapper around a counter-based generator (Philox) keyed by a hash of
@@ -12,12 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "RandomSource",
-    "laplace_sample",
-    "discrete_laplace_sample",
-    "categorical_sample",
-]
+__all__ = ["RandomSource", "laplace_sample", "discrete_laplace_sample"]
 
 _MAX_SEED = 2**64
 
@@ -74,21 +69,3 @@ def discrete_laplace_sample(scale: float, rng: RandomSource, size) -> np.ndarray
     e1 = rng.generator.exponential(1.0, size)
     e2 = rng.generator.exponential(1.0, size)
     return np.floor(scale * e1).astype(np.int64) - np.floor(scale * e2).astype(np.int64)
-
-
-def categorical_sample(weights, rng: RandomSource, size) -> np.ndarray:
-    """``size`` indices, each i with probability weights_i / sum(weights).
-
-    Weights need not be normalized; zero-weight cells are never selected.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
-    if not total > 0:
-        raise ValueError("at least one weight must be positive")
-    cdf = np.cumsum(w)
-    u = rng.generator.random(size) * total
-    return np.searchsorted(cdf, u, side="right").astype(np.int64)

@@ -23,8 +23,10 @@ table of it independently, from one stream, in one call. One table is the
 case of a stack of one; it draws the same values, without the stack axis.
 
 Every mechanism accounts for its privacy budget through a
-:class:`BudgetLedger`; a run that would not consume exactly the configured
-epsilon fails loudly rather than silently over- or under-spending.
+:class:`BudgetLedger`, which also draws its noise at scale sensitivity/(share
+* epsilon) from the query's stated L1 sensitivity under replace-one
+neighbours; a run that would not consume exactly the configured epsilon
+fails loudly rather than silently over- or under-spending.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import CountTable
-from .rng import RandomSource, categorical_sample, discrete_laplace_sample, laplace_sample
+from .rng import RandomSource, discrete_laplace_sample, laplace_sample
 
 __all__ = [
     "PrivacyBudget",
@@ -68,33 +71,52 @@ class PrivacyBudget:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
 
 
+class LedgerEntry(NamedTuple):
+    """One booking; ``sensitivity`` and ``scale`` are its noise's, None if it drew none."""
+
+    what: str
+    fraction: Fraction
+    epsilon: float
+    sensitivity: float | None = None
+    scale: float | None = None
+
+
 class BudgetLedger:
-    """Tracks mechanism invocations as exact fractions of the total epsilon."""
+    """Books each step's share of the total epsilon as an exact fraction, and issues its noise.
+
+    :meth:`noise` and :meth:`select` are the only code that turns a share into a noise scale.
+    """
 
     def __init__(self, epsilon: float):
         self.epsilon = epsilon
         self.spent = Fraction(0)
-        self.entries: list[tuple[str, Fraction]] = []
+        self.entries: list[LedgerEntry] = []
 
-    def spend(self, fraction: Fraction, what: str) -> float:
-        """Record spending ``fraction`` of the budget; returns it in epsilon units."""
+    def spend(self, fraction: Fraction, what: str, sensitivity: float | None = None, spread: float = 1.0) -> float:
+        """Book ``fraction``; returns it in epsilon units, eps; a noisy entry's scale is spread * sensitivity / eps."""
         if fraction <= 0:
             raise ValueError("budget fractions must be positive")
+        eps = float(fraction) * self.epsilon
+        scale = None if sensitivity is None else spread * sensitivity / eps
         self.spent += fraction
-        self.entries.append((what, fraction))
-        return float(fraction) * self.epsilon
+        self.entries.append(LedgerEntry(what, fraction, eps, sensitivity, scale))
+        return eps
+
+    def noise(self, sampler, fraction: Fraction, sensitivity: float, what: str, rng: RandomSource, size=None):
+        """Book ``fraction`` and return ``sampler(scale, rng, size)`` at scale sensitivity/(fraction * epsilon)."""
+        self.spend(fraction, what, sensitivity)
+        return sampler(self.entries[-1].scale, rng, size)
+
+    def select(self, fraction: Fraction, sensitivity: float, score, allowed, what: str, rng: RandomSource):
+        """Exponential mechanism by Gumbel-max: the argmax over ``score``'s last axis, among ``allowed``, of
+        ``eps * score / (2 * sensitivity)`` plus Gumbel noise (scale ``2 * sensitivity / eps`` on the score)."""
+        eps = self.spend(fraction, what, sensitivity, spread=2.0)
+        gumbel = rng.generator.gumbel(size=score.shape)
+        return np.argmax(np.where(allowed, eps * score / (2.0 * sensitivity) + gumbel, -np.inf), axis=-1)
 
     def close(self) -> None:
         if self.spent != 1:
-            raise AssertionError(
-                f"mechanism consumed {self.spent} of its budget instead of all of it: {self.entries}"
-            )
-
-
-def _draw_counts(table: CountTable, probs: np.ndarray, size: int, rng: RandomSource) -> CountTable:
-    """The table's cells counted over ``size`` draws from the flat cell probabilities ``probs``."""
-    cells = categorical_sample(probs, rng, size=size)
-    return replace(table, counts=np.bincount(cells, minlength=probs.size).reshape(table.domains))
+            raise AssertionError(f"mechanism consumed {self.spent} of its budget instead of all of it: {self.entries}")
 
 
 def _rows(table: CountTable) -> np.ndarray:
@@ -105,12 +127,12 @@ def _rows(table: CountTable) -> np.ndarray:
 def perturbed_histogram(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
     """Discrete Laplace(2/epsilon) noise per cell, negatives set to zero.
 
+    It passes the ledger sensitivity 2: a replaced record moves between two cells.
     The clamped noisy counts are released directly, so the synthetic size is
     similar to (not exactly) the original.
     """
     ledger = BudgetLedger(budget.epsilon)
-    scale = 2.0 / ledger.spend(Fraction(1), "histogram release")
-    noise = discrete_laplace_sample(scale, rng, size=table.counts.shape)
+    noise = ledger.noise(discrete_laplace_sample, Fraction(1), 2, "histogram release", rng, table.counts.shape)
     ledger.close()
     return replace(table, counts=np.maximum(table.counts + noise, 0))
 
@@ -143,14 +165,15 @@ def smoothed_histogram(table: CountTable, budget: PrivacyBudget, m: int, rng: Ra
     neighbours the additive constant ``alpha = 1/(exp(epsilon/m) - 1)`` of
     :func:`smoothed_probabilities` makes the m draws jointly epsilon-DP, with
     privacy loss ``m*log(1 + 1/alpha) = epsilon``: the whole budget is spent.
-    The counts of the m draws are one Multinomial(m, probabilities) draw per table.
+    alpha uses the epsilon of its one noiseless ledger entry. The counts of
+    the m draws are one Multinomial(m, probabilities) draw per table.
     """
     if not isinstance(m, (int, np.integer)) or m <= 0:
         raise ValueError(f"m must be a positive integer, got {m}")
     ledger = BudgetLedger(budget.epsilon)
-    ledger.spend(Fraction(1), f"{m} smoothed draws")
+    eps = ledger.spend(Fraction(1), f"{m} smoothed draws")
     ledger.close()
-    counts = rng.generator.multinomial(int(m), smoothed_probabilities(_rows(table), budget.epsilon, int(m)))
+    counts = rng.generator.multinomial(int(m), smoothed_probabilities(_rows(table), eps, int(m)))
     return replace(table, counts=counts.reshape(table.counts.shape))
 
 
@@ -182,12 +205,13 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     """Multiplicative Weights Exponential Mechanism over the table's cell counts.
 
     Each of the T iterations spends epsilon/(2T) selecting the worst
-    unmeasured cell-count query (exponential mechanism, sensitivity 1,
-    score |true - approximated|) and epsilon/(2T) measuring it with
-    Laplace(2T/epsilon) noise, then refits the distribution to every
-    measurement so far. Queries are selected without replacement. Returns
-    the fitted cell distribution (flattened; one row per table of a stack);
-    consumes the whole budget, so sampling from it is post-processing.
+    unmeasured cell-count query (exponential mechanism, score |true -
+    approximated|, Gumbel noise of scale 4T/epsilon on the score) and
+    epsilon/(2T) measuring it with Laplace(2T/epsilon) noise; both pass the
+    ledger a cell count's sensitivity, 1. It then refits the distribution
+    to every measurement so far. Queries are selected without replacement.
+    Returns the fitted cell distribution (flattened; one row per table of a
+    stack); consumes the whole budget, so sampling from it is post-processing.
 
     The fit is the exact minimiser of the squared error that MWEM's
     multiplicative-weights updates descend from the uniform start: the
@@ -224,17 +248,13 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     targets = np.empty((n.size, t_total))
     w = np.full(n.size, 1.0 / cells)
     unmeasured = np.ones(true_counts.shape, dtype=bool)
+    share = Fraction(1, 2 * t_total)
     for t in range(t_total):
-        eps_select = ledger.spend(Fraction(1, 2 * t_total), f"selection {t + 1}")
-        # Gumbel-max draw == exponential mechanism with sensitivity 1, and it
-        # cannot overflow for large scores the way exp-normalization can.
-        gumbel = rng.generator.gumbel(size=true_counts.shape)
-        score = np.abs(true_counts - (n * w)[:, None])
-        query = np.argmax(np.where(unmeasured, eps_select * score / 2.0 + gumbel, -np.inf), axis=1)
+        query = ledger.select(share, 1, np.abs(true_counts - (n * w)[:, None]), unmeasured, f"selection {t + 1}", rng)
         unmeasured[index, query] = False
-        eps_measure = ledger.spend(Fraction(1, 2 * t_total), f"measurement {t + 1}")
         measured[:, t] = query
-        targets[:, t] = true_counts[index, query] + laplace_sample(1.0 / eps_measure, rng, size=n.size)
+        noise = ledger.noise(laplace_sample, share, 1, f"measurement {t + 1}", rng, n.size)
+        targets[:, t] = true_counts[index, query] + noise
         fitted, w = _mw_fit(targets[:, : t + 1], cells - (t + 1), n)
     ledger.close()
     a = np.repeat(w[:, None], cells, axis=1)
@@ -275,10 +295,11 @@ def fit_marginal_joint(
     """DP marginal release plus IPF reconstruction of the joint distribution.
 
     Each selected marginal receives Laplace(2k/epsilon) noise (k marginals,
-    budget split evenly), is clamped at zero and renormalized; iterative
-    proportional fitting from a uniform start then rescales the joint to
-    each noisy target in turn. Consumes the whole budget; anything derived
-    from the returned joint is post-processing.
+    budget split evenly, each passing the ledger a table's sensitivity, 2),
+    is clamped at zero and renormalized; iterative proportional fitting
+    from a uniform start then rescales the joint to each noisy target in
+    turn. Consumes the whole budget; anything derived from the returned
+    joint is post-processing.
 
     The fit stops after the first sweep in which every marginal was within
     1e-8 of its target before its own step, or after ``max_sweeps`` sweeps
@@ -291,7 +312,7 @@ def fit_marginal_joint(
     500 and 501 sweeps (0.03-0.38); at epsilon 10 with n = 500 or 1 000
     they agree within 3e-15.
     """
-    if not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
         raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps}")
     ndim = len(table.variables)
     if marginals is None:
@@ -318,9 +339,9 @@ def fit_marginal_joint(
     # Each marginal's ratio broadcasts against the joint in this shape.
     shapes = [tuple(d if j in axes else 1 for j, d in enumerate(table.domains)) for axes in marginals]
     for axes, shape in zip(marginals, shapes):
-        eps_share = ledger.spend(Fraction(1, k), f"marginal {axes}")
         counts = _marginal(table.counts, axes, math.prod(shape))
-        noisy = np.maximum(counts + laplace_sample(2.0 / eps_share, rng, size=counts.size), 0.0)
+        noise = ledger.noise(laplace_sample, Fraction(1, k), 2, f"marginal {axes}", rng, counts.size)
+        noisy = np.maximum(counts + noise, 0.0)
         total = noisy.sum()
         # A fully clamped marginal carries no information; fall back to uniform.
         target = noisy / total if total > 0 else np.full(counts.size, 1.0 / counts.size)
@@ -351,8 +372,9 @@ def fit_marginal_joint(
 
 
 def marginal_ipf(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
-    """Counts of ``total_n`` draws from the IPF-fitted noisy-marginal joint."""
-    return _draw_counts(table, fit_marginal_joint(table, budget, rng).ravel(), table.total_n, rng)
+    """Counts of ``total_n`` draws from the IPF-fitted noisy-marginal joint: one Multinomial(total_n, joint) draw."""
+    counts = rng.generator.multinomial(table.total_n, fit_marginal_joint(table, budget, rng).ravel())
+    return replace(table, counts=counts.reshape(table.domains))
 
 
 # The synthesizers by name; each call takes a table, a budget and a random

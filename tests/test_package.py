@@ -1,9 +1,12 @@
-"""Package surface: the package imports, and every exported name exists."""
+"""Package surface: the package imports, every exported name exists, and
+only the budget ledger draws privacy noise."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +24,36 @@ def test_every_export_exists(name):
     module = importlib.import_module(f"dpsynth.{name}")
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+# Noise samplers, by the name a call uses: the package's own and numpy's
+# generator methods behind them.
+NOISE_SAMPLERS = {"laplace_sample", "discrete_laplace_sample", "gumbel", "laplace", "exponential"}
+
+
+def noise_calls(tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(enclosing class and function names, call) for every call of a noise sampler."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope + (node.name,) if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else scope
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in NOISE_SAMPLERS:
+                yield scope, node
+        yield from noise_calls(node, inner)
+
+
+def test_only_the_budget_ledger_draws_noise():
+    # Every noise scale comes from a ledger entry: the ledger's methods draw,
+    # and DP-MW's simulated null is re-noised at the scale of its U entry.
+    allowed, stray = [], []
+    for path in sorted(Path(dpsynth.__file__).parent.glob("*.py")):
+        for scope, call in noise_calls(ast.parse(path.read_text(encoding="utf-8"))):
+            where = (path.name, *scope)
+            if where in {("rng.py", "laplace_sample"), ("rng.py", "discrete_laplace_sample")}:
+                continue  # the samplers' own definitions
+            null_noise = where == ("dpmw.py", "dp_mann_whitney") and ast.unparse(call.args[0]) == "ledger.entries[1].scale"
+            ledger = where[:2] == ("synth.py", "BudgetLedger")
+            (allowed if ledger or null_noise else stray).append(f"{path.name}:{call.lineno} {ast.unparse(call)}")
+    assert stray == []
+    assert len(allowed) == 2  # the Gumbel keys of ``select`` and the null noise

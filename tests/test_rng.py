@@ -6,12 +6,10 @@ import scipy.stats
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpsynth.rng import (
-    RandomSource,
-    categorical_sample,
-    discrete_laplace_sample,
-    laplace_sample,
-)
+from dpsynth import synth as synth_mod
+from dpsynth.data import CountTable
+from dpsynth.rng import RandomSource, discrete_laplace_sample, laplace_sample
+from dpsynth.synth import PrivacyBudget, fit_marginal_joint, marginal_ipf
 
 N_BIG = 1_000_000
 
@@ -103,24 +101,39 @@ class TestDiscreteLaplace:
         assert np.all(draws == 0)
 
 
+def one_axis(counts) -> CountTable:
+    return CountTable(("value",), (np.arange(len(counts), dtype=float),), counts)
+
+
 class TestCategorical:
-    def test_degenerate_weight_always_selected(self):
-        draws = categorical_sample([1.0, 0.0, 0.0], RandomSource(9), size=1000)
-        assert np.all(draws == 0)
+    """Released records are counted by one multinomial draw over the cells:
+    ``marginal_ipf`` draws its ``total_n`` records from the fitted joint."""
 
-    def test_even_weights(self):
-        draws = categorical_sample([1.0, 1.0], RandomSource(10), size=100_000)
-        assert abs((draws == 0).mean() - 0.5) < 0.01
+    @staticmethod
+    def release(monkeypatch, joint, n, seed):
+        table = one_axis([n] + [0] * (len(joint) - 1))
+        monkeypatch.setattr(synth_mod, "fit_marginal_joint", lambda *args: np.asarray(joint, dtype=float))
+        counts = marginal_ipf(table, PrivacyBudget(1.0), RandomSource(seed)).counts
+        assert counts.sum() == n
+        return counts
 
-    def test_normalization(self):
-        draws = categorical_sample([3.0, 1.0], RandomSource(11), size=100_000)
-        assert abs((draws == 0).mean() - 0.75) < 0.01
+    def test_degenerate_weight_always_selected(self, monkeypatch):
+        assert self.release(monkeypatch, [1.0, 0.0, 0.0], 1000, 9).tolist() == [1000, 0, 0]
 
-    @pytest.mark.parametrize("weights", [[0.0, 0.0], [-1.0, 2.0], [], [np.inf, 1.0]])
-    def test_invalid_weights_rejected(self, weights):
-        with pytest.raises(ValueError):
-            categorical_sample(weights, RandomSource(0), size=10)
+    def test_even_weights(self, monkeypatch):
+        assert abs(self.release(monkeypatch, [0.5, 0.5], 100_000, 10)[0] / 100_000 - 0.5) < 0.01
 
-    def test_zero_weight_cells_never_drawn(self):
-        draws = categorical_sample([1.0, 0.0, 2.0], RandomSource(12), size=50_000)
-        assert not np.any(draws == 1)
+    def test_normalization(self, monkeypatch):
+        assert abs(self.release(monkeypatch, [0.75, 0.25], 100_000, 11)[0] / 100_000 - 0.75) < 0.01
+
+    def test_zero_weight_cells_never_drawn(self, monkeypatch):
+        assert self.release(monkeypatch, [1 / 3, 0.0, 2 / 3], 50_000, 12)[1] == 0
+
+    def test_release_fits_the_joint(self):
+        # The release draws after the fit on the same stream, so a fit on a fresh
+        # copy of that stream reproduces the joint it draws from.
+        table = one_axis([30_000, 25_000, 20_000, 15_000, 10_000])
+        joint = fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(13))
+        counts = marginal_ipf(table, PrivacyBudget(1.0), RandomSource(13)).counts
+        assert counts.sum() == table.total_n
+        assert scipy.stats.chisquare(counts, table.total_n * joint).pvalue > 1e-3

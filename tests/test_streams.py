@@ -1,0 +1,90 @@
+"""Random-stream pins: exact outputs of every noisy mechanism at fixed seeds.
+
+Each case hashes a mechanism's output bytes (with dtype and shape). A change
+that moves any draw, or any float operation on the way to a released value,
+changes a digest here; such a change states its stream change and re-records
+these values. Unlike the perfbench digests, these cover the DP-MW null: the
+p-value of ``dp_mann_whitney`` counts its 10 000 noised null statistics.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from dpsynth.data import CountTable, GroupedDataset, build_table, uniform_bins
+from dpsynth.dpmw import DPMWConfig, dp_mann_whitney
+from dpsynth.harness import GeneratorSpec
+from dpsynth.rng import RandomSource
+from dpsynth.simgen import copula_multivariate, default_prostate_spec, gaussian_bivariate
+from dpsynth.synth import PrivacyBudget, fit_marginal_joint, mwem, mwem_weights, perturbed_histogram, smoothed_histogram
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def table(seed: int) -> CountTable:
+    return build_table(gaussian_bivariate(400, "signal", RandomSource(seed)), [(None, uniform_bins(40.0, 60.0, 12))])
+
+
+def stack(seed: int) -> CountTable:
+    tables = [table(seed + i) for i in range(5)]
+    return CountTable(tables[0].variables, tables[0].levels, np.stack([t.counts for t in tables]))
+
+
+def copula_joint() -> np.ndarray:
+    spec = default_prostate_spec()
+    axes = GeneratorSpec(kind="copula", mode="null", copula=spec, variable="fiveari").table_axes()
+    copula = build_table(copula_multivariate(spec, 200, "null", RandomSource(4)), axes)
+    return fit_marginal_joint(copula, PrivacyBudget(1.0), RandomSource(5), max_sweeps=20)
+
+
+def dpmw_outcomes() -> np.ndarray:
+    cfg = DPMWConfig(PrivacyBudget(1.0, 1e-6))
+    out = []
+    for seed in range(6):
+        data = gaussian_bivariate(300, "signal" if seed % 2 else "null", RandomSource(100 + seed))
+        outcome = dp_mann_whitney(data, cfg, RandomSource(200 + seed))
+        out.append([outcome.statistic, outcome.p_value])
+    tiny = GroupedDataset([0, 0, 0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    outcome = dp_mann_whitney(tiny, DPMWConfig(PrivacyBudget(1e6, 1e-6)), RandomSource(1))
+    out.append([outcome.statistic, outcome.p_value])
+    return np.array(out)
+
+
+CASES = {
+    "perturbed": lambda: perturbed_histogram(table(1), PrivacyBudget(0.5), RandomSource(2)).counts,
+    "perturbed stack": lambda: perturbed_histogram(stack(1), PrivacyBudget(0.5), RandomSource(2)).counts,
+    "smoothed": lambda: smoothed_histogram(table(3), PrivacyBudget(1.0), 250, RandomSource(4)).counts,
+    "smoothed stack": lambda: smoothed_histogram(stack(3), PrivacyBudget(1.0), 250, RandomSource(4)).counts,
+    "mwem weights": lambda: mwem_weights(table(5), PrivacyBudget(1.0), 10, RandomSource(6)),
+    "mwem weights stack": lambda: mwem_weights(stack(5), PrivacyBudget(1.0), 10, RandomSource(6)),
+    "mwem": lambda: mwem(table(7), PrivacyBudget(0.1), 10, RandomSource(8)).counts,
+    "mwem stack": lambda: mwem(stack(7), PrivacyBudget(0.1), 10, RandomSource(8)).counts,
+    "marginal joint": copula_joint,
+    "dp mann-whitney": dpmw_outcomes,
+}
+
+PINNED = {
+    "dp mann-whitney": "03e62ee3caf3119bce5f3491108c543dc65e8f7f2e4bc43ea62d4cf43d8cd926",
+    "marginal joint": "695a3aa8f1f5554b6846743f7fa85376e537ad309fa4d803b4a6bf323bcae467",
+    "mwem": "d37131394f8943a14488e8a6aaf05562af5dae6362b254f074f2db015d4a5d2f",
+    "mwem stack": "36cef7e7bd2bd9b19b51603b14eaf77e64e0323f6f9878368fd2d8989b56078d",
+    "mwem weights": "95e5a96522ba348745782d5bd023c787b160efcc697c5e35b06f06209be92529",
+    "mwem weights stack": "25d46c5984e76e3177350e185ecd82083c62484a5b0167141d8df9847c699a79",
+    "perturbed": "7d8646e2130a86510e4b310875423e28b28cbf3c38cfecd2e86cdf2ce22543eb",
+    "perturbed stack": "4442533843d13b0d200a4678fd2790dacd323e1ecee856c8ac62e2cf48361759",
+    "smoothed": "e26fc4f0e7848276b8bd39d3549bdc032a2e1573561a4e85d19c31150170250e",
+    "smoothed stack": "b758e2b836856d6f802a288fe494ab866556e3d7c6d82708948250d678aba9d3",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stream_is_pinned(case):
+    assert digest(CASES[case]()) == PINNED[case]

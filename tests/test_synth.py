@@ -14,6 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsynth import dpmw as dpmw_mod
 from dpsynth import synth as synth_mod
 from dpsynth.data import (
     CountTable,
@@ -22,6 +23,7 @@ from dpsynth.data import (
     samples_from_counts,
     uniform_bins,
 )
+from dpsynth.dpmw import DPMWConfig, dp_mann_whitney
 from dpsynth.harness import GeneratorSpec
 from dpsynth.rng import RandomSource, laplace_sample
 from dpsynth.simgen import copula_multivariate, default_prostate_spec, gaussian_bivariate
@@ -58,6 +60,21 @@ class TestSynthesize:
             assert got.variables == hist.variables
             assert all(np.array_equal(a, b) for a, b in zip(got.levels, hist.levels))
             assert np.array_equal(got.counts, expected.counts)
+
+
+@pytest.fixture
+def ledgers(monkeypatch):
+    """Every ledger the mechanisms open during the test, in order."""
+    opened = []
+    original = synth_mod.BudgetLedger
+
+    def capture(epsilon):
+        opened.append(original(epsilon))
+        return opened[-1]
+
+    monkeypatch.setattr(synth_mod, "BudgetLedger", capture)
+    monkeypatch.setattr(dpmw_mod, "BudgetLedger", capture)
+    return opened
 
 
 def two_axis(counts, spec) -> CountTable:
@@ -98,16 +115,7 @@ class TestBudgetLedger:
         ledger.spend(1 - frac, "stat")
         ledger.close()
 
-    def test_mechanisms_consume_their_whole_budget(self, monkeypatch):
-        ledgers = []
-        original = synth_mod.BudgetLedger
-
-        def capture(epsilon):
-            ledger = original(epsilon)
-            ledgers.append(ledger)
-            return ledger
-
-        monkeypatch.setattr(synth_mod, "BudgetLedger", capture)
+    def test_mechanisms_consume_their_whole_budget(self, ledgers):
         hist = hist_2x2(40, 10, 10, 40)
         rng = RandomSource(0)
         perturbed_histogram(hist, PrivacyBudget(1.0), rng.child(0))
@@ -161,19 +169,11 @@ class TestPerturbedHistogram:
             assert math.isclose(np.exp(clamped_log_pmf(count, 20.0, 2000)).sum(), 1.0, rel_tol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.1, 1.0, 3.0, 10.0])
-    def test_exact_privacy_audit_spends_whole_budget(self, eps, monkeypatch):
-        # The audit uses the scale the mechanism actually passes to its noise.
-        scales = []
-        original = synth_mod.discrete_laplace_sample
-
-        def capture(scale, rng, size=None):
-            scales.append(scale)
-            return original(scale, rng, size)
-
-        monkeypatch.setattr(synth_mod, "discrete_laplace_sample", capture)
+    def test_exact_privacy_audit_spends_whole_budget(self, eps, ledgers):
+        # The audit uses the scale the ledger drew the mechanism's noise at.
         perturbed_histogram(hist_2x2(1, 1, 0, 1), PrivacyBudget(eps), RandomSource(0))
-        (scale,) = scales
-        worst = perturbed_worst_log_ratio(scale)
+        ((entry,),) = [ledger.entries for ledger in ledgers]
+        worst = perturbed_worst_log_ratio(entry.scale)
         assert worst <= eps * (1 + 1e-9)
         assert worst >= eps * (1 - 1e-9)
 
@@ -518,7 +518,7 @@ class TestMarginalIpf:
             assert np.all(np.isfinite(joint))
             assert joint.sum() == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("sweeps", [0, -1, 2.5, "3", None])
+    @pytest.mark.parametrize("sweeps", [0, -1, 2.5, "3", None, True, False])
     def test_bad_max_sweeps_rejected(self, sweeps):
         table = build_table(gaussian_bivariate(100, "null", RandomSource(31)), [(None, uniform_bins(40, 60, 5))])
         with pytest.raises(ValueError, match="max_sweeps"):
@@ -657,45 +657,66 @@ print(hashlib.sha256(joint.tobytes()).hexdigest())
 
 
 class TestNoiseScale:
-    """The Laplace scale each mechanism passes to its noise is the stated
-    one: its query's L1 sensitivity under replace-one neighbours (1 for one
-    MWEM cell, 2 for a marginal table) over the budget share it books."""
-
-    @pytest.fixture
-    def recorded(self, monkeypatch):
-        scales, ledgers = [], []
-        laplace, ledger_cls = synth_mod.laplace_sample, synth_mod.BudgetLedger
-
-        def record_scale(scale, rng, size=None):
-            scales.append(scale)
-            return laplace(scale, rng, size)
-
-        def record_ledger(epsilon):
-            ledgers.append(ledger_cls(epsilon))
-            return ledgers[-1]
-
-        monkeypatch.setattr(synth_mod, "laplace_sample", record_scale)
-        monkeypatch.setattr(synth_mod, "BudgetLedger", record_ledger)
-        return scales, ledgers
-
-    @pytest.mark.parametrize("eps,iterations", [(0.1, 1), (1.0, 3), (10.0, 10)])
-    def test_mwem_measures_with_scale_2t_over_epsilon(self, recorded, eps, iterations):
-        scales, ledgers = recorded
-        hist = two_axis(np.arange(20).reshape(2, 10), uniform_bins(0.0, 10.0, 10))
-        mwem_weights(hist, PrivacyBudget(eps), iterations, RandomSource(3))
-        assert scales == pytest.approx([2 * iterations / eps] * iterations, rel=1e-12)
-        (ledger,) = ledgers
-        assert [share for _, share in ledger.entries] == [Fraction(1, 2 * iterations)] * (2 * iterations)
+    """Each noisy step's ledger entry states the sensitivity of its query
+    under replace-one neighbours and the scale its noise was drawn at,
+    sensitivity over the budget share it books: 2 for a histogram or a
+    marginal table, 1 for an MWEM cell or DP-MW's group size, Delta for U."""
 
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
-    def test_marginal_ipf_uses_scale_2k_over_epsilon(self, recorded, eps):
-        scales, ledgers = recorded
+    def test_perturbed_uses_scale_2_over_epsilon(self, ledgers, eps):
+        perturbed_histogram(hist_2x2(4, 1, 0, 3), PrivacyBudget(eps), RandomSource(1))
+        ((entry,),) = [ledger.entries for ledger in ledgers]
+        assert (entry.fraction, entry.sensitivity) == (1, 2)
+        assert entry.scale == pytest.approx(2 / eps, rel=1e-12)
+
+    @pytest.mark.parametrize("eps,iterations", [(0.1, 1), (1.0, 3), (10.0, 10)])
+    def test_mwem_measures_with_scale_2t_over_epsilon(self, ledgers, eps, iterations):
+        hist = two_axis(np.arange(20).reshape(2, 10), uniform_bins(0.0, 10.0, 10))
+        mwem_weights(hist, PrivacyBudget(eps), iterations, RandomSource(3))
+        (ledger,) = ledgers
+        measurements = ledger.entries[1::2]
+        assert [e.what for e in measurements] == [f"measurement {t + 1}" for t in range(iterations)]
+        assert {(e.fraction, e.sensitivity) for e in measurements} == {(Fraction(1, 2 * iterations), 1)}
+        assert [e.scale for e in measurements] == pytest.approx([2 * iterations / eps] * iterations, rel=1e-12)
+
+    @pytest.mark.parametrize("eps,iterations", [(0.1, 1), (1.0, 3), (10.0, 10)])
+    def test_mwem_selects_with_gumbel_scale_4t_over_epsilon(self, ledgers, eps, iterations):
+        hist = two_axis(np.arange(20).reshape(2, 10), uniform_bins(0.0, 10.0, 10))
+        mwem_weights(hist, PrivacyBudget(eps), iterations, RandomSource(3))
+        (ledger,) = ledgers
+        selections = ledger.entries[::2]
+        assert [e.what for e in selections] == [f"selection {t + 1}" for t in range(iterations)]
+        assert {(e.fraction, e.sensitivity) for e in selections} == {(Fraction(1, 2 * iterations), 1)}
+        assert [e.scale for e in selections] == pytest.approx([4 * iterations / eps] * iterations, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+    def test_marginal_ipf_uses_scale_2k_over_epsilon(self, ledgers, eps):
         table = build_table(gaussian_bivariate(100, "null", RandomSource(4)), [(None, uniform_bins(40, 60, 5))])
         k = len(all_low_order_marginals(len(table.variables)))
         fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(5), max_sweeps=1)
-        assert scales == pytest.approx([2 * k / eps] * k, rel=1e-12)
         (ledger,) = ledgers
-        assert [share for _, share in ledger.entries] == [Fraction(1, k)] * k
+        assert {(e.fraction, e.sensitivity) for e in ledger.entries} == {(Fraction(1, k), 2)}
+        assert [e.scale for e in ledger.entries] == pytest.approx([2 * k / eps] * k, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
+    def test_dp_mann_whitney_uses_1_over_eps1_and_delta_over_eps2(self, ledgers, eps):
+        data = gaussian_bivariate(200, "null", RandomSource(6))
+        dp_mann_whitney(data, DPMWConfig(PrivacyBudget(eps, 1e-6), null_samples=1000), RandomSource(7))
+        (ledger,) = ledgers
+        size, u = ledger.entries
+        eps1, eps2 = 0.65 * eps, 0.35 * eps
+        assert (size.what, size.fraction, size.sensitivity) == ("group size", Fraction(0.65), 1)
+        assert size.scale == pytest.approx(1 / eps1, rel=1e-12)
+        # Delta from the noisy group size, the stream's first draw.
+        m_tilde = min(np.bincount(data.groups)) + RandomSource(7).generator.laplace(0.0, 1 / eps1)
+        delta = 200 - max(1, math.floor(m_tilde - math.log(1 / 2e-6) / eps1))
+        assert (u.what, u.fraction, u.sensitivity) == ("u statistic", 1 - Fraction(0.65), delta)
+        assert u.scale == pytest.approx(delta / eps2, rel=1e-12)
+
+    def test_smoothed_books_its_budget_once_without_noise(self, ledgers):
+        smoothed_histogram(hist_2x2(4, 1, 0, 3), PrivacyBudget(2.0), 50, RandomSource(8))
+        ((entry,),) = [ledger.entries for ledger in ledgers]
+        assert entry == ("50 smoothed draws", 1, 2.0, None, None)
 
 
 def reference_perturbed_counts(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> np.ndarray:
