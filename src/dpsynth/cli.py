@@ -5,7 +5,7 @@ test on a CSV), ``dp-test`` (the DP Mann-Whitney baseline), ``experiment``
 (run the error-rate grids of a JSON config), and ``report`` (re-render
 saved reports). Exit codes: 0 success, 1 usage error, 2 data or config
 error. Every run prints a reproducibility header with the effective
-configuration, and with the resolved seed when the command draws randomness.
+configuration, and with the resolved seed and numpy version when it draws randomness.
 Input CSVs with a ``group,value`` header are read as grouped records; any
 other header is read as the cardiovascular file.
 """
@@ -18,6 +18,8 @@ import os
 import secrets
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import harness, report as report_mod
 from .data import (
@@ -69,6 +71,7 @@ def _print_header(command: str, seed: int | None, config: dict) -> None:
     print(f"# dpsynth {command}")
     if seed is not None:
         print(f"# seed: {seed}")
+        print(f"# numpy: {np.__version__}")
     print(f"# config: {json.dumps(config, sort_keys=True, default=str)}")
 
 
@@ -138,6 +141,7 @@ def _cmd_synth(args) -> int:
         "method": args.method,
         "epsilon": args.epsilon,
         "seed": seed,
+        "numpy": np.__version__,
         "stream": [],
         "original_n": original.n,
         "synthetic_n": synthetic.n,

@@ -7,18 +7,18 @@ reads the original's binned (or categorical) count table and releases
 synthetic counts over the same cells; for gaussian and csv data that table
 is drawn directly from its exact law, and copula records are counted by
 :func:`dpsynth.data.build_table`. The ``none`` baseline counts the original
-records at the tested variable's distinct values. The test runs on the
-(group, tested variable) marginal of the table.
+records at the tested variable's distinct values. :func:`run_test` runs the
+test on the (group, tested variable) marginal of every table of a stack.
 
-A cell of a :data:`BATCHED` synthesizer runs its repetitions in blocks of
-:data:`BLOCK`: a block draws its originals as one stack of tables, releases
-a stack and tests every table of it in one call, all from one child stream
-of the cell's stream, ``child(block)``. Repetition ``rep`` of any other cell
-draws from ``child(rep, 0)`` and ``child(rep, 1)``. :func:`run_grid` splits
-the work by (cell, repetition chunk), cutting a batched cell's chunks at
-block boundaries, and a cell's report is built from the summed chunk
-tallies, so a full-grid run at any worker count and an isolated re-run of
-one cell all produce identical numbers.
+A synthesizer cell runs its repetitions in blocks of ``BLOCK[method]``: a
+block draws its originals as one stack of tables, releases a stack and
+tests every table of it, all from one child stream of the cell's stream,
+``child(block)``. Repetition ``rep`` of a baseline cell draws from
+``child(rep, 0)`` and ``child(rep, 1)``. :func:`run_grid` splits the work
+by (cell, repetition chunk), cutting a cell's chunks at block boundaries,
+and a cell's report is built from the summed chunk tallies, so a full-grid
+run at any worker count and an isolated re-run of one cell all produce
+identical numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
 from .simgen import gaussian_table, subsample_table
-from .stattests import TESTS, FailureReason, Outcomes, TestOutcome, stack_outcomes
+from .stattests import TESTS, FailureReason, Outcomes, stack_outcomes
 from .synth import SYNTHESIZERS, PrivacyBudget
 
 __all__ = [
@@ -68,10 +68,9 @@ __all__ = [
 # the DP Mann-Whitney test on the original data.
 METHODS = ("none", *SYNTHESIZERS, "dp_mw_baseline")
 
-# The synthesizers whose cells run their repetitions as stacks of tables, and
-# the number of repetitions in each such stack, whatever the worker count.
-BATCHED = ("perturbed", "smoothed", "mwem")
-BLOCK = 50
+# Repetitions per block, whatever the worker count. A marginal IPF fit takes
+# about a second, so its cells run one per block and still split over workers.
+BLOCK = {"none": 1, "perturbed": 50, "smoothed": 50, "mwem": 50, "marginal_ipf": 1, "dp_mw_baseline": 1}
 
 
 class ConfigError(ValueError):
@@ -295,12 +294,12 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
 
 
 def _original_table(
-    config: ExperimentConfig, axes: list, source: CountTable | None, n: int, rng: RandomSource, size: int | None = None
+    config: ExperimentConfig, axes: list, source: CountTable | None, n: int, rng: RandomSource, size: int
 ) -> CountTable:
-    """The original's table over ``axes``, which is all that a synthesizer reads.
+    """A stack of ``size`` tables of the original over ``axes``, which is all that a synthesizer reads.
 
-    Gaussian and csv tables (``source`` is the file's table) are drawn from
-    their exact law, as a stack of ``size`` tables when it is given.
+    Gaussian and csv tables (``source`` is the file's table) are drawn at once
+    from their exact law; copula records are drawn and counted table by table.
     """
     gen = config.generator
     if gen.kind == "gaussian":
@@ -308,65 +307,54 @@ def _original_table(
         return gaussian_table(n, gen.mode, spec, rng, size)
     if gen.kind == "csv":
         return subsample_table(source, n, rng, size)
-    return build_table(_generate(config, None, n, rng), axes)
+    tables = [build_table(_generate(config, None, n, rng), axes) for _ in range(size)]
+    return replace(tables[0], counts=np.stack([table.counts for table in tables]))
 
 
-def run_test(config: ExperimentConfig, table: CountTable, levels: np.ndarray | None) -> TestOutcome:
-    """Run the configured classical test on the (group, tested variable) marginal of ``table``.
+def run_test(config: ExperimentConfig, tables: CountTable) -> Outcomes:
+    """Run the configured classical test on the (group, tested variable) marginal of every table of a stack.
 
     The marginal sums the counts over every other axis and keeps the tested
-    variable's levels. ``levels`` are the tested variable's category
-    levels, when it has any (:meth:`GeneratorSpec.category_domain`).
+    variable's levels; the test takes the variable's category levels, when
+    it has any (:meth:`GeneratorSpec.category_domain`).
     """
     name = config.generator.variable
-    # The group axis comes first, and an unnamed tested variable next.
-    axis = 1 if name is None else table.variables.index(name)
-    other = tuple(j for j in range(1, table.counts.ndim) if j != axis)
-    return TESTS[config.test](table.levels[axis], table.counts.sum(axis=other), levels)
+    # After the stack axis, the group axis comes first, and an unnamed tested variable next.
+    axis = 1 if name is None else tables.variables.index(name)
+    other = tuple(j + 1 for j in range(1, len(tables.variables)) if j != axis)
+    marginal = tables.counts.sum(axis=other)
+    return stack_outcomes(config.test, tables.levels[axis], marginal, config.generator.category_domain())
 
 
 def _block(
     config: ExperimentConfig, cell: Cell, axes: list, source: CountTable | None, size: int, rng: RandomSource
 ) -> Outcomes:
-    """The outcomes of a block of ``size`` repetitions of a batched cell, all drawn from ``rng``.
+    """The outcomes of a block of ``size`` repetitions of a synthesizer cell, all drawn from ``rng``.
 
-    The originals are one stack of (group, binned value) tables, which the
-    synthesizer releases as one stack, and the test runs on every table of
-    it; the binned value has no category levels.
+    The originals are one stack of tables, which the synthesizer releases
+    as one stack, and the test runs on every table of it.
     """
     original = _original_table(config, axes, source, cell.n_original, rng, size)
     synthetic = SYNTHESIZERS[config.synthesizer](
         original, PrivacyBudget(cell.epsilon), rng, m=cell.n_synthetic, iterations=config.mwem_iterations
     )
-    return stack_outcomes(config.test, synthetic.levels[1], synthetic.counts, None)
+    return run_test(config, synthetic)
 
 
 def _repetition(
-    config: ExperimentConfig,
-    cell: Cell,
-    axes: list,
-    source: GroupedDataset | None,
-    source_table: CountTable | None,
-    rep: int,
-    rng: RandomSource,
-) -> TestOutcome:
-    """The outcome of repetition ``rep`` of a cell that runs repetition by repetition.
+    config: ExperimentConfig, cell: Cell, source: GroupedDataset | None, rep: int, rng: RandomSource
+) -> Outcomes:
+    """The outcome of repetition ``rep`` of a baseline cell, as a stack of one.
 
     It draws only from ``rng.child(rep, 0)`` and ``rng.child(rep, 1)``.
     """
-    gen = config.generator
-    levels = gen.category_domain()
+    original = _generate(config, source, cell.n_original, rng.child(rep, 0))
     if config.synthesizer == "none":
-        original = _generate(config, source, cell.n_original, rng.child(rep, 0))
-        return run_test(config, build_table(original, [(gen.variable, None)]), levels)
-    if config.synthesizer == "dp_mw_baseline":
-        original = _generate(config, source, cell.n_original, rng.child(rep, 0))
-        cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
-        tested = GroupedDataset(original.groups, original.column(gen.variable))
-        return dp_mann_whitney(tested, cfg, rng.child(rep, 1))
-    original = _original_table(config, axes, source_table, cell.n_original, rng.child(rep, 0))
-    synthetic = SYNTHESIZERS[config.synthesizer](original, PrivacyBudget(cell.epsilon), rng.child(rep, 1))
-    return run_test(config, synthetic, levels)
+        table = build_table(original, [(config.generator.variable, None)])
+        return run_test(config, replace(table, counts=table.counts[None]))
+    cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
+    tested = GroupedDataset(original.groups, original.column(config.generator.variable))
+    return Outcomes.of([dp_mann_whitney(tested, cfg, rng.child(rep, 1))])
 
 
 def _tally(
@@ -374,26 +362,27 @@ def _tally(
 ) -> Tally:
     """The tally of the repetitions ``reps`` of one cell.
 
-    A batched cell runs ``reps`` as its blocks: block ``b`` holds
-    repetitions ``b*BLOCK`` up to ``(b+1)*BLOCK`` (or the cell's last) and
-    draws only from ``rng.child(b)``, so ``reps`` must start at a block
-    boundary and end at one or at the cell's last repetition. Repetition
-    ``rep`` of any other cell draws only from ``rng.child(rep, 0)`` and
-    ``rng.child(rep, 1)``. So a tally does not depend on how a cell's
-    repetitions are split at those boundaries. Failure reasons are counted
-    in the order that they first appear in, repetition by repetition.
+    A synthesizer cell runs ``reps`` as its blocks: with ``k`` the method's
+    ``BLOCK``, block ``b`` holds repetitions ``b*k`` up to ``(b+1)*k`` (or
+    the cell's last) and draws only from ``rng.child(b)``, so ``reps`` must
+    start at a block boundary and end at one or at the cell's last
+    repetition. Repetition ``rep`` of a baseline cell draws only from
+    ``rng.child(rep, 0)`` and ``rng.child(rep, 1)``. So a tally does not
+    depend on how a cell's repetitions are split at those boundaries.
+    Failure reasons are counted in the order that they first appear in,
+    repetition by repetition.
     """
-    axes = config.generator.table_axes()
-    # A synthesizer cell draws from the csv file's table, counted once per chunk.
-    synthesizes = config.synthesizer in SYNTHESIZERS
-    source_table = build_table(source, axes) if synthesizes and source is not None else None
-    if config.synthesizer in BATCHED:
+    if config.synthesizer in SYNTHESIZERS:
+        axes = config.generator.table_axes()
+        # A synthesizer cell draws from the csv file's table, counted once per chunk.
+        source_table = None if source is None else build_table(source, axes)
+        block = BLOCK[config.synthesizer]
         parts = [
-            _block(config, cell, axes, source_table, min(BLOCK, reps.stop - start), rng.child(start // BLOCK))
-            for start in range(reps.start, reps.stop, BLOCK)
+            _block(config, cell, axes, source_table, min(block, reps.stop - start), rng.child(start // block))
+            for start in range(reps.start, reps.stop, block)
         ]
     else:
-        parts = [Outcomes.of([_repetition(config, cell, axes, source, source_table, rep, rng) for rep in reps])]
+        parts = [_repetition(config, cell, source, rep, rng) for rep in reps]
     feasible = rejections = 0
     failures: dict[str, int] = {}
     for outcomes in parts:
@@ -491,17 +480,16 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
     """Run every grid cell; results are identical for any worker count.
 
     The unit of work is a contiguous chunk of one cell's repetitions: each
-    cell is cut into ``min(repetitions, workers)`` chunks, or a batched cell
-    into ``min(blocks, workers)`` chunks of whole blocks, so a grid of few
-    or unevenly slow cells still keeps every worker busy. A cell's report is
-    built once from the summed tallies of its chunks. A csv source is read
-    once here and handed to every chunk.
+    cell is cut into ``min(blocks, workers)`` chunks of whole blocks, so a
+    grid of few or unevenly slow cells still keeps every worker busy. A
+    cell's report is built once from the summed tallies of its chunks. A csv
+    source is read once here and handed to every chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     source = _load_source(config)
     cells = grid_cells(config)
-    chunks = _chunks(config.repetitions, workers, BLOCK if config.synthesizer in BATCHED else 1)
+    chunks = _chunks(config.repetitions, workers, BLOCK[config.synthesizer])
     tasks = [(config, cell, i, source, reps) for i, cell in enumerate(cells) for reps in chunks]
     size = min(workers, len(tasks))
     with ExitStack() as stack:

@@ -17,10 +17,10 @@ Every mechanism reads a :class:`~dpsynth.data.CountTable` and releases
 synthetic counts over the same cells, a table of the same axes and levels
 (:func:`dpsynth.data.samples_from_counts` expands it into records). The
 histogram mechanisms run on the (group, binned value) table; ``marginal_ipf``
-runs on a table of any number of axes. The three histogram mechanisms also
-take a stack of tables, one per repetition, and release a stack: each
-table of it independently, from one stream, in one call. One table is the
-case of a stack of one; it draws the same values, without the stack axis.
+runs on a table of any number of axes. Every mechanism also takes a stack
+of tables, one per repetition, and releases a stack: each table of it
+independently, from one stream, in one call. One table is the case of a
+stack of one; it draws the same values, without the stack axis.
 
 Every mechanism accounts for its privacy budget through a
 :class:`BudgetLedger`, which also draws its noise at scale sensitivity/(share
@@ -168,7 +168,7 @@ def smoothed_histogram(table: CountTable, budget: PrivacyBudget, m: int, rng: Ra
     alpha uses the epsilon of its one noiseless ledger entry. The counts of
     the m draws are one Multinomial(m, probabilities) draw per table.
     """
-    if not isinstance(m, (int, np.integer)) or m <= 0:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m <= 0:
         raise ValueError(f"m must be a positive integer, got {m}")
     ledger = BudgetLedger(budget.epsilon)
     eps = ledger.spend(Fraction(1), f"{m} smoothed draws")
@@ -233,7 +233,7 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     Laplace value per table.
     """
     cells = math.prod(table.domains)
-    if not isinstance(iterations, (int, np.integer)) or iterations < 1:
+    if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) or iterations < 1:
         raise ValueError(f"iterations must be a positive integer, got {iterations}")
     if iterations > cells:
         raise ValueError(f"iterations ({iterations}) cannot exceed the {cells} cell queries")
@@ -372,9 +372,14 @@ def fit_marginal_joint(
 
 
 def marginal_ipf(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
-    """Counts of ``total_n`` draws from the IPF-fitted noisy-marginal joint: one Multinomial(total_n, joint) draw."""
-    counts = rng.generator.multinomial(table.total_n, fit_marginal_joint(table, budget, rng).ravel())
-    return replace(table, counts=counts.reshape(table.domains))
+    """Counts of as many draws as the table has records from its IPF-fitted noisy-marginal joint.
+
+    A stack's tables are fitted in order, and the counts are one Multinomial(n, joint) draw per table.
+    """
+    tables = [replace(table, counts=counts) for counts in table.counts.reshape(-1, *table.domains)]
+    joints = np.reshape([fit_marginal_joint(t, budget, rng) for t in tables], (*table.stack_shape, -1))
+    counts = rng.generator.multinomial(_rows(table).sum(axis=1).reshape(table.stack_shape), joints)
+    return replace(table, counts=counts.reshape(table.counts.shape))
 
 
 # The synthesizers by name; each call takes a table, a budget and a random

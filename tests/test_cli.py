@@ -167,6 +167,7 @@ class TestSynthCommand:
             "method": method,
             "epsilon": 5.0,
             "seed": 3,
+            "numpy": np.__version__,
             "stream": [],
             "original_n": 300,
             "synthetic_n": rows,
@@ -346,5 +347,6 @@ class TestExperimentList:
         assert main(["experiment", "--config", str(experiment_config), "--out", str(tmp_path / "run")]) == 0
         out = capsys.readouterr().out
         assert "# seed: 11\n" in out
+        assert f"# numpy: {np.__version__}\n" in out
         printed = next(line for line in out.splitlines() if line.startswith("# config: "))
         assert isinstance(json.loads(printed.removeprefix("# config: ")), dict)

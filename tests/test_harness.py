@@ -585,7 +585,8 @@ class TestGrid:
 
 
 class TestBatchedCells:
-    """Perturbed, smoothed and MWEM cells run their repetitions in blocks of ``harness.BLOCK``."""
+    """Synthesizer cells run their repetitions in blocks of ``harness.BLOCK[method]``: 50 for perturbed,
+    smoothed and MWEM, 1 for marginal IPF."""
 
     @staticmethod
     def two_cells(synthesizer: str, repetitions: int) -> ExperimentConfig:
@@ -620,11 +621,12 @@ class TestBatchedCells:
     def test_chunks_cut_at_block_boundaries(self, repetitions, workers):
         from dpsynth.harness import BLOCK, _chunks
 
-        chunks = _chunks(repetitions, workers, BLOCK)
-        assert len(chunks) == min(-(-repetitions // BLOCK), workers)
+        block = BLOCK["perturbed"]
+        chunks = _chunks(repetitions, workers, block)
+        assert len(chunks) == min(-(-repetitions // block), workers)
         assert [rep for chunk in chunks for rep in chunk] == list(range(repetitions))
-        assert all(chunk.start % BLOCK == 0 for chunk in chunks)
-        blocks = [-(-len(chunk) // BLOCK) for chunk in chunks]
+        assert all(chunk.start % block == 0 for chunk in chunks)
+        blocks = [-(-len(chunk) // block) for chunk in chunks]
         assert max(blocks) - min(blocks) <= 1
 
     def test_only_batched_cells_are_chunked_by_block(self, monkeypatch):
@@ -697,6 +699,10 @@ class TestBatchedCells:
         assert report.rejections == report.feasible_count == reasons.count("none")
 
 
+def stack_of(tables):
+    return replace(tables[0], counts=np.stack([table.counts for table in tables]))
+
+
 def record_form_outcome(config: ExperimentConfig, table, levels) -> dict:
     """The configured test on the table's records, decoded cell by cell and counted at their distinct values."""
     columns = {name: [] for name in table.variables}
@@ -709,7 +715,7 @@ def record_form_outcome(config: ExperimentConfig, table, levels) -> dict:
 
 
 class TestRunTest:
-    """Each test on a table's (group, variable) marginal equals that test on the table's records."""
+    """Each test on the (group, variable) marginal of a stack's table equals that test on the table's records."""
 
     @pytest.fixture(scope="class")
     def copula_tables(self):
@@ -742,8 +748,9 @@ class TestRunTest:
             test=test,
         )
         levels = config.generator.category_domain()
-        for table in copula_tables:
-            assert run_test(config, table, levels).to_dict() == record_form_outcome(config, table, levels)
+        outcomes = run_test(config, stack_of(copula_tables))
+        for row, table in enumerate(copula_tables):
+            assert outcomes.outcome(row).to_dict() == record_form_outcome(config, table, levels)
 
     @pytest.mark.parametrize("test", ["mw_u", "t", "chi2", "median"])
     def test_two_axis_table_matches_records(self, test):
@@ -756,8 +763,10 @@ class TestRunTest:
         rng = RandomSource(43)
         for n, mode in [(50, "null"), (500, "signal")]:
             original = build_table(gaussian_bivariate(n, mode, rng.child(n)), [(None, gaussian_unit_bins())])
-            for table in (original, perturbed_histogram(original, PrivacyBudget(1.0), rng.child(n, 1))):
-                assert run_test(config, table, None).to_dict() == record_form_outcome(config, table, None)
+            tables = [original, perturbed_histogram(original, PrivacyBudget(1.0), rng.child(n, 1))]
+            outcomes = run_test(config, stack_of(tables))
+            for row, table in enumerate(tables):
+                assert outcomes.outcome(row).to_dict() == record_form_outcome(config, table, None)
 
 
 class TestEmitReport:

@@ -1,5 +1,6 @@
-"""Package surface: the package imports, every exported name exists, and
-only the budget ledger draws privacy noise."""
+"""Package surface: the package imports, every exported name exists, only
+the budget ledger draws privacy noise, and the harness calls a synthesizer
+in one place."""
 
 import ast
 import importlib
@@ -57,3 +58,20 @@ def test_only_the_budget_ledger_draws_noise():
             (allowed if ledger or null_noise else stray).append(f"{path.name}:{call.lineno} {ast.unparse(call)}")
     assert stray == []
     assert len(allowed) == 2  # the Gumbel keys of ``select`` and the null noise
+
+
+def test_harness_calls_a_synthesizer_in_one_place():
+    # Every synthesizer cell runs through ``_block``; there is no second dispatch path.
+    package = Path(dpsynth.__file__).parent
+    tree = ast.parse((package / "harness.py").read_text(encoding="utf-8"))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Subscript)
+        and ast.unparse(node.func.value) == "SYNTHESIZERS"
+    ]
+    (block,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_block"]
+    assert len(calls) == 1
+    assert calls[0] in list(ast.walk(block))
+    assert [path.name for path in sorted(package.glob("*.py")) if "BATCHED" in path.read_text(encoding="utf-8")] == []

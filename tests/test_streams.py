@@ -5,6 +5,8 @@ that moves any draw, or any float operation on the way to a released value,
 changes a digest here; such a change states its stream change and re-records
 these values. Unlike the perfbench digests, these cover the DP-MW null: the
 p-value of ``dp_mann_whitney`` counts its 10 000 noised null statistics.
+The digests hold for the numpy version that recorded them, whose generators
+and float kernels they depend on; under another version a mismatch names both.
 """
 
 import hashlib
@@ -17,7 +19,15 @@ from dpsynth.dpmw import DPMWConfig, dp_mann_whitney
 from dpsynth.harness import GeneratorSpec
 from dpsynth.rng import RandomSource
 from dpsynth.simgen import copula_multivariate, default_prostate_spec, gaussian_bivariate
-from dpsynth.synth import PrivacyBudget, fit_marginal_joint, mwem, mwem_weights, perturbed_histogram, smoothed_histogram
+from dpsynth.synth import (
+    PrivacyBudget,
+    fit_marginal_joint,
+    marginal_ipf,
+    mwem,
+    mwem_weights,
+    perturbed_histogram,
+    smoothed_histogram,
+)
 
 
 def digest(*arrays) -> str:
@@ -33,16 +43,22 @@ def table(seed: int) -> CountTable:
     return build_table(gaussian_bivariate(400, "signal", RandomSource(seed)), [(None, uniform_bins(40.0, 60.0, 12))])
 
 
-def stack(seed: int) -> CountTable:
-    tables = [table(seed + i) for i in range(5)]
+def stack_of(tables: list[CountTable]) -> CountTable:
     return CountTable(tables[0].variables, tables[0].levels, np.stack([t.counts for t in tables]))
 
 
-def copula_joint() -> np.ndarray:
+def stack(seed: int) -> CountTable:
+    return stack_of([table(seed + i) for i in range(5)])
+
+
+def copula_table(seed: int) -> CountTable:
     spec = default_prostate_spec()
     axes = GeneratorSpec(kind="copula", mode="null", copula=spec, variable="fiveari").table_axes()
-    copula = build_table(copula_multivariate(spec, 200, "null", RandomSource(4)), axes)
-    return fit_marginal_joint(copula, PrivacyBudget(1.0), RandomSource(5), max_sweeps=20)
+    return build_table(copula_multivariate(spec, 200, "null", RandomSource(seed)), axes)
+
+
+def copula_joint() -> np.ndarray:
+    return fit_marginal_joint(copula_table(4), PrivacyBudget(1.0), RandomSource(5), max_sweeps=20)
 
 
 def dpmw_outcomes() -> np.ndarray:
@@ -68,12 +84,21 @@ CASES = {
     "mwem": lambda: mwem(table(7), PrivacyBudget(0.1), 10, RandomSource(8)).counts,
     "mwem stack": lambda: mwem(stack(7), PrivacyBudget(0.1), 10, RandomSource(8)).counts,
     "marginal joint": copula_joint,
+    "marginal ipf": lambda: marginal_ipf(copula_table(4), PrivacyBudget(1.0), RandomSource(6)).counts,
+    "marginal ipf stack": lambda: marginal_ipf(
+        stack_of([copula_table(4 + i) for i in range(3)]), PrivacyBudget(1.0), RandomSource(6)
+    ).counts,
     "dp mann-whitney": dpmw_outcomes,
 }
+
+# The numpy version under which PINNED was recorded.
+PINNED_NUMPY = "2.4.6"
 
 PINNED = {
     "dp mann-whitney": "03e62ee3caf3119bce5f3491108c543dc65e8f7f2e4bc43ea62d4cf43d8cd926",
     "marginal joint": "695a3aa8f1f5554b6846743f7fa85376e537ad309fa4d803b4a6bf323bcae467",
+    "marginal ipf": "a7511e6c147536508b2f1479ad2b43b0610ec202b65f6f1185fcf0cda13b8a48",
+    "marginal ipf stack": "6893e1c1299ca9f996507c9a7f76235dc6a2ba0a10a3542fbb8ddf1ef4b1c511",
     "mwem": "d37131394f8943a14488e8a6aaf05562af5dae6362b254f074f2db015d4a5d2f",
     "mwem stack": "36cef7e7bd2bd9b19b51603b14eaf77e64e0323f6f9878368fd2d8989b56078d",
     "mwem weights": "95e5a96522ba348745782d5bd023c787b160efcc697c5e35b06f06209be92529",
@@ -87,4 +112,5 @@ PINNED = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_stream_is_pinned(case):
-    assert digest(CASES[case]()) == PINNED[case]
+    got = digest(CASES[case]())
+    assert got == PINNED[case], f"{case}: {got} under numpy {np.__version__}, pinned under numpy {PINNED_NUMPY}"

@@ -230,9 +230,9 @@ class TestSmoothedHistogram:
         out = smoothed_histogram(hist, PrivacyBudget(1.0), m, RandomSource(seed))
         assert out.total_n == m
 
-    @pytest.mark.parametrize("m", [0, -3])
+    @pytest.mark.parametrize("m", [0, -3, True])
     def test_nonpositive_m_rejected(self, m):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must"):
             smoothed_histogram(hist_2x2(1, 1, 1, 1), PrivacyBudget(1.0), m, RandomSource(0))
 
     @given(
@@ -418,6 +418,8 @@ class TestMwem:
             mwem(hist, PrivacyBudget(1.0), 0, RandomSource(0))
         with pytest.raises(ValueError):
             mwem(hist, PrivacyBudget(1.0), 5, RandomSource(0))
+        with pytest.raises(ValueError, match="iterations"):
+            mwem(hist, PrivacyBudget(1.0), True, RandomSource(0))
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="at least one record"):
@@ -798,6 +800,19 @@ class TestStacks:
             assert np.max(np.abs(stacked[0] - expected)) <= 1e-12
             assert np.array_equal(alone, stacked[0])
             assert len(set(measured)) == iterations
+
+    @pytest.mark.parametrize("kind", ["gaussian", "copula"])
+    def test_marginal_ipf_stack_of_one_equals_the_per_table_release(self, kind):
+        if kind == "gaussian":
+            table = build_table(gaussian_bivariate(300, "signal", RandomSource(33)), [(None, uniform_bins(40, 60, 12))])
+        else:
+            table = fiveari_table(100, 34)
+        budget, rng = PrivacyBudget(1.0), RandomSource(35)
+        expected = rng.generator.multinomial(table.total_n, fit_marginal_joint(table, budget, rng).ravel())
+        stacked = marginal_ipf(stack_of([table]), budget, RandomSource(35))
+        assert stacked.counts.shape == (1, *table.domains)
+        assert np.array_equal(stacked.counts[0].ravel(), expected)
+        assert np.array_equal(marginal_ipf(table, budget, RandomSource(35)).counts, stacked.counts[0])
 
     def test_rows_do_not_interact(self):
         # Every draw but the smoothed release has a size fixed by the stack's
