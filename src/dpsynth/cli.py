@@ -113,6 +113,8 @@ def _method_options(args, spec) -> dict:
 
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args.seed)
+    # Built before the header is printed, so that an out-of-range seed prints none.
+    rng = RandomSource(seed)
     binning = _binning_from_args(args)
     spec = resolve_binning(binning)
     budget = PrivacyBudget(args.epsilon)
@@ -130,7 +132,7 @@ def _cmd_synth(args) -> int:
         },
     )
     original = load_csv(args.input)
-    released = SYNTHESIZERS[args.method](build_table(original, [(None, spec)]), budget, RandomSource(seed), **options)
+    released = SYNTHESIZERS[args.method](build_table(original, [(None, spec)]), budget, rng, **options)
     # The file holds the released counts as records at the bin midpoints, in cell order.
     synthetic = samples_from_counts(released)
     out = _outdir(args.out)
@@ -168,6 +170,7 @@ def _cmd_test(args) -> int:
 
 def _cmd_dp_test(args) -> int:
     seed = _resolve_seed(args.seed)
+    rng = RandomSource(seed)
     cfg = DPMWConfig(
         PrivacyBudget(args.epsilon, args.delta),
         size_fraction=args.size_fraction,
@@ -184,7 +187,7 @@ def _cmd_dp_test(args) -> int:
             "null_samples": args.null_samples,
         },
     )
-    outcome = dp_mann_whitney(load_csv(args.input), cfg, RandomSource(seed))
+    outcome = dp_mann_whitney(load_csv(args.input), cfg, rng)
     print(json.dumps(outcome.to_dict(), sort_keys=True))
     return 0
 

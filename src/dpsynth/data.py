@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -70,16 +71,21 @@ class BinningSpec:
         return (e[:-1] + e[1:]) / 2.0
 
 
+# The named binnings are built once: a spec is immutable, and the harness asks
+# for a generator's bins once per block of repetitions.
+@cache
 def gaussian_unit_bins() -> BinningSpec:
     """100 integer-centered bins: bin labeled k covers [k-0.5, k+0.5), k = 1..100."""
     return BinningSpec(tuple(np.arange(0.5, 101.5, 1.0)))
 
 
+@cache
 def bmi_bins() -> BinningSpec:
     """24 BMI bins: below 18 in the first bin, 40 and above in the last."""
     return BinningSpec(tuple(float(v) for v in range(17, 42)))
 
 
+@cache
 def psa_bins() -> BinningSpec:
     """40 PSA bins from 1 upward; below 1 clamps to the first bin, 40+ to the last."""
     return BinningSpec(tuple(float(v) for v in range(1, 42)))

@@ -10,20 +10,22 @@ is drawn directly from its exact law, and copula records are counted by
 records at the tested variable's distinct values. :func:`run_test` runs the
 test on the (group, tested variable) marginal of every table of a stack.
 
-A synthesizer cell runs its repetitions in blocks of ``BLOCK[method]``: a
-block draws its originals as one stack of tables, releases a stack and
-tests every table of it, all from one child stream of the cell's stream,
-``child(block)``. Repetition ``rep`` of a baseline cell draws from
-``child(rep, 0)`` and ``child(rep, 1)``. :func:`run_grid` splits the work
-by (cell, repetition chunk), cutting a cell's chunks at block boundaries,
-and a cell's report is built from the summed chunk tallies, so a full-grid
-run at any worker count and an isolated re-run of one cell all produce
-identical numbers.
+Every cell runs its repetitions in blocks of ``BLOCK[method]``, each drawn
+from one child stream of the cell's stream, ``child(block)``, by
+:func:`_block`: a synthesizer block draws its originals as one stack of
+tables, releases a stack and tests every table of it; a baseline block is
+one repetition, whose original comes from the block stream's ``child(0)``
+and DP-MW's noise from its ``child(1)``. :func:`run_grid` splits the work
+by (cell, repetition chunk), cutting a cell's chunks at block boundaries;
+each chunk returns its blocks' outcomes in repetition order, and a cell's
+report counts them once, so a full-grid run at any worker count and an
+isolated re-run of one cell all produce identical numbers.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -75,10 +77,6 @@ BLOCK = {"none": 1, "perturbed": 50, "smoothed": 50, "mwem": 50, "marginal_ipf":
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
-
-
-# A tally of repetitions: feasible count, rejections, failure counts by reason.
-Tally = tuple[int, int, dict[str, int]]
 
 
 class Cell(NamedTuple):
@@ -294,19 +292,20 @@ def _generate(config: ExperimentConfig, source: GroupedDataset | None, n: int, r
 
 
 def _original_table(
-    config: ExperimentConfig, axes: list, source: CountTable | None, n: int, rng: RandomSource, size: int
+    config: ExperimentConfig, source: CountTable | None, n: int, rng: RandomSource, size: int
 ) -> CountTable:
-    """A stack of ``size`` tables of the original over ``axes``, which is all that a synthesizer reads.
+    """A stack of ``size`` tables of the original over ``table_axes()``, which is all that a synthesizer reads.
 
     Gaussian and csv tables (``source`` is the file's table) are drawn at once
     from their exact law; copula records are drawn and counted table by table.
     """
     gen = config.generator
+    if gen.kind == "csv":
+        return subsample_table(source, n, rng, size)
+    axes = gen.table_axes()
     if gen.kind == "gaussian":
         [(_, spec)] = axes
         return gaussian_table(n, gen.mode, spec, rng, size)
-    if gen.kind == "csv":
-        return subsample_table(source, n, rng, size)
     tables = [build_table(_generate(config, None, n, rng), axes) for _ in range(size)]
     return replace(tables[0], counts=np.stack([table.counts for table in tables]))
 
@@ -327,77 +326,57 @@ def run_test(config: ExperimentConfig, tables: CountTable) -> Outcomes:
 
 
 def _block(
-    config: ExperimentConfig, cell: Cell, axes: list, source: CountTable | None, size: int, rng: RandomSource
+    config: ExperimentConfig, cell: Cell, source: CountTable | GroupedDataset | None, size: int, rng: RandomSource
 ) -> Outcomes:
-    """The outcomes of a block of ``size`` repetitions of a synthesizer cell, all drawn from ``rng``.
+    """The outcomes of a block of ``size`` repetitions of a cell, all drawn from ``rng``.
 
-    The originals are one stack of tables, which the synthesizer releases
-    as one stack, and the test runs on every table of it.
+    A synthesizer block draws its originals as one stack of tables, which the
+    synthesizer releases as one stack, and the test runs on every table of
+    it. A baseline block is one repetition: its original records come from
+    ``rng.child(0)``, and the DP Mann-Whitney test draws from ``rng.child(1)``.
     """
-    original = _original_table(config, axes, source, cell.n_original, rng, size)
-    synthetic = SYNTHESIZERS[config.synthesizer](
-        original, PrivacyBudget(cell.epsilon), rng, m=cell.n_synthetic, iterations=config.mwem_iterations
-    )
-    return run_test(config, synthetic)
-
-
-def _repetition(
-    config: ExperimentConfig, cell: Cell, source: GroupedDataset | None, rep: int, rng: RandomSource
-) -> Outcomes:
-    """The outcome of repetition ``rep`` of a baseline cell, as a stack of one.
-
-    It draws only from ``rng.child(rep, 0)`` and ``rng.child(rep, 1)``.
-    """
-    original = _generate(config, source, cell.n_original, rng.child(rep, 0))
+    if config.synthesizer in SYNTHESIZERS:
+        original = _original_table(config, source, cell.n_original, rng, size)
+        synthetic = SYNTHESIZERS[config.synthesizer](
+            original, PrivacyBudget(cell.epsilon), rng, m=cell.n_synthetic, iterations=config.mwem_iterations
+        )
+        return run_test(config, synthetic)
+    original = _generate(config, source, cell.n_original, rng.child(0))
     if config.synthesizer == "none":
         table = build_table(original, [(config.generator.variable, None)])
         return run_test(config, replace(table, counts=table.counts[None]))
     cfg = DPMWConfig(PrivacyBudget(cell.epsilon, DEFAULT_DELTA))
     tested = GroupedDataset(original.groups, original.column(config.generator.variable))
-    return Outcomes.of([dp_mann_whitney(tested, cfg, rng.child(rep, 1))])
+    return Outcomes.of([dp_mann_whitney(tested, cfg, rng.child(1))])
 
 
-def _tally(
-    config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None, reps: range
-) -> Tally:
-    """The tally of the repetitions ``reps`` of one cell.
+def _run_blocks(
+    config: ExperimentConfig, cell: Cell, source: CountTable | GroupedDataset | None, rng: RandomSource, reps: range
+) -> list[Outcomes]:
+    """The outcomes of the repetitions ``reps`` of one cell, block by block in repetition order.
 
-    A synthesizer cell runs ``reps`` as its blocks: with ``k`` the method's
-    ``BLOCK``, block ``b`` holds repetitions ``b*k`` up to ``(b+1)*k`` (or
-    the cell's last) and draws only from ``rng.child(b)``, so ``reps`` must
-    start at a block boundary and end at one or at the cell's last
-    repetition. Repetition ``rep`` of a baseline cell draws only from
-    ``rng.child(rep, 0)`` and ``rng.child(rep, 1)``. So a tally does not
-    depend on how a cell's repetitions are split at those boundaries.
-    Failure reasons are counted in the order that they first appear in,
-    repetition by repetition.
+    With ``k`` the method's ``BLOCK``, block ``b`` holds repetitions ``b*k``
+    up to ``(b+1)*k`` (or the cell's last) and draws only from
+    ``rng.child(b)``, so ``reps`` must start at a block boundary and end at
+    one or at the cell's last repetition. So the outcomes do not depend on
+    how a cell's repetitions are split at those boundaries.
     """
-    if config.synthesizer in SYNTHESIZERS:
-        axes = config.generator.table_axes()
-        # A synthesizer cell draws from the csv file's table, counted once per chunk.
-        source_table = None if source is None else build_table(source, axes)
-        block = BLOCK[config.synthesizer]
-        parts = [
-            _block(config, cell, axes, source_table, min(block, reps.stop - start), rng.child(start // block))
-            for start in range(reps.start, reps.stop, block)
-        ]
-    else:
-        parts = [_repetition(config, cell, source, rep, rng) for rep in reps]
-    feasible = rejections = 0
-    failures: dict[str, int] = {}
-    for outcomes in parts:
-        ok = outcomes.failure_reason == FailureReason.NONE.value
-        feasible += int(ok.sum())
-        rejections += int((outcomes.p_value[ok] <= config.alpha).sum())
-        for reason in outcomes.failure_reason[~ok].tolist():
-            failures[reason] = failures.get(reason, 0) + 1
-    return feasible, rejections, failures
+    block = BLOCK[config.synthesizer]
+    return [
+        _block(config, cell, source, min(block, reps.stop - start), rng.child(start // block))
+        for start in range(reps.start, reps.stop, block)
+    ]
 
 
-def _report(
-    config: ExperimentConfig, cell: Cell, feasible: int, rejections: int, failures: dict[str, int]
-) -> ErrorRateReport:
-    """The report of one cell from the tally of all its repetitions."""
+def _report(config: ExperimentConfig, cell: Cell, parts: list[Outcomes]) -> ErrorRateReport:
+    """The report of one cell from the outcomes of all its repetitions, in repetition order.
+
+    Failure reasons are counted in the order that they first appear in.
+    """
+    outcomes = Outcomes(*map(np.concatenate, zip(*parts)))
+    ok = outcomes.failure_reason == FailureReason.NONE.value
+    feasible = int(ok.sum())
+    rejections = int((outcomes.p_value[ok] <= config.alpha).sum())
     if feasible:
         rate = rejections / feasible
         error_rate = rate if config.error_kind == "type1" else 1.0 - rate
@@ -415,39 +394,39 @@ def _report(
         rejections=rejections,
         error_rate=error_rate,
         suppressed=feasible < config.min_feasible,
-        failure_counts=failures,
+        failure_counts=dict(Counter(outcomes.failure_reason[~ok].tolist())),
         type1_context=True if config.error_kind == "type2" else None,
     )
 
 
-def run_cell(
-    config: ExperimentConfig, cell: Cell, rng: RandomSource, source: GroupedDataset | None = None
-) -> ErrorRateReport:
+def run_cell(config: ExperimentConfig, cell: Cell, rng: RandomSource) -> ErrorRateReport:
     """R repetitions of generate, synthesize, test for one grid cell.
 
-    A csv generator subsamples ``source``, the loaded CSV; :func:`run_grid`
-    loads it once for all cells, and a lone call loads it when not given.
+    A csv generator's file is loaded here; :func:`run_grid` loads it once for all cells.
     """
-    if source is None:
-        source = _load_source(config)
-    return _report(config, cell, *_tally(config, cell, rng, source, range(config.repetitions)))
+    source = _load_source(config)
+    return _report(config, cell, _run_blocks(config, cell, source, rng, range(config.repetitions)))
 
 
-def _load_source(config: ExperimentConfig) -> GroupedDataset | None:
-    """The csv generator's file, which must hold every original size; None for the other generators."""
+def _load_source(config: ExperimentConfig) -> CountTable | GroupedDataset | None:
+    """What a csv cell draws its originals from; None for the other generators.
+
+    That is the file's table over ``table_axes()`` for a synthesizer cell, and
+    the file's records for a baseline cell. The file must hold every original size.
+    """
     gen = config.generator
     if gen.kind != "csv":
         return None
-    source = load_csv(gen.csv_path)
-    too_large = [n for n in config.original_sizes if n > source.n]
+    records = load_csv(gen.csv_path)
+    too_large = [n for n in config.original_sizes if n > records.n]
     if too_large:
         raise ConfigError(
-            f"field 'original_sizes': {gen.csv_path} holds {source.n} records, cannot subsample {too_large}"
+            f"field 'original_sizes': {gen.csv_path} holds {records.n} records, cannot subsample {too_large}"
         )
-    return source
+    return build_table(records, gen.table_axes()) if config.synthesizer in SYNTHESIZERS else records
 
 
-def _chunks(repetitions: int, workers: int, block: int = 1) -> list[range]:
+def _chunks(repetitions: int, workers: int, block: int) -> list[range]:
     """``range(repetitions)`` cut at multiples of ``block`` into at most ``workers`` contiguous parts.
 
     The parts hold near-equal numbers of blocks, and there are as many as
@@ -459,21 +438,11 @@ def _chunks(repetitions: int, workers: int, block: int = 1) -> list[range]:
     return [range(block * (blocks * j // k), min(repetitions, block * (blocks * (j + 1) // k))) for j in range(k)]
 
 
-def _merge(tallies: list[Tally]) -> Tally:
-    """The sum of a cell's chunk tallies; failure reasons keep their first-seen order."""
-    feasible = rejections = 0
-    failures: dict[str, int] = {}
-    for part_feasible, part_rejections, part_failures in tallies:
-        feasible += part_feasible
-        rejections += part_rejections
-        for reason, count in part_failures.items():
-            failures[reason] = failures.get(reason, 0) + count
-    return feasible, rejections, failures
-
-
-def _chunk_task(payload: tuple[ExperimentConfig, Cell, int, GroupedDataset | None, range]) -> Tally:
+def _chunk_task(
+    payload: tuple[ExperimentConfig, Cell, int, CountTable | GroupedDataset | None, range],
+) -> list[Outcomes]:
     config, cell, index, source, reps = payload
-    return _tally(config, cell, RandomSource(config.seed).child(index), source, reps)
+    return _run_blocks(config, cell, source, RandomSource(config.seed).child(index), reps)
 
 
 def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport]:
@@ -481,9 +450,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
 
     The unit of work is a contiguous chunk of one cell's repetitions: each
     cell is cut into ``min(blocks, workers)`` chunks of whole blocks, so a
-    grid of few or unevenly slow cells still keeps every worker busy. A
-    cell's report is built once from the summed tallies of its chunks. A csv
-    source is read once here and handed to every chunk.
+    grid of few or unevenly slow cells still keeps every worker busy. Each
+    chunk returns its blocks' outcomes in repetition order, and a cell's
+    report is built once from all of them. A csv source is read once here
+    and handed to every chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
@@ -495,9 +465,12 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
     with ExitStack() as stack:
         # Both maps return results in the order of their inputs: by cell, then by chunk.
         mapper = stack.enter_context(ProcessPoolExecutor(max_workers=size)).map if size > 1 else map
-        tallies = list(mapper(_chunk_task, tasks))
+        results = list(mapper(_chunk_task, tasks))
     k = len(chunks)
-    return [_report(config, cell, *_merge(tallies[i * k : (i + 1) * k])) for i, cell in enumerate(cells)]
+    return [
+        _report(config, cell, [part for chunk in results[i * k : (i + 1) * k] for part in chunk])
+        for i, cell in enumerate(cells)
+    ]
 
 
 def config_from_dict(payload: Mapping) -> ExperimentConfig:

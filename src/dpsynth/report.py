@@ -91,9 +91,23 @@ def emit_report(
 
 
 def load_reports_json(path) -> tuple[list[ErrorRateReport], float]:
-    """Read back a reports.json file for re-rendering."""
+    """Read back a reports.json file for re-rendering.
+
+    A payload that is not an object, that holds no ``reports`` list, or an
+    entry with unknown, missing or malformed fields raises ``ValueError``
+    naming the problem.
+    """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    reports = [ErrorRateReport(**entry) for entry in payload["reports"]]
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    if not isinstance(payload.get("reports"), list):
+        raise ValueError(f"{path}: expected a 'reports' list")
+    reports = []
+    for number, entry in enumerate(payload["reports"], start=1):
+        try:
+            reports.append(ErrorRateReport(**entry))
+        except TypeError as exc:
+            raise ValueError(f"{path}: report {number}: {exc}") from None
     return reports, float(payload.get("alpha", 0.05))
 
 

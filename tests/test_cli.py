@@ -1,6 +1,7 @@
 """CLI contract: exit codes, reproducibility, output locations."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -300,6 +301,36 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
         assert "original_sizes" in capsys.readouterr().err
         assert not (out / "reports.json").exists() and not (out / "reports.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"reports": [{"foo": 1}]}, "report 1: .*unexpected keyword argument 'foo'"),
+            ([{"method": "none"}], "expected a JSON object, got list"),
+            ({"alpha": 0.05}, "expected a 'reports' list"),
+            ({"reports": [{"method": "none"}]}, "report 1: .*missing 10 required .*'test'"),
+        ],
+        ids=["unknown-field", "top-level-array", "no-reports", "missing-fields"],
+    )
+    def test_malformed_reports_json_is_data_error(self, tmp_path, capsys, payload, named):
+        path = tmp_path / "reports.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["report", "--reports", str(path), "--out", str(tmp_path / "re")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert re.search(named, err)
+
+    @pytest.mark.parametrize(
+        "command, seed",
+        [(["synth", "--method", "perturbed", "--out", "x.csv"], "-1"), (["dp-test"], str(2**64))],
+        ids=["synth", "dp-test"],
+    )
+    def test_out_of_range_seed_prints_no_header(self, toy_csv, tmp_path, monkeypatch, capsys, command, seed):
+        monkeypatch.setenv("DPSYNTH_OUTDIR", str(tmp_path))
+        assert main([*command, "--input", str(toy_csv), "--epsilon", "1", "--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
 
     def test_report_rerender(self, experiment_config, tmp_path):
         out = tmp_path / "run"

@@ -382,7 +382,7 @@ class TestGrid:
     def test_chunks_cover_repetitions_once_in_order(self, repetitions, workers):
         from dpsynth import harness
 
-        chunks = harness._chunks(repetitions, workers)
+        chunks = harness._chunks(repetitions, workers, block=1)
         assert len(chunks) == min(repetitions, workers)
         assert [rep for chunk in chunks for rep in chunk] == list(range(repetitions))
         assert all(len(chunk) >= 1 for chunk in chunks)
@@ -513,14 +513,14 @@ class TestGrid:
             original_sizes=(2, 10),
             repetitions=2,
         )
-        tallied = []
-        monkeypatch.setattr(harness, "_tally", lambda *args: tallied.append(args))
+        blocks = []
+        monkeypatch.setattr(harness, "_block", lambda *args: blocks.append(args))
         with pytest.raises(ConfigError, match=r"'original_sizes'.* 4 records, cannot subsample \[10\]"):
             run_grid(config)
         # A lone cell that fits the file still checks every size of its config.
         with pytest.raises(ConfigError, match="'original_sizes'"):
             run_cell(config, grid_cells(config)[0], RandomSource(config.seed))
-        assert tallied == []
+        assert blocks == []
 
     def test_malformed_grouped_csv_reports_its_rows(self, tmp_path):
         path = tmp_path / "src.csv"
@@ -585,8 +585,8 @@ class TestGrid:
 
 
 class TestBatchedCells:
-    """Synthesizer cells run their repetitions in blocks of ``harness.BLOCK[method]``: 50 for perturbed,
-    smoothed and MWEM, 1 for marginal IPF."""
+    """Every cell runs its repetitions through ``harness._block`` in blocks of ``harness.BLOCK[method]``:
+    50 for perturbed, smoothed and MWEM, 1 for marginal IPF and the two baselines."""
 
     @staticmethod
     def two_cells(synthesizer: str, repetitions: int) -> ExperimentConfig:
@@ -603,10 +603,8 @@ class TestBatchedCells:
             synthesizer=synthesizer, epsilons=(1.0,), original_sizes=(50, 200), repetitions=repetitions, min_feasible=1
         )
 
-    @pytest.mark.parametrize("repetitions", [1, 25, 75, 200])
-    @pytest.mark.parametrize("synthesizer", ["perturbed", "smoothed", "mwem"])
-    def test_reports_byte_identical_across_workers_and_alone(self, synthesizer, repetitions, tmp_path):
-        config = self.two_cells(synthesizer, repetitions)
+    @staticmethod
+    def assert_byte_identical_across_workers_and_alone(config: ExperimentConfig, tmp_path):
         runs = {workers: run_grid(config, workers=workers) for workers in (1, 2, 3, 8)}
         written = {
             workers: [path.read_bytes() for path in emit_report(runs[workers], tmp_path / str(workers), ("csv", "json"))]
@@ -615,6 +613,15 @@ class TestBatchedCells:
         assert written[1] == written[2] == written[3] == written[8]
         for index, cell in enumerate(grid_cells(config)):
             assert run_cell(config, cell, RandomSource(config.seed).child(index)) == runs[1][index]
+
+    @pytest.mark.parametrize("repetitions", [1, 25, 75, 200])
+    @pytest.mark.parametrize("synthesizer", ["perturbed", "smoothed", "mwem"])
+    def test_reports_byte_identical_across_workers_and_alone(self, synthesizer, repetitions, tmp_path):
+        self.assert_byte_identical_across_workers_and_alone(self.two_cells(synthesizer, repetitions), tmp_path)
+
+    @pytest.mark.parametrize("synthesizer", ["none", "dp_mw_baseline", "marginal_ipf"])
+    def test_blocks_of_one_byte_identical_across_workers_and_alone(self, synthesizer, tmp_path):
+        self.assert_byte_identical_across_workers_and_alone(self.two_cells(synthesizer, 3), tmp_path)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("repetitions", [1, 25, 50, 75, 200, 201])
@@ -667,13 +674,16 @@ class TestBatchedCells:
         seen = []
         block = harness._block
 
-        def recording(config, cell, axes, source, size, rng):
+        def recording(config, cell, source, size, rng):
             seen.append((rng.path, size))
-            return block(config, cell, axes, source, size, rng)
+            return block(config, cell, source, size, rng)
 
         monkeypatch.setattr(harness, "_block", recording)
         run_grid(gaussian_config(epsilons=(1.0,), original_sizes=(100, 200), repetitions=120))
         assert seen == [((0, 0), 50), ((0, 1), 50), ((0, 2), 20), ((1, 0), 50), ((1, 1), 50), ((1, 2), 20)]
+        seen.clear()
+        run_grid(gaussian_config(synthesizer="none", epsilons=(1.0,), original_sizes=(100,), repetitions=3))
+        assert seen == [((0, 0), 1), ((0, 1), 1), ((0, 2), 1)]
 
     @pytest.mark.parametrize(
         "reasons",

@@ -1,6 +1,6 @@
 """Package surface: the package imports, every exported name exists, only
 the budget ledger draws privacy noise, and the harness calls a synthesizer
-in one place."""
+and the DP Mann-Whitney test in one place."""
 
 import ast
 import importlib
@@ -61,17 +61,25 @@ def test_only_the_budget_ledger_draws_noise():
 
 
 def test_harness_calls_a_synthesizer_in_one_place():
-    # Every synthesizer cell runs through ``_block``; there is no second dispatch path.
+    # Every cell runs through ``_block``: it is the one place that calls a
+    # synthesizer and the one that calls the DP Mann-Whitney test, and there
+    # is no second dispatch path.
     package = Path(dpsynth.__file__).parent
     tree = ast.parse((package / "harness.py").read_text(encoding="utf-8"))
-    calls = [
+    synthesizer_calls = [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Subscript)
         and ast.unparse(node.func.value) == "SYNTHESIZERS"
     ]
+    dp_test_calls = [
+        node for node in ast.walk(tree) if isinstance(node, ast.Call) and ast.unparse(node.func) == "dp_mann_whitney"
+    ]
     (block,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_block"]
-    assert len(calls) == 1
-    assert calls[0] in list(ast.walk(block))
+    assert len(synthesizer_calls) == 1 and len(dp_test_calls) == 1
+    assert synthesizer_calls[0] in list(ast.walk(block)) and dp_test_calls[0] in list(ast.walk(block))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert defined & {"_repetition", "_tally", "_merge", "Tally"} == set()
     assert [path.name for path in sorted(package.glob("*.py")) if "BATCHED" in path.read_text(encoding="utf-8")] == []
