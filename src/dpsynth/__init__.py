@@ -12,7 +12,7 @@ from .data import (
 )
 from .dpmw import DPMWConfig, dp_mann_whitney
 from .harness import ConfigError, ErrorRateReport, ExperimentConfig, GeneratorSpec, run_cell, run_grid
-from .rng import RandomSource, discrete_laplace_sample, laplace_sample
+from .rng import RandomSource, discrete_laplace_sample
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate
 from .stattests import TESTS, FailureReason, TestOutcome, chi_squared
 from .report import emit_report

@@ -1,10 +1,11 @@
 """Differentially private Mann-Whitney U test run directly on sensitive data.
 
-The mechanism privatizes the smaller group size with part of the budget
-(plus all of delta, spent on a high-probability lower bound that caps the
-U statistic's sensitivity), privatizes U itself with the rest, and obtains
-a two-sided p-value from a Monte Carlo null distribution of equally noised
-permutation statistics. The total record count is treated as public.
+The mechanism releases integers with the budget ledger's discrete Laplace
+noise: the smaller group size with part of the budget (plus all of delta,
+spent on a high-probability lower bound that caps U's sensitivity), and 2U
+with the rest. Its two-sided p-value comes from a Monte Carlo null
+distribution of equally noised permutation statistics, compared in integer
+arithmetic. The total record count is treated as public.
 
 Under the null every m-subset of the untied ranks 1..N is equally likely to
 be the smaller group, so a null statistic needs only the rank sum of a
@@ -38,7 +39,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .data import GroupedDataset, build_table
-from .rng import RandomSource, laplace_sample
+from .rng import RandomSource, discrete_laplace_sample
 from .stattests import TestOutcome, u_statistic
 from .synth import BudgetLedger, PrivacyBudget
 
@@ -167,47 +168,33 @@ def _null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.n
 def dp_mann_whitney(data: GroupedDataset, cfg: DPMWConfig, rng: RandomSource) -> TestOutcome:
     """(epsilon, delta)-DP two-sided Mann-Whitney U test on the original data.
 
-    Steps: privatize the minimum group size with Laplace(1/eps1) (it passes
-    the ledger sensitivity 1); derive a high-probability lower bound on it,
-    which bounds the U sensitivity by Delta = N - max(1, lower); release
-    u_tilde = U + Laplace(Delta/eps2) (sensitivity Delta); compare
-    |u_tilde - mu| against ``null_samples`` permutation statistics of sizes
-    (m_hat, N - m_hat), each re-noised at the scale of the ledger's U entry.
+    The smaller group size m gets noise K of scale 1/eps1 (sensitivity 1). The
+    bound m_low = floor(m + K - t), t = log(1/(2 delta))/eps1, caps U's
+    sensitivity at Delta = N - max(1, m_low), and 2U gets noise of scale
+    2 Delta/eps2. With q = e^(-eps1), P(m_low > m) = P(K >= ceil(t + 1)) =
+    q^ceil(t + 1)/(1 + q) <= 2 delta q/(1 + q) = 2 delta/(1 + e^eps1) < delta.
+    The p-value compares |2U~ - m_hat(N - m_hat)| with ``null_samples``
+    statistics 2 rank_sum - m_hat(m_hat + 1), ranks split (m_hat, N - m_hat),
+    re-noised at the 2U entry's scale; the statistic returned is 2U~/2.
     """
-    n0 = int((data.groups == 0).sum())
-    n1 = int((data.groups == 1).sum())
-    if n0 == 0 or n1 == 0:
-        raise ValueError("both groups must be non-empty")
-    n_total = n0 + n1
+    counts = build_table(data, [(None, None)]).counts
+    two_u = int(2 * u_statistic(counts))  # raises unless both groups are non-empty
+    n_total = int(counts.sum())
     ledger = BudgetLedger(cfg.budget.epsilon)
     size_frac = Fraction(cfg.size_fraction)
-    m_tilde = min(n0, n1) + ledger.noise(laplace_sample, size_frac, 1, "group size", rng)
+    m_tilde = int(counts.sum(axis=1).min()) + int(ledger.noise(size_frac, 1, "group size", rng))
     eps1 = ledger.entries[0].epsilon
     m_low = math.floor(m_tilde - math.log(1.0 / (2.0 * cfg.budget.delta)) / eps1)
-    m_hat = int(np.clip(round(m_tilde), 1, n_total // 2))
+    m_hat = min(max(m_tilde, 1), n_total // 2)
     sensitivity = n_total - max(1, m_low)
-
-    u = u_statistic(build_table(data, [(None, None)]).counts)
-    u_tilde = u + ledger.noise(laplace_sample, 1 - size_frac, sensitivity, "u statistic", rng)
+    two_u_tilde = two_u + int(ledger.noise(1 - size_frac, 2 * sensitivity, "u statistic", rng))
     ledger.close()
 
     # Null distribution: untied ranks split into groups of sizes (m_hat, rest).
     k = cfg.null_samples
-    rank_sums = _null_rank_sums(n_total, m_hat, k, rng)
-    u_null = rank_sums.astype(float) - m_hat * (m_hat + 1) / 2.0
-    u_null += laplace_sample(ledger.entries[1].scale, rng, size=k)
-    mu = m_hat * (n_total - m_hat) / 2.0
-    # Both sides of the comparison are snapped back to U's half-integer
-    # lattice (identical post-processing, so exchangeability under the null
-    # is untouched). Without this, the observed statistic lands within the
-    # noise scale of one of the lattice atoms and vanishing noise would
-    # break the ties 50/50 instead of recovering the plain permutation test.
-    exceed = int(
-        np.count_nonzero(np.abs(_half_round(u_null) - mu) >= abs(_half_round(u_tilde) - mu))
-    )
+    two_u_null = 2 * _null_rank_sums(n_total, m_hat, k, rng) - m_hat * (m_hat + 1)
+    two_u_null += discrete_laplace_sample(ledger.entries[1].scale, rng, k)
+    two_mu = m_hat * (n_total - m_hat)
+    exceed = int(np.count_nonzero(np.abs(two_u_null - two_mu) >= abs(two_u_tilde - two_mu)))
     p = (1 + exceed) / (k + 1)
-    return TestOutcome(float(u_tilde), p, True)
-
-
-def _half_round(x):
-    return np.round(2.0 * x) / 2.0
+    return TestOutcome(two_u_tilde / 2, p, True)

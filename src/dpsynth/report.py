@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import abc
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 from .harness import ErrorRateReport
 
@@ -93,22 +94,39 @@ def emit_report(
 def load_reports_json(path) -> tuple[list[ErrorRateReport], float]:
     """Read back a reports.json file for re-rendering.
 
-    A payload that is not an object, that holds no ``reports`` list, or an
-    entry with unknown, missing or malformed fields raises ``ValueError``
-    naming the problem.
+    A payload that is not an object, that holds no ``reports`` list or a
+    non-numeric ``alpha``, or an entry with unknown, missing, mistyped or
+    inconsistent fields raises ``ValueError`` naming the report and field.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
     if not isinstance(payload.get("reports"), list):
         raise ValueError(f"{path}: expected a 'reports' list")
+    alpha = payload.get("alpha", 0.05)
+    if not _has_type(alpha, float):
+        raise ValueError(f"{path}: field 'alpha' must be a number, got {alpha!r}")
+    hints = get_type_hints(ErrorRateReport)
     reports = []
     for number, entry in enumerate(payload["reports"], start=1):
         try:
+            for name, value in dict(entry).items():
+                if name in hints and not _has_type(value, hints[name]):
+                    raise ValueError(f"field {name!r} has the wrong type: {value!r}")
             reports.append(ErrorRateReport(**entry))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: report {number}: {exc}") from None
-    return reports, float(payload.get("alpha", 0.05))
+    return reports, float(alpha)
+
+
+def _has_type(value, kind) -> bool:
+    """Whether a parsed JSON value has the annotated type ``kind``; a bool is no number here."""
+    args = get_args(kind)
+    if get_origin(kind) is abc.Mapping:
+        return isinstance(value, dict) and all(_has_type(v, args[1]) for v in value.values())
+    if args:  # a union such as ``int | None``
+        return any(_has_type(value, arg) for arg in args)
+    return isinstance(value, (int, float) if kind is float else kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _grouped(reports: Sequence[ErrorRateReport]) -> dict:

@@ -1,4 +1,4 @@
-"""Seedable random streams and the noise samplers that the budget ledger draws from.
+"""Seedable random streams and the discrete Laplace sampler that the budget ledger draws from.
 
 All randomness in the package flows through :class:`RandomSource`, a thin
 wrapper around a counter-based generator (Philox) keyed by a hash of
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RandomSource", "laplace_sample", "discrete_laplace_sample"]
+__all__ = ["RandomSource", "discrete_laplace_sample"]
 
 _MAX_SEED = 2**64
 
@@ -49,20 +49,13 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, path={self.path})"
 
 
-def laplace_sample(scale: float, rng: RandomSource, size=None):
-    """Continuous Laplace(0, scale) variate(s), density (1/2b) e^(-|x|/b)."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return rng.generator.laplace(0.0, scale, size)
+def discrete_laplace_sample(scale: float, rng: RandomSource, size=None):
+    """Discrete Laplace sample(s), int64: P(K=k) = ((e^(1/b)-1)/(e^(1/b)+1)) e^(-|k|/b).
 
-
-def discrete_laplace_sample(scale: float, rng: RandomSource, size) -> np.ndarray:
-    """Discrete Laplace samples: P(K=k) = ((e^(1/b)-1)/(e^(1/b)+1)) e^(-|k|/b).
-
-    Sampled exactly as the difference of two geometric variates on
-    {0, 1, ...} with success probability 1 - e^(-1/b); no rounding of a
-    continuous variate is involved. ``floor(b * Exp(1))`` is such a
-    geometric because P(k <= bE < k+1) = e^(-k/b)(1 - e^(-1/b)).
+    Sampled exactly as the difference of two geometric variates on {0, 1, ...}
+    with success probability 1 - e^(-1/b), not by rounding a continuous
+    variate: ``floor(b * Exp(1))`` is such a geometric because P(k <= bE < k+1)
+    = e^(-k/b)(1 - e^(-1/b)). ``size=None`` draws one scalar.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")

@@ -8,8 +8,8 @@ Four mechanisms are provided:
   probabilities proportional to ``count + alpha``, with
   ``alpha = 1/(exp(epsilon/m) - 1)``.
 * ``mwem`` - cell-count queries selected by the exponential mechanism and
-  measured with Laplace noise; after each one the distribution is refitted
-  to all the measurements in closed form.
+  measured with discrete Laplace noise; after each one the distribution is
+  refitted to all the measurements in closed form.
 * ``marginal_ipf`` - noisy one-way/two-way marginal release reconciled into
   a joint distribution by iterative proportional fitting.
 
@@ -26,7 +26,8 @@ Every mechanism accounts for its privacy budget through a
 :class:`BudgetLedger`, which also draws its noise at scale sensitivity/(share
 * epsilon) from the query's stated L1 sensitivity under replace-one
 neighbours; a run that would not consume exactly the configured epsilon
-fails loudly rather than silently over- or under-spending.
+fails loudly rather than silently over- or under-spending. Each noisy query is an
+integer count, so its discrete Laplace noise is eps-DP (the geometric mechanism).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import CountTable
-from .rng import RandomSource, discrete_laplace_sample, laplace_sample
+from .rng import RandomSource, discrete_laplace_sample
 
 __all__ = [
     "PrivacyBudget",
@@ -102,10 +103,10 @@ class BudgetLedger:
         self.entries.append(LedgerEntry(what, fraction, eps, sensitivity, scale))
         return eps
 
-    def noise(self, sampler, fraction: Fraction, sensitivity: float, what: str, rng: RandomSource, size=None):
-        """Book ``fraction`` and return ``sampler(scale, rng, size)`` at scale sensitivity/(fraction * epsilon)."""
+    def noise(self, fraction: Fraction, sensitivity: float, what: str, rng: RandomSource, size=None):
+        """Book ``fraction`` and return integer discrete Laplace noise at scale sensitivity/(fraction * epsilon)."""
         self.spend(fraction, what, sensitivity)
-        return sampler(self.entries[-1].scale, rng, size)
+        return discrete_laplace_sample(self.entries[-1].scale, rng, size)
 
     def select(self, fraction: Fraction, sensitivity: float, score, allowed, what: str, rng: RandomSource):
         """Exponential mechanism by Gumbel-max: the argmax over ``score``'s last axis, among ``allowed``, of
@@ -132,7 +133,7 @@ def perturbed_histogram(table: CountTable, budget: PrivacyBudget, rng: RandomSou
     similar to (not exactly) the original.
     """
     ledger = BudgetLedger(budget.epsilon)
-    noise = ledger.noise(discrete_laplace_sample, Fraction(1), 2, "histogram release", rng, table.counts.shape)
+    noise = ledger.noise(Fraction(1), 2, "histogram release", rng, table.counts.shape)
     ledger.close()
     return replace(table, counts=np.maximum(table.counts + noise, 0))
 
@@ -207,7 +208,7 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     Each of the T iterations spends epsilon/(2T) selecting the worst
     unmeasured cell-count query (exponential mechanism, score |true -
     approximated|, Gumbel noise of scale 4T/epsilon on the score) and
-    epsilon/(2T) measuring it with Laplace(2T/epsilon) noise; both pass the
+    epsilon/(2T) measuring it with discrete Laplace(2T/epsilon) noise; both pass the
     ledger a cell count's sensitivity, 1. It then refits the distribution
     to every measurement so far. Queries are selected without replacement.
     Returns the fitted cell distribution (flattened; one row per table of a
@@ -230,7 +231,7 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
     cells, whose approximated count is ``n * w``, and the full vector is
     built once for the return value. A stack's tables are run side by side:
     each round draws one Gumbel key per cell of every table and one
-    Laplace value per table.
+    discrete Laplace value per table.
     """
     cells = math.prod(table.domains)
     if isinstance(iterations, bool) or not isinstance(iterations, (int, np.integer)) or iterations < 1:
@@ -253,7 +254,7 @@ def mwem_weights(table: CountTable, budget: PrivacyBudget, iterations: int, rng:
         query = ledger.select(share, 1, np.abs(true_counts - (n * w)[:, None]), unmeasured, f"selection {t + 1}", rng)
         unmeasured[index, query] = False
         measured[:, t] = query
-        noise = ledger.noise(laplace_sample, share, 1, f"measurement {t + 1}", rng, n.size)
+        noise = ledger.noise(share, 1, f"measurement {t + 1}", rng, n.size)
         targets[:, t] = true_counts[index, query] + noise
         fitted, w = _mw_fit(targets[:, : t + 1], cells - (t + 1), n)
     ledger.close()
@@ -294,7 +295,7 @@ def fit_marginal_joint(
 ) -> np.ndarray:
     """DP marginal release plus IPF reconstruction of the joint distribution.
 
-    Each selected marginal receives Laplace(2k/epsilon) noise (k marginals,
+    Each selected marginal receives discrete Laplace(2k/epsilon) noise (k marginals,
     budget split evenly, each passing the ledger a table's sensitivity, 2),
     is clamped at zero and renormalized; iterative proportional fitting
     from a uniform start then rescales the joint to each noisy target in
@@ -307,9 +308,9 @@ def fit_marginal_joint(
     fits of the fiveari copula table run to the cap even at epsilon 10,
     n = 1 000. Where such a fit has not settled, the returned joint depends
     on the cap and on the float summation order inside each marginal: two
-    fits that differ only in that order lie 0.27-0.68 apart in TV at
+    fits that differ only in that order lie 0.36-0.79 apart in TV at
     epsilon 0.01 or 1 with n = 50 (3 seeds), as far apart as fits capped at
-    500 and 501 sweeps (0.03-0.38); at epsilon 10 with n = 500 or 1 000
+    500 and 501 sweeps (0.05-0.47); at epsilon 10 with n = 500 or 1 000
     they agree within 3e-15.
     """
     if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
@@ -340,7 +341,7 @@ def fit_marginal_joint(
     shapes = [tuple(d if j in axes else 1 for j, d in enumerate(table.domains)) for axes in marginals]
     for axes, shape in zip(marginals, shapes):
         counts = _marginal(table.counts, axes, math.prod(shape))
-        noise = ledger.noise(laplace_sample, Fraction(1, k), 2, f"marginal {axes}", rng, counts.size)
+        noise = ledger.noise(Fraction(1, k), 2, f"marginal {axes}", rng, counts.size)
         noisy = np.maximum(counts + noise, 0.0)
         total = noisy.sum()
         # A fully clamped marginal carries no information; fall back to uniform.

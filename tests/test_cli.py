@@ -11,6 +11,23 @@ from dpsynth.data import GroupedDataset, save_grouped_csv
 from dpsynth.harness import load_configs, run_grid
 from dpsynth.report import emit_report
 
+# One report as ``reports.json`` holds it; the malformed cases break one field of it.
+VALID_REPORT = {
+    "method": "perturbed",
+    "test": "mw_u",
+    "error_kind": "type1",
+    "epsilon": 1.0,
+    "n_original": 100,
+    "n_synthetic": None,
+    "repetitions": 2,
+    "feasible_count": 2,
+    "rejections": 1,
+    "error_rate": 0.5,
+    "suppressed": False,
+    "failure_counts": {},
+    "type1_context": None,
+}
+
 
 @pytest.fixture()
 def toy_csv(tmp_path):
@@ -309,8 +326,12 @@ class TestExperimentCommand:
             ([{"method": "none"}], "expected a JSON object, got list"),
             ({"alpha": 0.05}, "expected a 'reports' list"),
             ({"reports": [{"method": "none"}]}, "report 1: .*missing 10 required .*'test'"),
+            ({"alpha": None, "reports": [VALID_REPORT]}, "field 'alpha' must be a number, got None"),
+            ({"alpha": [1], "reports": [VALID_REPORT]}, r"field 'alpha' must be a number, got \[1\]"),
+            ({"reports": [{**VALID_REPORT, "epsilon": "1"}]}, "report 1: field 'epsilon' has the wrong type: '1'"),
+            ({"reports": [VALID_REPORT, {**VALID_REPORT, "failure_counts": []}]}, "report 2: field 'failure_counts'"),
         ],
-        ids=["unknown-field", "top-level-array", "no-reports", "missing-fields"],
+        ids=["unknown-field", "top-level-array", "no-reports", "missing-fields", "null-alpha", "list-alpha", "string-epsilon", "list-failure-counts"],
     )
     def test_malformed_reports_json_is_data_error(self, tmp_path, capsys, payload, named):
         path = tmp_path / "reports.json"

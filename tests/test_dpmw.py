@@ -139,6 +139,26 @@ class TestMechanism:
         assert rejections / reps <= 0.12
 
 
+class TestSizeBound:
+    """The lower bound m_low = floor(m_tilde - t), t = log(1/(2 delta))/eps1,
+    exceeds the true size m with probability below delta.
+
+    m_low > m exactly when the group size's discrete Laplace noise K of scale
+    1/eps1 reaches ceil(t + 1). The tail of its pmf ((1 - q)/(1 + q)) q^|k|,
+    q = e^(-eps1), is summed term by term here, not taken from the closed form.
+    """
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-3])
+    @pytest.mark.parametrize("eps1", [*np.geomspace(1e-3, 10.0, 25), 0.0065, 0.065, 0.65, 3.25, 6.5])
+    def test_failure_probability_below_delta(self, eps1, delta):
+        t = math.log(1 / (2 * delta)) / eps1
+        q = math.exp(-eps1)
+        k = math.ceil(t + 1) + np.arange(math.ceil(60 / eps1))  # beyond the last term, the tail is below e^(-60)
+        tail = math.fsum((1 - q) / (1 + q) * np.exp(-eps1 * k))
+        assert tail <= delta
+        assert tail <= 2 * delta / (1 + math.exp(eps1)) * (1 + 1e-9)
+
+
 def exact_rank_sum_pmf(n_total: int, m: int) -> np.ndarray:
     """P(rank sum = s) of a uniform m-subset of 1..n_total, indexed by s.
 

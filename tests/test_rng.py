@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dpsynth import synth as synth_mod
 from dpsynth.data import CountTable
-from dpsynth.rng import RandomSource, discrete_laplace_sample, laplace_sample
+from dpsynth.rng import RandomSource, discrete_laplace_sample
 from dpsynth.synth import PrivacyBudget, fit_marginal_joint, marginal_ipf
 
 N_BIG = 1_000_000
@@ -16,8 +16,8 @@ N_BIG = 1_000_000
 
 class TestRandomSource:
     def test_same_seed_bit_identical(self):
-        a = laplace_sample(1.0, RandomSource(123), size=1000)
-        b = laplace_sample(1.0, RandomSource(123), size=1000)
+        a = discrete_laplace_sample(1.0, RandomSource(123), size=1000)
+        b = discrete_laplace_sample(1.0, RandomSource(123), size=1000)
         assert np.array_equal(a, b)
 
     def test_child_streams_reproducible_and_independent(self):
@@ -43,28 +43,6 @@ class TestRandomSource:
         a = RandomSource(seed).child(index).generator.random(4)
         b = RandomSource(seed).child(index).generator.random(4)
         assert np.array_equal(a, b)
-
-
-class TestLaplace:
-    def test_mean_is_zero(self):
-        draws = laplace_sample(1.0, RandomSource(0), size=N_BIG)
-        assert abs(draws.mean()) < 0.01
-
-    def test_half_mass_within_scale_ln2(self):
-        # P(|X| <= b ln 2) = 1 - e^(-ln 2) = 0.5
-        draws = laplace_sample(2.0, RandomSource(1), size=N_BIG)
-        assert abs((np.abs(draws) <= 2.0 * np.log(2)).mean() - 0.5) < 0.01
-
-    @pytest.mark.parametrize("scale", [0.0, -1.0])
-    def test_nonpositive_scale_rejected(self, scale):
-        with pytest.raises(ValueError):
-            laplace_sample(scale, RandomSource(0))
-
-    def test_ks_fit_against_closed_form(self):
-        draws = laplace_sample(1.5, RandomSource(2), size=N_BIG)
-        stat = scipy.stats.kstest(draws, scipy.stats.laplace(scale=1.5).cdf).statistic
-        # Kolmogorov critical value at alpha = 0.01.
-        assert stat < 1.628 / np.sqrt(N_BIG)
 
 
 class TestDiscreteLaplace:
@@ -99,6 +77,23 @@ class TestDiscreteLaplace:
     def test_tiny_scale_always_zero(self):
         draws = discrete_laplace_sample(2e-6, RandomSource(7), size=10_000)
         assert np.all(draws == 0)
+
+    def test_variance_at_dp_mann_whitney_scale(self):
+        # Scale 1e7 is about DP-MW's 2U noise at epsilon 0.01 with N = 20 000.
+        # The variance is 2q/(1 - q)^2 with q = e^(-1/b); the sample variance
+        # of a Laplace-shaped law has relative standard error sqrt(5/n).
+        b = 1e7
+        draws = discrete_laplace_sample(b, RandomSource(8), size=N_BIG)
+        q = np.exp(-1 / b)
+        variance = 2 * q / np.expm1(-1 / b) ** 2
+        assert draws.dtype == np.int64
+        assert abs(draws.astype(float).var() / variance - 1) < 5 * np.sqrt(5 / N_BIG)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.5, 1e7])
+    def test_scalar_draw_is_the_first_of_size_one(self, scale):
+        one = discrete_laplace_sample(scale, RandomSource(9))
+        assert type(one) is np.int64
+        assert one == discrete_laplace_sample(scale, RandomSource(9), size=1)[0]
 
 
 def one_axis(counts) -> CountTable:

@@ -95,14 +95,14 @@ CASES = {
 PINNED_NUMPY = "2.4.6"
 
 PINNED = {
-    "dp mann-whitney": "03e62ee3caf3119bce5f3491108c543dc65e8f7f2e4bc43ea62d4cf43d8cd926",
-    "marginal joint": "695a3aa8f1f5554b6846743f7fa85376e537ad309fa4d803b4a6bf323bcae467",
-    "marginal ipf": "a7511e6c147536508b2f1479ad2b43b0610ec202b65f6f1185fcf0cda13b8a48",
-    "marginal ipf stack": "6893e1c1299ca9f996507c9a7f76235dc6a2ba0a10a3542fbb8ddf1ef4b1c511",
-    "mwem": "d37131394f8943a14488e8a6aaf05562af5dae6362b254f074f2db015d4a5d2f",
-    "mwem stack": "36cef7e7bd2bd9b19b51603b14eaf77e64e0323f6f9878368fd2d8989b56078d",
-    "mwem weights": "95e5a96522ba348745782d5bd023c787b160efcc697c5e35b06f06209be92529",
-    "mwem weights stack": "25d46c5984e76e3177350e185ecd82083c62484a5b0167141d8df9847c699a79",
+    "dp mann-whitney": "30d22c7ff68507685e53f5fa290a70e9412acf097aff652d97b04c04af11a8fe",
+    "marginal joint": "c79278305b1aa4326564e503576a939961016ed01f810a20fb7b85c09821ffdc",
+    "marginal ipf": "b9c66581871393df9a337683246d8a2018e44ccbd77b1488ed6368ab730585b8",
+    "marginal ipf stack": "612c4adf918deb20b0cc8d2f475cd487b6a184b321e79fef9be0913a8d56961c",
+    "mwem": "2dd694268c556eae91548a35e9dad273d5269106e39748adc05f7b9cc1750580",
+    "mwem stack": "cbff4796a798d3a2e7ea36361894c753e69627aeca2ecf8f1551c3482ae7503f",
+    "mwem weights": "efeaf74264b24e5c8262e51aa2601801588bfea0ead1652accd4201380ac8c6d",
+    "mwem weights stack": "e145a9cd3720be3b80d6b9071091d205953ccbbd6c3e231b893e81dfbdb7e1fa",
     "perturbed": "7d8646e2130a86510e4b310875423e28b28cbf3c38cfecd2e86cdf2ce22543eb",
     "perturbed stack": "4442533843d13b0d200a4678fd2790dacd323e1ecee856c8ac62e2cf48361759",
     "smoothed": "e26fc4f0e7848276b8bd39d3549bdc032a2e1573561a4e85d19c31150170250e",

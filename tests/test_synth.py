@@ -25,7 +25,7 @@ from dpsynth.data import (
 )
 from dpsynth.dpmw import DPMWConfig, dp_mann_whitney
 from dpsynth.harness import GeneratorSpec
-from dpsynth.rng import RandomSource, laplace_sample
+from dpsynth.rng import RandomSource, discrete_laplace_sample
 from dpsynth.simgen import copula_multivariate, default_prostate_spec, gaussian_bivariate
 from dpsynth.synth import (
     SYNTHESIZERS,
@@ -538,7 +538,7 @@ def reference_fit_marginal_joint(table, budget, rng, marginals=None, max_sweeps=
     for axes in marginals:
         eps_share = ledger.spend(Fraction(1, k), f"marginal {axes}")
         counts = table.counts.sum(axis=tuple(j for j in range(ndim) if j not in axes))
-        noisy = np.maximum(counts + laplace_sample(2.0 / eps_share, rng, size=counts.shape), 0.0)
+        noisy = np.maximum(counts + discrete_laplace_sample(2.0 / eps_share, rng, size=counts.shape), 0.0)
         total = noisy.sum()
         target = noisy / total if total > 0 else np.full(counts.shape, 1.0 / counts.size)
         targets.append((1.0 - 1e-8) * target + 1e-8 / target.size)
@@ -662,7 +662,7 @@ class TestNoiseScale:
     """Each noisy step's ledger entry states the sensitivity of its query
     under replace-one neighbours and the scale its noise was drawn at,
     sensitivity over the budget share it books: 2 for a histogram or a
-    marginal table, 1 for an MWEM cell or DP-MW's group size, Delta for U."""
+    marginal table, 1 for an MWEM cell or DP-MW's group size, 2 Delta for 2U."""
 
     @pytest.mark.parametrize("eps", [0.1, 1.0, 10.0])
     def test_perturbed_uses_scale_2_over_epsilon(self, ledgers, eps):
@@ -710,10 +710,29 @@ class TestNoiseScale:
         assert (size.what, size.fraction, size.sensitivity) == ("group size", Fraction(0.65), 1)
         assert size.scale == pytest.approx(1 / eps1, rel=1e-12)
         # Delta from the noisy group size, the stream's first draw.
-        m_tilde = min(np.bincount(data.groups)) + RandomSource(7).generator.laplace(0.0, 1 / eps1)
+        m_tilde = min(np.bincount(data.groups)) + discrete_laplace_sample(1 / eps1, RandomSource(7))
         delta = 200 - max(1, math.floor(m_tilde - math.log(1 / 2e-6) / eps1))
-        assert (u.what, u.fraction, u.sensitivity) == ("u statistic", 1 - Fraction(0.65), delta)
-        assert u.scale == pytest.approx(delta / eps2, rel=1e-12)
+        assert (u.what, u.fraction, u.sensitivity) == ("u statistic", 1 - Fraction(0.65), 2 * delta)
+        assert u.scale == pytest.approx(2 * delta / eps2, rel=1e-12)
+
+    def test_every_noisy_entry_draws_integers(self, monkeypatch):
+        draws = []
+        original = BudgetLedger.noise
+
+        def record(self, *args, **kwargs):
+            draws.append(original(self, *args, **kwargs))
+            return draws[-1]
+
+        monkeypatch.setattr(BudgetLedger, "noise", record)
+        hist = hist_2x2(40, 10, 10, 40)
+        perturbed_histogram(hist, PrivacyBudget(1.0), RandomSource(0))
+        mwem(hist, PrivacyBudget(1.0), 3, RandomSource(1))
+        marginal_ipf(hist, PrivacyBudget(1.0), RandomSource(2))
+        data = gaussian_bivariate(100, "null", RandomSource(3))
+        dp_mann_whitney(data, DPMWConfig(PrivacyBudget(1.0, 1e-6), null_samples=1000), RandomSource(4))
+        # One histogram, three measurements, three marginals, DP-MW's size and 2U.
+        assert len(draws) == 9
+        assert all(np.asarray(draw).dtype == np.int64 for draw in draws)
 
     def test_smoothed_books_its_budget_once_without_noise(self, ledgers):
         smoothed_histogram(hist_2x2(4, 1, 0, 3), PrivacyBudget(2.0), 50, RandomSource(8))
@@ -754,7 +773,7 @@ def reference_mwem_weights(table: CountTable, budget: PrivacyBudget, iterations:
         query = int(np.argmax(keyed))
         unmeasured[query] = False
         measured.append(query)
-        targets.append(float(true_counts[query] + synth_mod.laplace_sample(1.0 / share, rng)))
+        targets.append(float(true_counts[query] + synth_mod.discrete_laplace_sample(1.0 / share, rng)))
         fitted, w = reference_mw_fit(targets, cells - len(measured), n)
     a = np.full(cells, w)
     a[measured] = fitted
