@@ -5,17 +5,21 @@ continuous value, optionally more named columns) and :class:`CountTable`
 (cell counts over named axes, the group axis first), which every
 synthesizer reads and every test runs on. :func:`build_table` is the one
 way records become such a table, and :func:`samples_from_counts` expands a
-table back into records.
+table back into records. :func:`from_json` and :func:`to_json` are the one
+reader and the one writer of the package's JSON documents: experiment
+configs, copula specs and saved reports.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from collections import abc
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from types import UnionType
+from typing import Mapping, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,6 +39,8 @@ __all__ = [
     "BINNINGS",
     "resolve_binning",
     "build_table",
+    "from_json",
+    "to_json",
 ]
 
 
@@ -100,6 +106,15 @@ def uniform_bins(lo: float, hi: float, count: int) -> BinningSpec:
 BINNINGS = {"gaussian100": gaussian_unit_bins, "bmi24": bmi_bins, "psa40": psa_bins}
 
 
+@dataclass(frozen=True)
+class _UniformBinning:
+    """The JSON form of :func:`uniform_bins`' arguments, a ``{count, lo, hi}`` mapping."""
+
+    count: int
+    lo: float
+    hi: float
+
+
 def resolve_binning(binning) -> BinningSpec:
     """A named binning (a key of :data:`BINNINGS`) or a ``{count, lo, hi}`` mapping of uniform bins."""
     if isinstance(binning, str):
@@ -108,15 +123,9 @@ def resolve_binning(binning) -> BinningSpec:
         except KeyError:
             raise ValueError(f"binning {binning!r} is not one of {sorted(BINNINGS)}") from None
     if isinstance(binning, Mapping):
-        values = [binning.get(key) for key in ("lo", "hi", "count")]
-        # A boolean or a string is not a number here, although float() accepts both.
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-            raise ValueError(f"binning mapping needs numbers lo, hi and count, got {dict(binning)}")
-        lo, hi, count = values
-        if not float(count).is_integer() or count < 2:
-            raise ValueError(f"binning count must be an integer of at least 2, got {count!r}")
         try:
-            return uniform_bins(float(lo), float(hi), int(count))
+            spec = from_json(_UniformBinning, binning)
+            return uniform_bins(spec.lo, spec.hi, spec.count)
         except ValueError as exc:
             raise ValueError(f"binning mapping {dict(binning)}: {exc}") from None
     raise ValueError("binning must be a named spec or a {count, lo, hi} mapping")
@@ -360,3 +369,63 @@ def build_table(
     shape = tuple(len(lv) for lv in levels)
     counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     return CountTable(tuple(names), tuple(levels), counts)
+
+
+# What a value of each annotated type must be, for the message naming one of the wrong type.
+_EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a number", tuple: "an array"}
+
+
+def from_json(kind, value, name: str = ""):
+    """Read the parsed JSON ``value`` as the annotated type ``kind``; ``name`` is its field path.
+
+    A dataclass reads an object of only its fields, those without a default
+    required, and a ``ValueError`` of its own checks is prefixed with its
+    path. A ``float`` takes a JSON number, never a boolean or a string, and
+    an ``int`` an integral one. ``tuple[X, ...]`` reads an array,
+    ``Mapping[str, X]`` an object, ``X | None`` null or an X, and ``object``
+    any value. Every error is a ``ValueError`` naming the field.
+    """
+    what = f"field {name!r}" if name else "value"
+    origin, args = get_origin(kind), get_args(kind)
+    if kind is object or value is None and type(None) in args:
+        return value
+    if origin in (Union, UnionType):
+        (inner,) = set(args) - {type(None)}
+        return from_json(inner, value, name)
+    if is_dataclass(kind) and isinstance(value, Mapping):
+        prefix = f"{name}." if name else ""
+        unknown = sorted(prefix + key for key in value if key not in {f.name for f in fields(kind)})
+        if unknown:
+            raise ValueError(f"unknown field(s): {unknown}")
+        hints, values = get_type_hints(kind), {}
+        for f in fields(kind):
+            if f.name in value:
+                values[f.name] = from_json(hints[f.name], value[f.name], prefix + f.name)
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"field {prefix + f.name!r} is required")
+        try:
+            return kind(**values)
+        except ValueError as exc:
+            if name:
+                raise ValueError(f"{what}: {exc}") from exc
+            raise
+    if origin is tuple and isinstance(value, (list, tuple)):
+        return tuple(from_json(args[0], item, f"{name}[{i}]") for i, item in enumerate(value))
+    if origin is abc.Mapping and isinstance(value, Mapping):
+        return {key: from_json(args[1], item, f"{name}.{key}") for key, item in value.items()}
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    integral = number and (isinstance(value, int) or value.is_integer())
+    if kind in (bool, str) and isinstance(value, kind) or kind is float and number or kind is int and integral:
+        return kind(value)
+    raise ValueError(f"{what} has the wrong type: {value!r}, expected {_EXPECTED.get(origin or kind, 'an object')}")
+
+
+def to_json(value):
+    """The JSON form of ``value``, which :func:`from_json` reads back into its annotated type."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Mapping):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    return value

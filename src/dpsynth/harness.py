@@ -25,12 +25,13 @@ isolated re-run of one cell all produce identical numbers.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -40,9 +41,11 @@ from .data import (
     GroupedDataset,
     bmi_bins,
     build_table,
+    from_json,
     gaussian_unit_bins,
     load_csv,
     resolve_binning,
+    to_json,
 )
 from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
@@ -89,8 +92,8 @@ class Cell(NamedTuple):
 class GeneratorSpec:
     """Where original datasets come from and which column gets tested."""
 
-    kind: str
-    mode: str
+    kind: str = "gaussian"
+    mode: str = "null"
     variable: str | None = None
     csv_path: str | None = None
     copula: CopulaSpec | None = None
@@ -248,6 +251,10 @@ class ErrorRateReport:
     type1_context: bool | None = None
 
     def __post_init__(self):
+        if self.error_kind not in ("type1", "type2"):
+            raise ValueError(f"field 'error_kind' must be type1 or type2, got {self.error_kind!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"field 'epsilon' must be finite and positive, got {self.epsilon}")
         if not 0 <= self.rejections <= self.feasible_count <= self.repetitions:
             raise ValueError("need rejections <= feasible_count <= repetitions")
         if sum(self.failure_counts.values()) != self.repetitions - self.feasible_count:
@@ -262,9 +269,7 @@ class ErrorRateReport:
                 raise ValueError("error_rate inconsistent with rejections/feasible_count")
 
     def to_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["failure_counts"] = dict(self.failure_counts)
-        return payload
+        return to_json(self)
 
 
 def grid_cells(config: ExperimentConfig) -> list[Cell]:
@@ -476,84 +481,35 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
 def config_from_dict(payload: Mapping) -> ExperimentConfig:
     """Build a validated config from parsed JSON, naming the offending field.
 
-    Every :class:`ExperimentConfig` field except ``generator`` is cast to its
-    annotated type: a number field takes only JSON numbers, not booleans or
-    strings, and an integer field only integral ones; fields without a
-    default are required.
+    The generator's copula is given inline (``copula``), by the path of a
+    spec file (``copula_path``, ``"default"`` for the packaged spec, which
+    the copula generator also takes when given neither); :func:`from_json`
+    reads everything else against the dataclasses' annotations.
     """
     if not isinstance(payload, Mapping):
         raise ConfigError("experiment config must be a JSON object")
-    _reject_unknown(payload, ExperimentConfig, "")
     gen = payload.get("generator")
-    if not isinstance(gen, Mapping):
-        raise ConfigError("field 'generator' must be an object")
-    _reject_unknown(gen, GeneratorSpec, "generator.", extra={"copula_path"})
-    copula = _load_copula(gen) if gen.get("kind") == "copula" or {"copula", "copula_path"} & set(gen) else None
-    spec = {"kind": "gaussian", "mode": "null", **gen, "copula": copula}
-    spec.pop("copula_path", None)
     try:
-        generator = GeneratorSpec(**spec)
+        if isinstance(gen, Mapping) and ("copula_path" in gen or gen.get("kind") == "copula" and "copula" not in gen):
+            if "copula" in gen:
+                raise ValueError("fields 'generator.copula' and 'generator.copula_path' exclude each other")
+            source = from_json(str, gen.get("copula_path", "default"), "generator.copula_path")
+            try:
+                spec = default_prostate_spec() if source == "default" else load_copula_spec(source)
+            except (OSError, ValueError) as exc:
+                raise ValueError(f"field 'generator.copula_path': {exc}") from exc
+            generator = {key: value for key, value in gen.items() if key != "copula_path"}
+            payload = {**payload, "generator": {**generator, "copula": to_json(spec)}}
+        return from_json(ExperimentConfig, payload)
     except KeyError as exc:
         raise ConfigError(f"field 'generator.variable': unknown variable {exc}") from exc
-    hints = get_type_hints(ExperimentConfig)
-    values = {}
-    for f in fields(ExperimentConfig)[1:]:
-        if f.name not in payload:
-            if f.default is MISSING:
-                raise ConfigError(f"field {f.name!r} is required")
-            continue
-        kind = hints[f.name]
-        try:
-            if get_origin(kind) is tuple:
-                values[f.name] = tuple(_cast(get_args(kind)[0], v) for v in payload[f.name])
-            else:
-                values[f.name] = _cast(kind, payload[f.name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"field {f.name!r} is malformed: {exc}") from exc
-    return ExperimentConfig(generator=generator, **values)
-
-
-def _cast(kind: type, value):
-    """``kind(value)``; a number field takes only a number, and an integer field only an integral one.
-
-    A boolean or a string is not a number here, although ``float()`` accepts both.
-    """
-    if kind is not str and (isinstance(value, bool) or not isinstance(value, (int, float))):
-        raise ValueError(f"expected a number, got {value!r}")
-    if kind is int and value != int(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return kind(value)
-
-
-def _reject_unknown(payload: Mapping, cls, prefix: str, extra=frozenset()) -> None:
-    unknown = set(payload) - {f.name for f in fields(cls)} - set(extra)
-    if unknown:
-        raise ConfigError(f"unknown config field(s): {sorted(prefix + name for name in unknown)}")
-
-
-def _load_copula(gen: Mapping) -> CopulaSpec:
-    """The copula spec given inline (``copula``), by path (``copula_path``), or the default."""
-    if "copula" in gen and "copula_path" in gen:
-        raise ConfigError("fields 'generator.copula' and 'generator.copula_path' exclude each other")
-    name = "copula" if "copula" in gen else "copula_path"
-    try:
-        if name == "copula":
-            return CopulaSpec.from_dict(gen["copula"])
-        source = gen.get("copula_path", "default")
-        return default_prostate_spec() if source in (None, "default") else load_copula_spec(source)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"field 'generator.{name}': {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """The JSON form of a config, which :func:`config_from_dict` reads back."""
-    gen = config.generator
-    generator = {f.name: getattr(gen, f.name) for f in fields(gen) if f.name != "copula"}
-    if gen.kind == "copula":
-        generator["copula"] = gen.copula.to_dict()
-    payload = {f.name: getattr(config, f.name) for f in fields(config)}
-    payload["generator"] = generator
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in payload.items()}
+    """The JSON form of a config, with its copula spec inline, which :func:`config_from_dict` reads back."""
+    return to_json(config)
 
 
 def load_configs(path, seed: int | None = None) -> tuple[ExperimentConfig, ...]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import abc
 from pathlib import Path
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence
 
+from .data import from_json
 from .harness import ErrorRateReport
 
 __all__ = ["emit_report", "load_reports_json", "render_figure"]
@@ -95,8 +95,8 @@ def load_reports_json(path) -> tuple[list[ErrorRateReport], float]:
     """Read back a reports.json file for re-rendering.
 
     A payload that is not an object, that holds no ``reports`` list or a
-    non-numeric ``alpha``, or an entry with unknown, missing, mistyped or
-    inconsistent fields raises ``ValueError`` naming the report and field.
+    non-numeric ``alpha``, or an entry that :func:`from_json` cannot read as
+    an :class:`ErrorRateReport` raises ``ValueError`` naming the report and field.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -104,29 +104,15 @@ def load_reports_json(path) -> tuple[list[ErrorRateReport], float]:
     if not isinstance(payload.get("reports"), list):
         raise ValueError(f"{path}: expected a 'reports' list")
     alpha = payload.get("alpha", 0.05)
-    if not _has_type(alpha, float):
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"{path}: field 'alpha' must be a number, got {alpha!r}")
-    hints = get_type_hints(ErrorRateReport)
     reports = []
     for number, entry in enumerate(payload["reports"], start=1):
         try:
-            for name, value in dict(entry).items():
-                if name in hints and not _has_type(value, hints[name]):
-                    raise ValueError(f"field {name!r} has the wrong type: {value!r}")
-            reports.append(ErrorRateReport(**entry))
-        except (TypeError, ValueError) as exc:
+            reports.append(from_json(ErrorRateReport, entry))
+        except ValueError as exc:
             raise ValueError(f"{path}: report {number}: {exc}") from None
     return reports, float(alpha)
-
-
-def _has_type(value, kind) -> bool:
-    """Whether a parsed JSON value has the annotated type ``kind``; a bool is no number here."""
-    args = get_args(kind)
-    if get_origin(kind) is abc.Mapping:
-        return isinstance(value, dict) and all(_has_type(v, args[1]) for v in value.values())
-    if args:  # a union such as ``int | None``
-        return any(_has_type(value, arg) for arg in args)
-    return isinstance(value, (int, float) if kind is float else kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _grouped(reports: Sequence[ErrorRateReport]) -> dict:

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
 
-from .data import BinningSpec, CountTable, GroupedDataset, resolve_binning
+from .data import BinningSpec, CountTable, GroupedDataset, from_json, resolve_binning, to_json
 from .rng import RandomSource
 
 __all__ = [
@@ -110,30 +110,42 @@ def subsample_table(table: CountTable, n: int, rng: RandomSource, size: int | No
 
 @dataclass(frozen=True)
 class MarginalSpec:
-    """One marginal distribution: normal, scaled beta, bernoulli, or ordinal."""
+    """One marginal distribution: normal, scaled beta, bernoulli, or ordinal.
+
+    ``params`` holds exactly the parameters of its kind (``_PARAMS``), each
+    a finite number, except ordinal's ``probs``, a list of numbers.
+    """
 
     kind: str
     params: Mapping[str, object]
 
-    _KINDS = ("normal", "beta", "bernoulli", "ordinal")
+    _PARAMS = {"normal": ("mu", "sigma"), "beta": ("a", "b", "lo", "hi"), "bernoulli": ("p",), "ordinal": ("probs",)}
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in self._PARAMS:
             raise ValueError(f"unknown marginal kind {self.kind!r}")
-        p = dict(self.params)
+        names = self._PARAMS[self.kind]
+        if set(self.params) != set(names):
+            raise ValueError(f"{self.kind} marginal takes the parameters {list(names)}, got {sorted(self.params)}")
+        p = {
+            key: from_json(tuple[float, ...] if key == "probs" else float, self.params[key], f"params.{key}")
+            for key in names
+        }
+        if not np.all(np.isfinite(np.hstack(list(p.values())))):
+            raise ValueError(f"{self.kind} marginal parameters must be finite, got {p}")
         if self.kind == "normal":
-            if not (p.get("sigma", 0) > 0):
+            if not p["sigma"] > 0:
                 raise ValueError("normal marginal needs sigma > 0")
         elif self.kind == "beta":
-            if not (p.get("a", 0) > 0 and p.get("b", 0) > 0):
+            if not (p["a"] > 0 and p["b"] > 0):
                 raise ValueError("beta marginal needs a, b > 0")
-            if not p.get("lo", 0) < p.get("hi", 0):
+            if not p["lo"] < p["hi"]:
                 raise ValueError("beta marginal needs lo < hi")
         elif self.kind == "bernoulli":
-            if not 0 < p.get("p", -1) < 1:
+            if not 0 < p["p"] < 1:
                 raise ValueError("bernoulli marginal needs p in (0, 1)")
         else:
-            probs = np.asarray(p.get("probs", ()), dtype=float)
+            probs = np.asarray(p["probs"])
             if probs.size < 2 or np.any(probs <= 0) or abs(probs.sum() - 1.0) > 1e-9:
                 raise ValueError("ordinal marginal needs >= 2 positive probs summing to 1")
         object.__setattr__(self, "params", p)
@@ -167,7 +179,7 @@ class VariableSpec:
 
     name: str
     marginal: MarginalSpec
-    bins: Mapping[str, float] | None = None
+    bins: object = None  # any JSON value, so that the check below names the variable
 
     def __post_init__(self):
         if self.marginal.is_continuous:
@@ -233,40 +245,10 @@ class CopulaSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "CopulaSpec":
-        try:
-            variables = tuple(
-                VariableSpec(
-                    v["name"],
-                    MarginalSpec(v["marginal"]["kind"], v["marginal"].get("params", {})),
-                    v.get("bins"),
-                )
-                for v in payload["variables"]
-            )
-            correlation = np.asarray(payload["correlation"], dtype=float)
-            class_effect = {
-                name: MarginalSpec(m["kind"], m.get("params", {}))
-                for name, m in payload.get("class_effect", {}).items()
-            }
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed copula spec: {exc}") from exc
-        return cls(variables, correlation, class_effect)
+        return from_json(cls, payload)
 
     def to_dict(self) -> dict:
-        return {
-            "variables": [
-                {
-                    "name": v.name,
-                    "marginal": {"kind": v.marginal.kind, "params": dict(v.marginal.params)},
-                    **({"bins": dict(v.bins)} if v.bins else {}),
-                }
-                for v in self.variables
-            ],
-            "correlation": [list(row) for row in self.correlation],
-            "class_effect": {
-                name: {"kind": m.kind, "params": dict(m.params)}
-                for name, m in self.class_effect.items()
-            },
-        }
+        return to_json(self)
 
 
 def _latent_uniforms(spec: CopulaSpec, n: int, rng: RandomSource) -> np.ndarray:
@@ -313,7 +295,4 @@ def load_copula_spec(path) -> CopulaSpec:
 
 def default_prostate_spec() -> CopulaSpec:
     """The packaged prostate-like configuration (plausible defaults, not fitted)."""
-    payload = json.loads(
-        resources.files("dpsynth").joinpath("configs/prostate_like.json").read_text()
-    )
-    return CopulaSpec.from_dict(payload)
+    return CopulaSpec.from_dict(json.loads(resources.files("dpsynth").joinpath("configs/prostate_like.json").read_text()))

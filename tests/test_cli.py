@@ -10,6 +10,7 @@ from dpsynth.cli import main
 from dpsynth.data import GroupedDataset, save_grouped_csv
 from dpsynth.harness import load_configs, run_grid
 from dpsynth.report import emit_report
+from dpsynth.simgen import default_prostate_spec
 
 # One report as ``reports.json`` holds it; the malformed cases break one field of it.
 VALID_REPORT = {
@@ -36,6 +37,13 @@ def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
     save_grouped_csv(data, path)
     return path
+
+
+def copula_with(edit) -> dict:
+    """The packaged copula spec's JSON form after ``edit`` changed it in place."""
+    copula = default_prostate_spec().to_dict()
+    edit(copula)
+    return copula
 
 
 @pytest.fixture()
@@ -320,18 +328,65 @@ class TestExperimentCommand:
         assert not (out / "reports.json").exists() and not (out / "reports.csv").exists()
 
     @pytest.mark.parametrize(
+        "generator, named",
+        [
+            ({"kind": "csv", "csv_path": 5}, r"field 'generator\.csv_path' has the wrong type: 5"),
+            ({"kind": "copula", "copula_path": 5}, r"field 'generator\.copula_path' has the wrong type: 5"),
+            ({"kind": "copula", "variable": 5}, r"field 'generator\.variable' has the wrong type: 5"),
+            (
+                {"kind": "copula", "mode": "signal", "copula": copula_with(lambda c: c["variables"][0]["marginal"]["params"].update(mu="x"))},
+                r"'generator\.copula\.variables\[0\]\.marginal'.*'params\.mu'.*'x'",
+            ),
+            (
+                {"kind": "copula", "copula": copula_with(lambda c: c["variables"][0]["marginal"]["params"].pop("mu"))},
+                r"'generator\.copula\.variables\[0\]\.marginal'.*\['mu', 'sigma'\], got \['sigma'\]",
+            ),
+            (
+                {"kind": "copula", "mode": "signal", "copula": copula_with(lambda c: c.update(class_efect=c.pop("class_effect")))},
+                r"unknown field\(s\): \['generator\.copula\.class_efect'\]",
+            ),
+        ],
+        ids=["csv-path", "copula-path", "variable", "string-mu", "missing-mu", "misspelt-class-effect"],
+    )
+    def test_malformed_generator_named_at_load(self, tmp_path, capsys, generator, named):
+        payload = {"generator": generator, "synthesizer": "none", "epsilons": [1.0], "original_sizes": [50]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        printed, err = capsys.readouterr()
+        assert re.search(named, err)
+        assert printed == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "payload, named",
         [
-            ({"reports": [{"foo": 1}]}, "report 1: .*unexpected keyword argument 'foo'"),
+            ({"reports": [{"foo": 1}]}, r"report 1: .*unknown field\(s\): \['foo'\]"),
             ([{"method": "none"}], "expected a JSON object, got list"),
             ({"alpha": 0.05}, "expected a 'reports' list"),
-            ({"reports": [{"method": "none"}]}, "report 1: .*missing 10 required .*'test'"),
+            ({"reports": [{"method": "none"}]}, "report 1: .*field 'test' is required"),
             ({"alpha": None, "reports": [VALID_REPORT]}, "field 'alpha' must be a number, got None"),
             ({"alpha": [1], "reports": [VALID_REPORT]}, r"field 'alpha' must be a number, got \[1\]"),
             ({"reports": [{**VALID_REPORT, "epsilon": "1"}]}, "report 1: field 'epsilon' has the wrong type: '1'"),
             ({"reports": [VALID_REPORT, {**VALID_REPORT, "failure_counts": []}]}, "report 2: field 'failure_counts'"),
+            ({"reports": [VALID_REPORT, {**VALID_REPORT, "epsilon": 0.0}]}, "report 2: field 'epsilon' must be finite and positive"),
+            ({"reports": [{**VALID_REPORT, "epsilon": -1.0}]}, "report 1: field 'epsilon' must be finite and positive"),
+            ({"reports": [{**VALID_REPORT, "error_kind": "type3"}]}, "report 1: field 'error_kind' must be type1 or type2"),
         ],
-        ids=["unknown-field", "top-level-array", "no-reports", "missing-fields", "null-alpha", "list-alpha", "string-epsilon", "list-failure-counts"],
+        ids=[
+            "unknown-field",
+            "top-level-array",
+            "no-reports",
+            "missing-fields",
+            "null-alpha",
+            "list-alpha",
+            "string-epsilon",
+            "list-failure-counts",
+            "zero-epsilon",
+            "negative-epsilon",
+            "unknown-error-kind",
+        ],
     )
     def test_malformed_reports_json_is_data_error(self, tmp_path, capsys, payload, named):
         path = tmp_path / "reports.json"
@@ -340,6 +395,7 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert re.search(named, err)
+        assert not (tmp_path / "re").exists()
 
     @pytest.mark.parametrize(
         "command, seed",
@@ -357,11 +413,13 @@ class TestExperimentCommand:
         out = tmp_path / "run"
         assert main(["experiment", "--config", str(experiment_config), "--out", str(out)]) == 0
         re_out = tmp_path / "re"
-        code = main(
-            ["report", "--reports", str(out / "reports.json"), "--formats", "csv,svg", "--out", str(re_out)]
-        )
+        code = main(["report", "--reports", str(out / "reports.json"), "--out", str(re_out)])
         assert code == 0
-        assert (re_out / "reports.csv").read_bytes() == (out / "reports.csv").read_bytes()
+        written = sorted(path.name for path in out.iterdir())
+        assert sorted(path.name for path in re_out.iterdir()) == written
+        assert any(name.endswith(".svg") for name in written)
+        for name in written:
+            assert (re_out / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestExperimentList:

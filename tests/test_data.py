@@ -1,6 +1,9 @@
 """Binning, count tables, and CSV ingestion."""
 
+import json
 from collections import Counter
+from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from dpsynth.data import (
     bmi_bins,
     build_table,
     discretize,
+    from_json,
     gaussian_unit_bins,
     load_csv,
     psa_bins,
     resolve_binning,
     samples_from_counts,
     save_grouped_csv,
+    to_json,
     uniform_bins,
 )
 
@@ -294,6 +299,7 @@ class TestResolveBinning:
             {"count": 4, "lo": 40, "hi": "2"},
             {"count": float("inf"), "lo": 40, "hi": 60},
             {"count": 4, "lo": 60, "hi": 40},
+            {"count": 4, "lo": 0, "hi": 8, "cuont": 40},
         ],
     )
     def test_bad_binning_rejected(self, bad):
@@ -415,3 +421,81 @@ class TestBuildTable:
         for axis, (name, enc) in enumerate(axes, start=1):
             if enc is None:
                 assert np.array_equal(table.levels[axis], np.unique(data.column(name)))
+
+
+@dataclass(frozen=True)
+class Holder:
+    """A dataclass with a field of every annotation that the reader knows."""
+
+    spec: BinningSpec
+    count: int
+    weights: Mapping[str, float] = field(default_factory=dict)
+    label: str | None = None
+    flags: tuple[bool, ...] = ()
+    extra: object = None
+
+
+class TestFromJson:
+    @pytest.mark.parametrize(
+        "kind, value, expected",
+        [
+            (float, 2, 2.0),
+            (float, float("inf"), float("inf")),
+            (int, 3.0, 3),
+            (int, 2**70, 2**70),
+            (bool, False, False),
+            (str, "a", "a"),
+            (str | None, None, None),
+            (tuple[int, ...], [1, 2.0], (1, 2)),
+            (Mapping[str, float], {"a": 1}, {"a": 1.0}),
+            (object, {"any": [1]}, {"any": [1]}),
+        ],
+    )
+    def test_reads_its_annotated_type(self, kind, value, expected):
+        read = from_json(kind, value)
+        assert read == expected
+        assert type(read) is type(expected)
+
+    @pytest.mark.parametrize(
+        "kind, value, expected",
+        [
+            (float, True, "a number"),
+            (float, "1.5", "a number"),
+            (int, 2.5, "an integer"),
+            (int, float("inf"), "an integer"),
+            (int, float("nan"), "an integer"),
+            (int, True, "an integer"),
+            (bool, 1, "true or false"),
+            (str, 5, "a string"),
+            (tuple[float, ...], "1", "an array"),
+            (Mapping[str, int], [], "an object"),
+            (BinningSpec, [0, 1, 2], "an object"),
+        ],
+    )
+    def test_refuses_another_type(self, kind, value, expected):
+        with pytest.raises(ValueError, match=f"field 'x' has the wrong type: .*, expected {expected}$"):
+            from_json(kind, value, "x")
+
+    def test_nested_errors_name_their_path(self):
+        good = {"spec": {"edges": [0, 1, 2]}, "count": 1}
+        cases = [
+            ({**good, "weights": {"a": "1"}}, "field 'weights.a' has the wrong type"),
+            ({**good, "flags": [True, 0]}, r"field 'flags\[1\]' has the wrong type"),
+            ({**good, "spec": {"edges": [0, 2, 1]}}, "^field 'spec': bin edges must be strictly increasing$"),
+            ({**good, "spec": {"edges": [0, 1, 2], "bins": 2}}, r"^unknown field\(s\): \['spec.bins'\]$"),
+            ({"spec": {}, "count": 1}, "^field 'spec.edges' is required$"),
+            ({"spec": good["spec"]}, "^field 'count' is required$"),
+        ]
+        for value, named in cases:
+            with pytest.raises(ValueError, match=named):
+                from_json(Holder, value)
+
+    def test_top_level_check_is_not_prefixed(self):
+        with pytest.raises(ValueError, match="^bin edges must be strictly increasing$"):
+            from_json(BinningSpec, {"edges": [0, 2, 1]})
+
+    def test_to_json_reads_back(self):
+        holder = Holder(BinningSpec((0.0, 1.0, 2.0)), 3, {"a": 0.5}, "x", (True, False), {"k": [1, 2]})
+        text = json.dumps(to_json(holder))
+        assert from_json(Holder, json.loads(text)) == holder
+        assert json.loads(text)["spec"] == {"edges": [0.0, 1.0, 2.0]}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dpsynth.data import GroupedDataset, IngestionError, build_table, save_grouped_csv
+from dpsynth.data import GroupedDataset, IngestionError, build_table, from_json, save_grouped_csv, to_json
 from dpsynth.harness import (
     Cell,
     ConfigError,
@@ -95,6 +95,9 @@ class TestConfigValidation:
             ("generator.binning", {"count": 10, "lo": True, "hi": 60}),
             ("generator.binning", {"count": 10, "lo": 40, "hi": "2"}),
             ("generator.binning", {"count": 10, "lo": 60, "hi": 40}),
+            ("generator.csv_path", 5),
+            ("generator.copula_path", 5),
+            ("generator.variable", 5),
         ],
         ids=lambda v: str(v).replace(" ", ""),
     )
@@ -248,7 +251,7 @@ class TestConfigValidation:
             "epsilons": [1.0],
             "original_sizes": [50],
         }
-        with pytest.raises(ConfigError, match=r"'generator.copula'.*'age'.*integer"):
+        with pytest.raises(ConfigError, match=r"'generator\.copula\.variables\[0\]'.*'age'.*integer"):
             config_from_dict(payload)
 
     def test_copula_fields_rejected_for_other_generators(self):
@@ -314,6 +317,45 @@ class TestExperimentList:
             load_config(path)
 
 
+WORKLOADS = sorted((Path(__file__).resolve().parent.parent / "perfbench" / "workloads").glob("*/*.json"))
+
+
+def round_trips(value) -> bool:
+    """Whether ``value`` reads back equal from the JSON text of its JSON form."""
+    return from_json(type(value), json.loads(json.dumps(to_json(value)))) == value
+
+
+class TestJsonRoundTrip:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(config, id=f"{path.parent.name}/{path.stem}-{number}")
+            for path in [*SHIPPED_CONFIGS, *WORKLOADS]
+            for number, config in enumerate(load_configs(path), start=1)
+        ],
+    )
+    def test_config(self, config):
+        assert round_trips(config)
+
+    def test_packaged_copula_spec(self):
+        assert round_trips(default_prostate_spec())
+
+    def test_reports_of_a_small_grid(self):
+        configs = [
+            gaussian_config(repetitions=4),
+            gaussian_config(
+                generator=GeneratorSpec(mode="signal"),
+                synthesizer="smoothed",
+                original_sizes=(100,),
+                synthetic_sizes=(2, 50),
+                repetitions=4,
+            ),
+        ]
+        reports = [report for config in configs for report in run_grid(config)]
+        assert any(r.failure_counts for r in reports) and any(r.n_synthetic for r in reports)
+        assert all(round_trips(report) for report in reports)
+
+
 class TestErrorRateReport:
     def base(self, **overrides):
         fields = dict(
@@ -352,6 +394,15 @@ class TestErrorRateReport:
     def test_rejections_bounded_by_feasible(self):
         with pytest.raises(ValueError):
             self.base(rejections=11)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("inf"), float("nan")])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="field 'epsilon' must be finite and positive"):
+            self.base(epsilon=epsilon)
+
+    def test_error_kind_must_be_type1_or_type2(self):
+        with pytest.raises(ValueError, match="field 'error_kind'"):
+            self.base(error_kind="type3")
 
 
 class TestGrid:

@@ -33,16 +33,16 @@ def test_every_export_exists(name):
 NOISE_SAMPLERS = {"discrete_laplace_sample", "gumbel", "laplace", "exponential"}
 
 
-def noise_calls(tree: ast.AST, scope: tuple[str, ...] = ()):
-    """(enclosing class and function names, call) for every call of a noise sampler."""
+def calls_of(names: set[str], tree: ast.AST, scope: tuple[str, ...] = ()):
+    """(enclosing class and function names, call) for every call of a function named in ``names``."""
     for node in ast.iter_child_nodes(tree):
         inner = scope + (node.name,) if isinstance(node, (ast.ClassDef, ast.FunctionDef)) else scope
         if isinstance(node, ast.Call):
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in NOISE_SAMPLERS:
+            if name in names:
                 yield scope, node
-        yield from noise_calls(node, inner)
+        yield from calls_of(names, node, inner)
 
 
 def test_only_the_budget_ledger_draws_noise():
@@ -50,7 +50,7 @@ def test_only_the_budget_ledger_draws_noise():
     # and DP-MW's simulated null is re-noised at the scale of its 2U entry.
     allowed, stray = [], []
     for path in sorted(Path(dpsynth.__file__).parent.glob("*.py")):
-        for scope, call in noise_calls(ast.parse(path.read_text(encoding="utf-8"))):
+        for scope, call in calls_of(NOISE_SAMPLERS, ast.parse(path.read_text(encoding="utf-8"))):
             where = (path.name, *scope)
             if where == ("rng.py", "discrete_laplace_sample"):
                 continue  # the sampler's own definition
@@ -89,3 +89,22 @@ def test_harness_calls_a_synthesizer_in_one_place():
     defined |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
     assert defined & {"_repetition", "_tally", "_merge", "Tally"} == set()
     assert [path.name for path in sorted(package.glob("*.py")) if "BATCHED" in path.read_text(encoding="utf-8")] == []
+
+
+# The hand-written readers that :func:`dpsynth.data.from_json` replaced.
+RETIRED_READERS = {"_cast", "_has_type", "_reject_unknown", "_load_copula"}
+
+
+def test_one_json_reader():
+    # Only ``data.from_json`` reads annotations, and no hand-written reader is defined again.
+    hint_calls, retired = [], []
+    for path in sorted(Path(dpsynth.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        hint_calls += [(path.name, *scope) for scope, _ in calls_of({"get_type_hints"}, tree)]
+        retired += [
+            (path.name, node.name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in RETIRED_READERS
+        ]
+    assert retired == []
+    assert hint_calls == [("data.py", "from_json")]

@@ -184,9 +184,10 @@ class TestCopulaSpecValidation:
             {"count": 10, "lo": 95, "hi": 30},
             {"count": 10, "lo": "30", "hi": 95},
             {"count": 10, "hi": 95},
+            {"count": 10, "lo": 30, "hi": 95, "cuont": 12},
             "psa40",
         ],
-        ids=["fractional", "one", "reversed", "string", "missing", "named"],
+        ids=["fractional", "one", "reversed", "string", "missing", "misspelt", "named"],
     )
     def test_bad_bins_named_at_load(self, bins):
         payload = default_prostate_spec().to_dict()
@@ -215,6 +216,50 @@ class TestCopulaSpecValidation:
     def test_ordinal_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):
             MarginalSpec("ordinal", {"probs": [0.5, 0.6]})
+
+    def test_misspelt_class_effect_named_at_load(self):
+        payload = default_prostate_spec().to_dict()
+        payload["class_efect"] = payload.pop("class_effect")
+        with pytest.raises(ValueError, match=r"unknown field\(s\): \['class_efect'\]"):
+            CopulaSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda params: params.pop("mu"), r"'variables\[0\]\.marginal'.*\['mu', 'sigma'\], got \['sigma'\]"),
+            (lambda params: params.update(mu="x"), r"'variables\[0\]\.marginal'.*'params\.mu' has the wrong type: 'x'"),
+            (lambda params: params.update(mu=True), r"'variables\[0\]\.marginal'.*'params\.mu' has the wrong type: True"),
+            (lambda params: params.update(mu=float("nan")), r"'variables\[0\]\.marginal'.*must be finite"),
+            (lambda params: params.update(median=66.0), r"'variables\[0\]\.marginal'.*got \['median', 'mu', 'sigma'\]"),
+        ],
+        ids=["missing", "string", "bool", "nan", "unknown"],
+    )
+    def test_bad_marginal_parameter_named_at_load(self, edit, named):
+        payload = default_prostate_spec().to_dict()
+        edit(payload["variables"][0]["marginal"]["params"])
+        with pytest.raises(ValueError, match=named):
+            CopulaSpec.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("beta", {"a": 2.0, "b": 5.0, "lo": 0.0}),
+            ("bernoulli", {"p": "0.3"}),
+            ("ordinal", {"probs": 0.5}),
+            ("ordinal", {"probs": [0.5, "0.5"]}),
+            ("normal", {"mu": 0.0, "sigma": 1.0, "p": 0.5}),
+        ],
+        ids=["beta-missing-hi", "bernoulli-string", "ordinal-scalar", "ordinal-string", "normal-extra"],
+    )
+    def test_each_kind_takes_exactly_its_numeric_parameters(self, kind, params):
+        with pytest.raises(ValueError, match=f"{kind} marginal takes|params"):
+            MarginalSpec(kind, params)
+
+    def test_class_effect_marginal_named_by_variable(self):
+        payload = default_prostate_spec().to_dict()
+        del payload["class_effect"]["psa"]["params"]["hi"]
+        with pytest.raises(ValueError, match=r"'class_effect\.psa'.*beta marginal"):
+            CopulaSpec.from_dict(payload)
 
 
 class TestCopulaSampling:
