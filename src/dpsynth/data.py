@@ -373,6 +373,9 @@ def build_table(
 
 # What a value of each annotated type must be, for the message naming one of the wrong type.
 _EXPECTED = {bool: "true or false", str: "a string", int: "an integer", float: "a number", tuple: "an array"}
+# Each dataclass's resolved field annotations; resolving them anew took 40 %
+# of the time to read a copula spec.
+_HINTS: dict[type, dict] = {}
 
 
 def from_json(kind, value, name: str = ""):
@@ -380,7 +383,8 @@ def from_json(kind, value, name: str = ""):
 
     A dataclass reads an object of only its fields, those without a default
     required, and a ``ValueError`` of its own checks is prefixed with its
-    path. A ``float`` takes a JSON number, never a boolean or a string, and
+    path; an instance of it, which a caller has read already, is kept. A
+    ``float`` takes a JSON number, never a boolean or a string, and
     an ``int`` an integral one. ``tuple[X, ...]`` reads an array,
     ``Mapping[str, X]`` an object, ``X | None`` null or an X, and ``object``
     any value. Every error is a ``ValueError`` naming the field.
@@ -392,12 +396,16 @@ def from_json(kind, value, name: str = ""):
     if origin in (Union, UnionType):
         (inner,) = set(args) - {type(None)}
         return from_json(inner, value, name)
+    if is_dataclass(kind) and isinstance(value, kind):
+        return value
     if is_dataclass(kind) and isinstance(value, Mapping):
         prefix = f"{name}." if name else ""
         unknown = sorted(prefix + key for key in value if key not in {f.name for f in fields(kind)})
         if unknown:
             raise ValueError(f"unknown field(s): {unknown}")
-        hints, values = get_type_hints(kind), {}
+        if kind not in _HINTS:
+            _HINTS[kind] = get_type_hints(kind)
+        hints, values = _HINTS[kind], {}
         for f in fields(kind):
             if f.name in value:
                 values[f.name] = from_json(hints[f.name], value[f.name], prefix + f.name)

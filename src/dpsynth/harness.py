@@ -73,8 +73,9 @@ __all__ = [
 # the DP Mann-Whitney test on the original data.
 METHODS = ("none", *SYNTHESIZERS, "dp_mw_baseline")
 
-# Repetitions per block, whatever the worker count. A marginal IPF fit takes
-# about a second, so its cells run one per block and still split over workers.
+# Repetitions per block, whatever the worker count. A marginal fit of the
+# 24 000-cell copula joint takes up to about half a second, so its cells run
+# one per block and still split over workers.
 BLOCK = {"none": 1, "perturbed": 50, "smoothed": 50, "mwem": 50, "marginal_ipf": 1, "dp_mw_baseline": 1}
 
 
@@ -483,8 +484,9 @@ def config_from_dict(payload: Mapping) -> ExperimentConfig:
 
     The generator's copula is given inline (``copula``), by the path of a
     spec file (``copula_path``, ``"default"`` for the packaged spec, which
-    the copula generator also takes when given neither); :func:`from_json`
-    reads everything else against the dataclasses' annotations.
+    the copula generator also takes when given neither), which is read once
+    and handed on as read; :func:`from_json` reads everything else against
+    the dataclasses' annotations.
     """
     if not isinstance(payload, Mapping):
         raise ConfigError("experiment config must be a JSON object")
@@ -499,7 +501,7 @@ def config_from_dict(payload: Mapping) -> ExperimentConfig:
             except (OSError, ValueError) as exc:
                 raise ValueError(f"field 'generator.copula_path': {exc}") from exc
             generator = {key: value for key, value in gen.items() if key != "copula_path"}
-            payload = {**payload, "generator": {**generator, "copula": to_json(spec)}}
+            payload = {**payload, "generator": {**generator, "copula": spec}}
         return from_json(ExperimentConfig, payload)
     except KeyError as exc:
         raise ConfigError(f"field 'generator.variable': unknown variable {exc}") from exc

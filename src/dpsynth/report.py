@@ -94,9 +94,10 @@ def emit_report(
 def load_reports_json(path) -> tuple[list[ErrorRateReport], float]:
     """Read back a reports.json file for re-rendering.
 
-    A payload that is not an object, that holds no ``reports`` list or a
-    non-numeric ``alpha``, or an entry that :func:`from_json` cannot read as
-    an :class:`ErrorRateReport` raises ``ValueError`` naming the report and field.
+    A payload that is not an object, that holds no ``reports`` list or an
+    ``alpha`` that is not a number in (0, 1), as ``ExperimentConfig``
+    requires, or an entry that :func:`from_json` cannot read as an
+    :class:`ErrorRateReport` raises ``ValueError`` naming the report and field.
     """
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
@@ -106,6 +107,8 @@ def load_reports_json(path) -> tuple[list[ErrorRateReport], float]:
     alpha = payload.get("alpha", 0.05)
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"{path}: field 'alpha' must be a number, got {alpha!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"{path}: field 'alpha' must be in (0, 1), got {alpha}")
     reports = []
     for number, entry in enumerate(payload["reports"], start=1):
         try:

@@ -11,7 +11,12 @@ Four mechanisms are provided:
   measured with discrete Laplace noise; after each one the distribution is
   refitted to all the measurements in closed form.
 * ``marginal_ipf`` - noisy one-way/two-way marginal release reconciled into
-  a joint distribution by iterative proportional fitting.
+  a joint distribution: the joint whose marginals are the least-squares fit
+  of the noisy ones over the reachable marginals (Private-PGM's estimate),
+  found exactly by Wolfe's min-norm-point algorithm. The joint is not the
+  maximum-entropy one with those marginals; no report's law depends on
+  which joint it is, as a report reads a release only through its (group,
+  tested variable) marginal, which is one of the measured ones.
 
 Every mechanism reads a :class:`~dpsynth.data.CountTable` and releases
 synthetic counts over the same cells, a table of the same axes and levels
@@ -286,35 +291,172 @@ def _marginal(joint: np.ndarray, axes: tuple[int, ...], size: int) -> np.ndarray
     return np.moveaxis(joint, axes, range(len(axes))).reshape(size, -1).sum(axis=1)
 
 
+# A fit whose duality gap is still open after this many major iterations per
+# measured marginal cell raises rather than return an unconverged joint.
+_MAJOR_CAP_PER_CELL = 10
+# The stop rule's duality gap, relative to the scale of the targets.
+_GAP_TOLERANCE = 1e-12
+
+
+def _nearest_marginal_joint(domains, marginals, y) -> tuple[np.ndarray, np.ndarray]:
+    """The joint over ``domains`` whose ``marginals`` are nearest ``y`` in L2, by Wolfe's algorithm.
+
+    ``y`` holds the target of each marginal, flattened and concatenated in
+    the order of ``marginals``. M is the matrix whose column for each cell
+    indicates that cell's entry in every marginal, so the reachable
+    marginals are the polytope of the vectors M p, p a distribution over the
+    cells. Wolfe's min-norm-point algorithm (Math. Programming 11, 1976)
+    keeps a corral, an affinely independent set of cells with positive
+    weights whose marginals mu = M p are the point of the corral's affine
+    hull nearest y. Each major iteration adds the cell of least score
+    M^T (mu - y); each minor one steps toward the enlarged hull's nearest
+    point and drops the cells whose weight reaches zero. The start is the
+    cell nearest y, the lowest flat index on a tie. The fit stops at a
+    duality gap ``(mu - y) . mu - min M^T (mu - y)`` of at most 1e-12 times
+    the targets' scale (their largest absolute entry, at least 1), where mu
+    is the projection mu* of y onto the polytope. A gap still open after
+    ``_MAJOR_CAP_PER_CELL`` times ``y.size`` major iterations raises.
+
+    Returns the joint, the corral's weights on their cells and zero
+    elsewhere, and its marginals mu. The affine steps solve the bordered
+    system [[0, 1^T], [1, A]] [rho; weights] = [1; M^T y] over the corral,
+    where A counts the marginals on which two cells agree. Its inverse is
+    bordered and cut one cell at a time and applied by numpy's own sums, as
+    a fit must replay on any machine: LAPACK's solve splits its sums by BLAS
+    thread count, and its bytes differ under 1 and 2 threads from 99
+    unknowns up. A cell's scores are the sum of its entries in each
+    marginal, so no cells-by-marginals matrix is built.
+    """
+    ndim, k = len(domains), len(marginals)
+    shapes = [tuple(d if j in axes else 1 for j, d in enumerate(domains)) for axes in marginals]
+    bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    # The cell at coordinates c has the entry bounds[m] + strides[m] @ c in marginal m.
+    strides = np.array(
+        [[math.prod(shape[j + 1 :]) * (j in axes) for j in range(ndim)] for axes, shape in zip(marginals, shapes)]
+    )
+    # Each marginal's slice of y, in its broadcast shape up to its last axis, by that axis.
+    stages = [[] for _ in range(ndim)]
+    for lo, hi, axes, shape in zip(bounds[:-1], bounds[1:], marginals, shapes):
+        stages[axes[-1]].append((lo, hi, shape[: axes[-1] + 1]))
+
+    def scores(v):
+        """M^T v, flattened: each cell's sum of its entries of ``v``, added axis by axis."""
+        out = np.zeros(())
+        for j, stage in enumerate(stages):
+            grown = np.empty(domains[: j + 1])
+            grown[...] = out[..., None]
+            for lo, hi, shape in stage:
+                grown += v[lo:hi].reshape(shape)
+            out = grown
+        return out.ravel()
+
+    def entries(cell):
+        return bounds[:-1] + strides @ np.array(np.unravel_index(cell, domains))
+
+    def product(matrix, v):
+        return np.einsum("ij,j->i", matrix, v)
+
+    def bordered(solution):
+        """[[0, 1^T], [1, A]] @ solution, A's product taken through the marginals."""
+        weighted = np.bincount(rows.ravel(), weights=np.repeat(solution[1:], k), minlength=y.size)
+        return np.concatenate([[solution[1:].sum()], weighted[rows].sum(axis=1) + solution[0]])
+
+    def affine_point():
+        """The weights of the corral's affine hull point nearest y, refined once against the exact system."""
+        rhs = np.concatenate([[1.0], u[cells]])
+        solution = product(inverse, rhs)
+        solution += product(inverse, rhs - bordered(solution))
+        return solution[1:]
+
+    u = scores(y)
+    tolerance = _GAP_TOLERANCE * max(1.0, float(np.abs(y).max()))
+    cap = round(_MAJOR_CAP_PER_CELL * y.size)
+    cells = [int(np.argmax(u))]
+    rows = entries(cells[0])[None, :]
+    weights = np.ones(1)
+    # The inverse of the corral's bordered system, its border first.
+    inverse = np.array([[-float(k), 1.0], [1.0, 0.0]])
+    major = 0
+    while True:
+        mu = np.bincount(rows.ravel(), weights=np.repeat(weights, k), minlength=y.size)
+        z = mu - y
+        score = scores(z)
+        best = int(np.argmin(score))
+        gap = float((z * mu).sum() - score[best])
+        if gap <= tolerance:
+            break
+        if major == cap:
+            raise RuntimeError(
+                f"marginal fit did not converge: duality gap {gap:.3e} above {tolerance:.3e} "
+                f"after {cap} major iterations"
+            )
+        major += 1
+        # Border the inverse with the new cell's column, through its Schur complement sigma.
+        new = entries(best)
+        column = np.concatenate([[1.0], (rows == new).sum(axis=1)])
+        h = product(inverse, column)
+        sigma = k - float((column * h).sum())
+        size = len(cells) + 1
+        grown = np.empty((size + 1, size + 1))
+        np.multiply.outer(h, h / sigma, out=grown[:size, :size])
+        grown[:size, :size] += inverse
+        grown[:size, size] = grown[size, :size] = -h / sigma
+        grown[size, size] = 1.0 / sigma
+        inverse = grown
+        cells.append(best)
+        rows = np.vstack([rows, new])
+        weights = np.append(weights, 0.0)
+        while True:
+            affine = affine_point()
+            if np.all(affine > 0):
+                weights = affine
+                break
+            # Step from the weights toward the affine point until a weight reaches zero.
+            falling = np.flatnonzero(affine <= 0)
+            ratios = weights[falling] / (weights[falling] - affine[falling])
+            step = float(ratios.min())
+            weights = step * affine + (1.0 - step) * weights
+            weights[falling[np.argmin(ratios)]] = 0.0
+            for i in np.flatnonzero(weights <= 0)[::-1]:
+                # Cut the cell from the inverse: the Schur complement of its diagonal entry.
+                keep = np.arange(len(cells) + 1) != i + 1
+                pivot = inverse[keep, i + 1]
+                inverse = inverse[np.ix_(keep, keep)] - np.multiply.outer(pivot, pivot / inverse[i + 1, i + 1])
+                del cells[i]
+            keep = weights > 0
+            rows, weights = rows[keep], weights[keep]
+    joint = np.zeros(math.prod(domains))
+    joint[cells] = weights
+    return joint.reshape(domains), mu
+
+
 def fit_marginal_joint(
     table: CountTable,
     budget: PrivacyBudget,
     rng: RandomSource,
     marginals: tuple[tuple[int, ...], ...] | None = None,
-    max_sweeps: int = 500,
 ) -> np.ndarray:
-    """DP marginal release plus IPF reconstruction of the joint distribution.
+    """DP marginal release plus the least-squares joint distribution that reconciles it.
 
-    Each selected marginal receives discrete Laplace(2k/epsilon) noise (k marginals,
-    budget split evenly, each passing the ledger a table's sensitivity, 2),
-    is clamped at zero and renormalized; iterative proportional fitting
-    from a uniform start then rescales the joint to each noisy target in
-    turn. Consumes the whole budget; anything derived from the returned
-    joint is post-processing.
+    Each selected marginal receives discrete Laplace(2k/epsilon) noise (k
+    marginals, budget split evenly, each passing the ledger a table's
+    sensitivity, 2). The targets y are the noisy counts over the table's
+    record count n, neither clamped nor renormalised, and the fit is
+    Private-PGM's estimate (McKenna, Sheldon & Miklau, ICML 2019): the joint
+    whose marginals mu* minimise ||mu - y||, found exactly by Wolfe's
+    min-norm-point algorithm (:func:`_nearest_marginal_joint`); a fit whose
+    duality gap is still open at its iteration cap raises ``RuntimeError``
+    rather than return. Consumes the whole budget; anything derived from
+    the returned joint is post-processing.
 
-    The fit stops after the first sweep in which every marginal was within
-    1e-8 of its target before its own step, or after ``max_sweeps`` sweeps
-    (the cap, 500 by default). Noisy targets are mutually inconsistent, so
-    fits of the fiveari copula table run to the cap even at epsilon 10,
-    n = 1 000. Where such a fit has not settled, the returned joint depends
-    on the cap and on the float summation order inside each marginal: two
-    fits that differ only in that order lie 0.36-0.79 apart in TV at
-    epsilon 0.01 or 1 with n = 50 (3 seeds), as far apart as fits capped at
-    500 and 501 sweeps (0.05-0.47); at epsilon 10 with n = 500 or 1 000
-    they agree within 3e-15.
+    mu* is unique, but the joints that realise it need not be, and this one
+    is not the maximum-entropy joint: it is the convex combination of at
+    most one more cell than there are measured marginal cells, often a
+    single cell at small epsilon. That moves no report's law: a report reads
+    a release only through its (group, tested variable) marginal, one of
+    the measured ones, and a Multinomial(n, p) draw summed down to it is
+    Multinomial(n, mu*) on it for every p with marginals mu*.
     """
-    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 1:
-        raise ValueError(f"max_sweeps must be a positive integer, got {max_sweeps}")
     ndim = len(table.variables)
     if marginals is None:
         marginals = all_low_order_marginals(ndim)
@@ -333,47 +475,22 @@ def fit_marginal_joint(
         covered.update(axes)
     if covered != set(range(ndim)):
         raise ValueError("every variable must appear in at least one marginal")
+    n = int(table.counts.sum())
+    if n < 1:
+        raise ValueError("the marginal fit needs a table with at least one record")
 
     k = len(marginals)
     ledger = BudgetLedger(budget.epsilon)
     targets = []
-    # Each marginal's ratio broadcasts against the joint in this shape.
-    shapes = [tuple(d if j in axes else 1 for j, d in enumerate(table.domains)) for axes in marginals]
-    for axes, shape in zip(marginals, shapes):
-        counts = _marginal(table.counts, axes, math.prod(shape))
-        noise = ledger.noise(Fraction(1, k), 2, f"marginal {axes}", rng, counts.size)
-        noisy = np.maximum(counts + noise, 0.0)
-        total = noisy.sum()
-        # A fully clamped marginal carries no information; fall back to uniform.
-        target = noisy / total if total > 0 else np.full(counts.size, 1.0 / counts.size)
-        # Keep targets strictly positive (tiny uniform mixture): clamped-to-zero
-        # cells in different marginals are often mutually contradictory at small
-        # epsilon, and exact zeros would annihilate the multiplicative fit.
-        targets.append((1.0 - 1e-8) * target + 1e-8 / target.size)
+    for axes in marginals:
+        counts = _marginal(table.counts, axes, math.prod(table.domains[j] for j in axes))
+        targets.append(counts + ledger.noise(Fraction(1, k), 2, f"marginal {axes}", rng, counts.size))
     ledger.close()
-
-    joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for axes, shape, target in zip(marginals, shapes, targets):
-            current = _marginal(joint, axes, target.size)
-            worst = max(worst, float(np.max(np.abs(current - target))))
-            ratio = np.divide(target, current, out=np.ones_like(target), where=current > 0)
-            joint *= ratio.reshape(shape)
-        mass = joint.sum()
-        if mass <= 0:
-            # Contradictory clamped-to-zero targets can annihilate the joint
-            # at very small epsilon; restart from uniform and stop fitting.
-            joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
-            break
-        joint /= mass
-        if worst <= 1e-8:
-            break
-    return joint
+    return _nearest_marginal_joint(table.domains, marginals, np.concatenate(targets) / n)[0]
 
 
 def marginal_ipf(table: CountTable, budget: PrivacyBudget, rng: RandomSource) -> CountTable:
-    """Counts of as many draws as the table has records from its IPF-fitted noisy-marginal joint.
+    """Counts of as many draws as the table has records from the joint fitted to its noisy marginals.
 
     A stack's tables are fitted in order, and the counts are one Multinomial(n, joint) draw per table.
     """

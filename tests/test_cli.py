@@ -368,6 +368,8 @@ class TestExperimentCommand:
             ({"reports": [{"method": "none"}]}, "report 1: .*field 'test' is required"),
             ({"alpha": None, "reports": [VALID_REPORT]}, "field 'alpha' must be a number, got None"),
             ({"alpha": [1], "reports": [VALID_REPORT]}, r"field 'alpha' must be a number, got \[1\]"),
+            ({"alpha": 5, "reports": [VALID_REPORT]}, r"field 'alpha' must be in \(0, 1\), got 5"),
+            ({"alpha": 0, "reports": [VALID_REPORT]}, r"field 'alpha' must be in \(0, 1\), got 0"),
             ({"reports": [{**VALID_REPORT, "epsilon": "1"}]}, "report 1: field 'epsilon' has the wrong type: '1'"),
             ({"reports": [VALID_REPORT, {**VALID_REPORT, "failure_counts": []}]}, "report 2: field 'failure_counts'"),
             ({"reports": [VALID_REPORT, {**VALID_REPORT, "epsilon": 0.0}]}, "report 2: field 'epsilon' must be finite and positive"),
@@ -381,6 +383,8 @@ class TestExperimentCommand:
             "missing-fields",
             "null-alpha",
             "list-alpha",
+            "alpha-above-one",
+            "zero-alpha",
             "string-epsilon",
             "list-failure-counts",
             "zero-epsilon",

@@ -456,6 +456,11 @@ class TestFromJson:
         assert read == expected
         assert type(read) is type(expected)
 
+    def test_keeps_a_dataclass_already_read(self):
+        holder = Holder(BinningSpec((0.0, 1.0, 2.0)), 3)
+        assert from_json(Holder, holder) is holder
+        assert from_json(Holder, {"spec": holder.spec, "count": 3}) == holder
+
     @pytest.mark.parametrize(
         "kind, value, expected",
         [

@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dpsynth.harness as harness_mod
+
 from dpsynth.data import GroupedDataset, IngestionError, build_table, from_json, save_grouped_csv, to_json
 from dpsynth.harness import (
     Cell,
@@ -184,6 +186,14 @@ class TestConfigValidation:
         payload["generator"]["copula_path"] = "default"
         with pytest.raises(ConfigError, match="copula_path"):
             config_from_dict(payload)
+
+    @pytest.mark.parametrize("source", [{}, {"copula_path": "default"}, {"copula_path": "spec.json"}])
+    def test_copula_source_is_read_once(self, monkeypatch, source):
+        spec = default_prostate_spec()
+        monkeypatch.setattr(harness_mod, "default_prostate_spec", lambda: spec)
+        monkeypatch.setattr(harness_mod, "load_copula_spec", lambda path: spec)
+        payload = {"generator": {"kind": "copula", **source}, "synthesizer": "marginal_ipf", "epsilons": [1.0], "original_sizes": [50]}
+        assert config_from_dict(payload).generator.copula is spec
 
     @pytest.mark.parametrize(
         "name,value",

@@ -58,7 +58,7 @@ def copula_table(seed: int) -> CountTable:
 
 
 def copula_joint() -> np.ndarray:
-    return fit_marginal_joint(copula_table(4), PrivacyBudget(1.0), RandomSource(5), max_sweeps=20)
+    return fit_marginal_joint(copula_table(4), PrivacyBudget(1.0), RandomSource(5))
 
 
 def dpmw_outcomes() -> np.ndarray:
@@ -96,9 +96,9 @@ PINNED_NUMPY = "2.4.6"
 
 PINNED = {
     "dp mann-whitney": "30d22c7ff68507685e53f5fa290a70e9412acf097aff652d97b04c04af11a8fe",
-    "marginal joint": "c79278305b1aa4326564e503576a939961016ed01f810a20fb7b85c09821ffdc",
-    "marginal ipf": "b9c66581871393df9a337683246d8a2018e44ccbd77b1488ed6368ab730585b8",
-    "marginal ipf stack": "612c4adf918deb20b0cc8d2f475cd487b6a184b321e79fef9be0913a8d56961c",
+    "marginal joint": "e50dd9c52e242a648750ecedb9d114b74f3448e2b22a91fc1014e807eba4e35f",
+    "marginal ipf": "5ae28fc58ed8d198824915eb02a7a123d045f18589ecb6ae36c08c5096e3a570",
+    "marginal ipf stack": "bc85f70291632ee9f2454a5b685bb9120a518e365f4734d50999cfe821e6b37a",
     "mwem": "2dd694268c556eae91548a35e9dad273d5269106e39748adc05f7b9cc1750580",
     "mwem stack": "cbff4796a798d3a2e7ea36361894c753e69627aeca2ecf8f1551c3482ae7503f",
     "mwem weights": "efeaf74264b24e5c8262e51aa2601801588bfea0ead1652accd4201380ac8c6d",

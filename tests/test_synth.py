@@ -472,22 +472,22 @@ class TestMarginalIpf:
         empirical = table.counts / table.total_n
         assert 0.5 * np.abs(joint - empirical).sum() < 1e-6
 
-    def test_independent_one_way_marginals_give_product(self):
+    def test_one_way_marginals_equal_empirical(self):
         rng = RandomSource(23)
         g = rng.generator
         groups = (g.random(5000) < 0.3).astype(int)
         data = GroupedDataset(groups, g.integers(0, 4, size=5000).astype(float))
         table = build_table(data, [(None, (0.0, 1.0, 2.0, 3.0))])
         joint = fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(1), marginals=((0,), (1,)))
-        marg0 = joint.sum(axis=1)
-        marg1 = joint.sum(axis=0)
-        assert np.abs(joint - np.outer(marg0, marg1)).max() < 1e-6
+        empirical = table.counts / table.total_n
+        assert np.abs(joint.sum(axis=1) - empirical.sum(axis=1)).max() <= 1e-12
+        assert np.abs(joint.sum(axis=0) - empirical.sum(axis=0)).max() <= 1e-12
 
-    @pytest.mark.parametrize("sweeps", [1, 2, 5, 50])
-    def test_mass_and_positivity_preserved(self, sweeps):
+    @pytest.mark.parametrize("seed", [1, 2, 5, 50])
+    def test_mass_and_positivity_preserved(self, seed):
         data = gaussian_bivariate(500, "null", RandomSource(24))
         table = build_table(data, [(None, uniform_bins(40, 60, 10))])
-        joint = fit_marginal_joint(table, PrivacyBudget(0.5), RandomSource(25), max_sweeps=sweeps)
+        joint = fit_marginal_joint(table, PrivacyBudget(0.5), RandomSource(seed))
         assert np.all(joint >= 0)
         assert joint.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -503,6 +503,10 @@ class TestMarginalIpf:
         table = build_table(data, [(None, uniform_bins(40, 60, 5))])
         with pytest.raises(ValueError):
             fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(27), marginals=marginals)
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            fit_marginal_joint(hist_2x2(0, 0, 0, 0), PrivacyBudget(1.0), RandomSource(0))
 
     def test_synthetic_size_matches_original(self):
         data = gaussian_bivariate(300, "null", RandomSource(28))
@@ -520,54 +524,6 @@ class TestMarginalIpf:
             assert np.all(np.isfinite(joint))
             assert joint.sum() == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("sweeps", [0, -1, 2.5, "3", None, True, False])
-    def test_bad_max_sweeps_rejected(self, sweeps):
-        table = build_table(gaussian_bivariate(100, "null", RandomSource(31)), [(None, uniform_bins(40, 60, 5))])
-        with pytest.raises(ValueError, match="max_sweeps"):
-            fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(32), max_sweeps=sweeps)
-
-
-def reference_fit_marginal_joint(table, budget, rng, marginals=None, max_sweeps=500):
-    """The marginal release and sweep loop as they stood with a ``joint.sum(axis=other)`` marginal."""
-    ndim = len(table.variables)
-    if marginals is None:
-        marginals = all_low_order_marginals(ndim)
-    k = len(marginals)
-    ledger = BudgetLedger(budget.epsilon)
-    targets = []
-    for axes in marginals:
-        eps_share = ledger.spend(Fraction(1, k), f"marginal {axes}")
-        counts = table.counts.sum(axis=tuple(j for j in range(ndim) if j not in axes))
-        noisy = np.maximum(counts + discrete_laplace_sample(2.0 / eps_share, rng, size=counts.shape), 0.0)
-        total = noisy.sum()
-        target = noisy / total if total > 0 else np.full(counts.shape, 1.0 / counts.size)
-        targets.append((1.0 - 1e-8) * target + 1e-8 / target.size)
-    ledger.close()
-
-    def expand(arr, axes):
-        shape = [1] * ndim
-        for k, j in enumerate(axes):
-            shape[j] = arr.shape[k]
-        return arr.reshape(shape)
-
-    joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
-    for _ in range(max_sweeps):
-        worst = 0.0
-        for axes, target in zip(marginals, targets):
-            other = tuple(j for j in range(ndim) if j not in axes)
-            current = joint.sum(axis=other)
-            worst = max(worst, float(np.max(np.abs(current - target))))
-            ratio = np.divide(target, current, out=np.ones_like(target), where=current > 0)
-            joint = joint * expand(ratio, axes)
-        mass = joint.sum()
-        if mass <= 0:
-            joint = np.full(table.domains, 1.0 / float(np.prod(table.domains)))
-            break
-        joint /= mass
-        if worst <= 1e-8:
-            break
-    return joint
-
 
 def fiveari_table(n: int, seed: int) -> CountTable:
     """The copula original's table over every variable, as a ``marginal_ipf`` cell builds it."""
@@ -576,13 +532,106 @@ def fiveari_table(n: int, seed: int) -> CountTable:
     return build_table(copula_multivariate(spec, n, "null", RandomSource(seed)), axes)
 
 
-def tv(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(a - b).sum())
+@pytest.fixture
+def fits(monkeypatch):
+    """The targets y, the joint and its marginals mu of every marginal fit made during the test."""
+    made = []
+    original = synth_mod._nearest_marginal_joint
+
+    def capture(domains, marginals, y):
+        joint, mu = original(domains, marginals, y)
+        made.append((y, joint, mu))
+        return joint, mu
+
+    monkeypatch.setattr(synth_mod, "_nearest_marginal_joint", capture)
+    return made
+
+
+def marginal_matrix(domains, marginals, cells=None) -> np.ndarray:
+    """The dense matrix M whose column for each flat cell (of ``cells``, by default all) indicates its entry in every marginal."""
+    cells = np.arange(math.prod(domains)) if cells is None else np.asarray(cells)
+    coords = np.unravel_index(cells, domains)
+    blocks = []
+    for axes in marginals:
+        dims = [domains[j] for j in axes]
+        block = np.zeros((math.prod(dims), cells.size))
+        block[np.ravel_multi_index([coords[j] for j in axes], dims), np.arange(cells.size)] = 1.0
+        blocks.append(block)
+    return np.vstack(blocks)
+
+
+def flip_marginals(y, domains, marginals) -> np.ndarray:
+    """``y`` as the targets of the table with every axis reversed, so its flat cell order is reversed."""
+    pieces, lo = [], 0
+    for axes in marginals:
+        dims = [domains[j] for j in axes]
+        piece = y[lo : lo + math.prod(dims)].reshape(dims)
+        pieces.append(np.flip(piece).ravel())
+        lo += piece.size
+    return np.concatenate(pieces)
+
+
+class TestNearestMarginalJoint:
+    """The fit is the least-squares projection mu* of the noisy marginals y onto the
+    polytope of the reachable marginals M p, found by Wolfe's min-norm-point algorithm."""
+
+    @pytest.mark.parametrize("eps", [0.01, 1.0, 10.0])
+    @pytest.mark.parametrize("ndim", [2, 3, 4])
+    def test_fit_meets_kkt_conditions(self, fits, ndim, eps):
+        g = np.random.default_rng(ndim)
+        for seed in range(4):
+            domains = tuple(int(d) for d in g.integers(2, 6, size=ndim))
+            counts = g.integers(0, 40, size=domains) * (g.random(domains) < 0.7)
+            counts.flat[0] += 1
+            table = CountTable(tuple(f"v{j}" for j in range(ndim)), tuple(np.arange(d, dtype=float) for d in domains), counts)
+            for marginals in [None, ((0,), tuple(range(1, ndim))), (tuple(range(ndim)),)]:
+                joint = fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(seed), marginals=marginals)
+                y, fitted, mu = fits[-1]
+                assert fitted is joint
+                m = marginal_matrix(domains, marginals or all_low_order_marginals(ndim))
+                p = joint.ravel()
+                scale = max(1.0, float(np.abs(y).max()))
+                assert np.all(p >= 0)
+                assert abs(p.sum() - 1.0) <= 1e-12
+                assert np.abs(m @ p - mu).max() <= 1e-12
+                assert (m.T @ (mu - y)).min() >= (mu - y) @ mu - 1e-12 * scale
+
+    @pytest.mark.parametrize("n", [50, 500, 1000])
+    @pytest.mark.parametrize("eps", [0.01, 1.0, 10.0])
+    def test_reversed_cell_order_moves_no_marginal(self, fits, eps, n):
+        table = fiveari_table(n, 61)
+        fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(62))
+        ((y, _, mu),) = fits
+        marginals = all_low_order_marginals(len(table.domains))
+        joint, _ = synth_mod._nearest_marginal_joint(table.domains, marginals, flip_marginals(y, table.domains, marginals))
+        reversed_mu = np.concatenate([synth_mod._marginal(np.flip(joint), axes, math.prod(table.domains[j] for j in axes)) for axes in marginals])
+        assert np.abs(reversed_mu - mu).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [500, 1000])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_weights_solve_their_cells_exactly(self, fits, n, seed):
+        # The corral's bordered inverse is updated one cell at a time; its
+        # weights are still the least-squares weights on their cells.
+        table = fiveari_table(n, seed)
+        joint = fit_marginal_joint(table, PrivacyBudget(10.0), RandomSource(100 + seed))
+        ((y, _, _),) = fits
+        cells = np.flatnonzero(joint)
+        m = marginal_matrix(table.domains, all_low_order_marginals(len(table.domains)), cells)
+        bordered = np.block([[np.zeros((1, 1)), np.ones((1, cells.size))], [np.ones((cells.size, 1)), m.T @ m]])
+        exact = np.linalg.solve(bordered, np.concatenate([[1.0], m.T @ y]))[1:]
+        assert np.abs(exact - joint.ravel()[cells]).max() <= 1e-11
+
+    def test_open_gap_at_the_cap_raises(self, monkeypatch):
+        table = build_table(gaussian_bivariate(500, "signal", RandomSource(63)), [(None, uniform_bins(40, 60, 10))])
+        cells = 2 + 10 + 2 * 10
+        monkeypatch.setattr(synth_mod, "_MAJOR_CAP_PER_CELL", 1 / cells)
+        with pytest.raises(RuntimeError, match=r"did not converge: duality gap .* after 1 major iterations"):
+            fit_marginal_joint(table, PrivacyBudget(10.0), RandomSource(64))
 
 
 class TestIpfKernel:
-    """The fit takes each marginal as contiguous row sums; only the order of
-    additions inside a marginal differs from ``joint.sum(axis=other)``."""
+    """The release takes each marginal as contiguous row sums; only the order
+    of additions inside a marginal differs from ``joint.sum(axis=other)``."""
 
     @pytest.mark.parametrize("ndim", [2, 3, 4, 5, 6])
     def test_marginal_equals_sum_over_other_axes(self, ndim):
@@ -599,39 +648,6 @@ class TestIpfKernel:
                 assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
                 assert np.array_equal(synth_mod._marginal(counts, axes, expected.size), counts.sum(axis=other).ravel())
 
-    @pytest.mark.parametrize("n", [500, 1000])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reference_where_the_fit_is_stable(self, n, seed):
-        table = fiveari_table(n, seed)
-        joint = fit_marginal_joint(table, PrivacyBudget(10.0), RandomSource(100 + seed))
-        expected = reference_fit_marginal_joint(table, PrivacyBudget(10.0), RandomSource(100 + seed))
-        assert tv(joint, expected) <= 1e-12
-
-    @pytest.mark.parametrize("sweeps", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_first_sweeps_match_reference_at_small_epsilon(self, sweeps, seed):
-        # Same noisy targets and steps; a capped fit only drifts apart later.
-        table = fiveari_table(50, seed)
-        joint = fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed), max_sweeps=sweeps)
-        expected = reference_fit_marginal_joint(table, PrivacyBudget(0.01), RandomSource(seed), max_sweeps=sweeps)
-        assert tv(joint, expected) <= 1e-12
-
-    def test_matches_reference_on_the_bivariate_limit_tables(self):
-        data = gaussian_bivariate(2000, "signal", RandomSource(21))
-        table = build_table(data, [(None, uniform_bins(45, 55, 20))])
-        for marginals in [((0, 1),), ((0,), (1,)), None]:
-            joint = fit_marginal_joint(table, PrivacyBudget(1e6), RandomSource(22), marginals=marginals)
-            expected = reference_fit_marginal_joint(table, PrivacyBudget(1e6), RandomSource(22), marginals=marginals)
-            assert tv(joint, expected) <= 1e-12
-        rng = RandomSource(23)
-        g = rng.generator
-        groups = (g.random(5000) < 0.3).astype(int)
-        data = GroupedDataset(groups, g.integers(0, 4, size=5000).astype(float))
-        table = build_table(data, [(None, (0.0, 1.0, 2.0, 3.0))])
-        joint = fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(1), marginals=((0,), (1,)))
-        expected = reference_fit_marginal_joint(table, PrivacyBudget(1e6), rng.child(1), marginals=((0,), (1,)))
-        assert tv(joint, expected) <= 1e-12
-
     def test_fit_does_not_depend_on_blas_threads(self):
         # A BLAS kernel may split its sums by thread count; the fit must replay on any machine.
         code = """
@@ -644,7 +660,7 @@ from dpsynth.synth import PrivacyBudget, fit_marginal_joint
 spec = default_prostate_spec()
 axes = GeneratorSpec(kind="copula", mode="null", copula=spec, variable="fiveari").table_axes()
 table = build_table(copula_multivariate(spec, 200, "null", RandomSource(4)), axes)
-joint = fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(5), max_sweeps=20)
+joint = fit_marginal_joint(table, PrivacyBudget(1.0), RandomSource(5))
 print(hashlib.sha256(joint.tobytes()).hexdigest())
 """
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -695,7 +711,7 @@ class TestNoiseScale:
     def test_marginal_ipf_uses_scale_2k_over_epsilon(self, ledgers, eps):
         table = build_table(gaussian_bivariate(100, "null", RandomSource(4)), [(None, uniform_bins(40, 60, 5))])
         k = len(all_low_order_marginals(len(table.variables)))
-        fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(5), max_sweeps=1)
+        fit_marginal_joint(table, PrivacyBudget(eps), RandomSource(5))
         (ledger,) = ledgers
         assert {(e.fraction, e.sensitivity) for e in ledger.entries} == {(Fraction(1, k), 2)}
         assert [e.scale for e in ledger.entries] == pytest.approx([2 * k / eps] * k, rel=1e-12)
