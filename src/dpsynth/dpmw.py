@@ -146,7 +146,8 @@ def _null_rank_sums(n_total: int, m_hat: int, k: int, rng: RandomSource) -> np.n
     n_full, rest = divmod(n_total, _BLOCK)
     sizes = np.array([_BLOCK] * n_full + ([rest] if rest else []), dtype=np.int64)
     starts = np.arange(sizes.size, dtype=np.int64) * _BLOCK
-    tables = [(sizes == b, _subset_sum_cdf(int(b))) for b in np.unique(sizes)]
+    # The distinct sizes in increasing order; not ``np.unique``, whose first call imports numpy.ma.
+    tables = [(sizes == b, _subset_sum_cdf(b)) for b in sorted(set(sizes.tolist()))]
     gen = rng.generator
     out = np.empty(k, dtype=np.int64)
     chunk = max(1, _CHUNK_PAIRS // sizes.size)

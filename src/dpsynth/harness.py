@@ -51,6 +51,7 @@ from .dpmw import DEFAULT_DELTA, DPMWConfig, dp_mann_whitney
 from .rng import RandomSource
 from .simgen import CopulaSpec, copula_multivariate, default_prostate_spec, gaussian_bivariate, load_copula_spec
 from .simgen import gaussian_table, subsample_table
+from .special import load_scipy
 from .stattests import TESTS, FailureReason, Outcomes, stack_outcomes
 from .synth import SYNTHESIZERS, PrivacyBudget
 
@@ -227,6 +228,10 @@ class ExperimentConfig:
                 f"mwem_iterations applies only to the mwem synthesizer, not to {self.synthesizer!r}; "
                 f"got {self.mwem_iterations}"
             )
+        if self.generator.kind == "copula" or self.test != "mw_u":
+            # The copula sampler and every test but MW-U call scipy. Load it
+            # here, in the parent, so that run_grid's forked workers inherit it.
+            load_scipy()
 
     @property
     def error_kind(self) -> str:

@@ -11,6 +11,7 @@ give the same answer as sequential ones.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; import it with the package, so that forked workers inherit it
 
 __all__ = ["RandomSource", "discrete_laplace_sample"]
 

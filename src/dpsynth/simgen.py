@@ -24,10 +24,10 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.special import betaincinv, ndtr, ndtri
 
 from .data import BinningSpec, CountTable, GroupedDataset, from_json, resolve_binning, to_json
 from .rng import RandomSource
+from .special import betaincinv, ndtr, ndtri, normal_cdf
 
 __all__ = [
     "MarginalSpec",
@@ -81,7 +81,8 @@ def gaussian_table(n: int, mode: str, spec: BinningSpec, rng: RandomSource, size
     """The (group, binned value) table of ``gaussian_bivariate(n, mode, ...)``, drawn from its exact law.
 
     Each group is Multinomial(n/2, p), where p holds its normal's mass in
-    each bin: the differences of the normal CDF at the edges, with the two
+    each bin: the differences of the normal CDF at the edges (by
+    :func:`dpsynth.special.normal_cdf`, which loads no scipy), with the two
     end edges moved to -inf and +inf, so that the end bins absorb the tails
     just as :func:`dpsynth.data.discretize` clamps values beyond the edges.
     With ``size``, a stack of ``size`` independent tables, drawn at once; p
@@ -92,7 +93,7 @@ def gaussian_table(n: int, mode: str, spec: BinningSpec, rng: RandomSource, size
     means, sigma = ((NULL_MEAN, NULL_MEAN), NULL_SIGMA) if mode == "null" else ((mu0, mu1), SIGNAL_SIGMA)
     edges = np.array(spec.edges)
     edges[0], edges[-1] = -np.inf, np.inf
-    p = np.diff(ndtr((edges - np.array(means)[:, None]) / sigma), axis=1)
+    p = np.diff(normal_cdf((edges - np.array(means)[:, None]) / sigma), axis=1)
     counts = rng.generator.multinomial(half, p, size=None if size is None else (size, 2))
     return CountTable(("group", "value"), ((0.0, 1.0), spec.midpoints()), counts)
 

@@ -1,20 +1,51 @@
 """Special functions backing every p-value computed in this package.
 
-The normal CDF uses ``math.erfc``, entry by entry on an array; the
-regularized incomplete beta and upper gamma functions call
-``scipy.special``, behind the domain checks that name the bad argument.
-The test suite checks all three against a high-precision quadrature
-oracle.
+This is the one module that imports scipy, and it imports ``scipy.special``
+only when a function first needs it (:func:`load_scipy`), so that a process
+that runs only the Mann-Whitney U test, DP-MW and the histogram
+synthesizers never loads scipy.
+
+- :func:`normal_cdf` uses ``math.erfc``, entry by entry on an array, and
+  never loads scipy. The MW-U p-value and the gaussian generator's bin
+  masses go through it.
+- :func:`regularized_incomplete_beta` (the t-test) and
+  :func:`regularized_upper_gamma` (the chi-squared and median tests) call
+  ``scipy.special.betainc`` and ``gammaincc``, behind domain checks that
+  name the bad argument.
+- :func:`ndtr`, :func:`ndtri` and :func:`betaincinv` are scipy's own, for
+  the copula sampler, whose draws are pinned to scipy's arithmetic.
+
+A config whose cells call any of the scipy-backed functions loads scipy
+when it is validated (``harness.ExperimentConfig``), in the parent process,
+so that ``run_grid``'s forked workers inherit it instead of each importing
+it. The test suite checks the first three functions against a
+high-precision quadrature oracle.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
-from scipy.special import betainc, gammaincc
 
-__all__ = ["normal_cdf", "regularized_incomplete_beta", "regularized_upper_gamma"]
+__all__ = [
+    "load_scipy",
+    "normal_cdf",
+    "regularized_incomplete_beta",
+    "regularized_upper_gamma",
+    "ndtr",
+    "ndtri",
+    "betaincinv",
+]
+
+
+@cache
+def load_scipy():
+    """``scipy.special``, imported on the first call."""
+    import scipy.special
+
+    return scipy.special
 
 
 def normal_cdf(x):
@@ -34,7 +65,7 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must be in [0, 1], got {x}")
-    return float(betainc(a, b, x))
+    return float(load_scipy().betainc(a, b, x))
 
 
 def regularized_upper_gamma(s: float, x: float) -> float:
@@ -43,4 +74,19 @@ def regularized_upper_gamma(s: float, x: float) -> float:
         raise ValueError(f"s must be positive, got {s}")
     if not x >= 0:
         raise ValueError(f"x must be non-negative, got {x}")
-    return float(gammaincc(s, x))
+    return float(load_scipy().gammaincc(s, x))
+
+
+def ndtr(x):
+    """``scipy.special.ndtr``: the standard normal CDF, elementwise."""
+    return load_scipy().ndtr(x)
+
+
+def ndtri(u):
+    """``scipy.special.ndtri``: the standard normal quantile, elementwise."""
+    return load_scipy().ndtri(u)
+
+
+def betaincinv(a, b, u):
+    """``scipy.special.betaincinv``: the inverse of I_x(a, b) in x, elementwise."""
+    return load_scipy().betaincinv(a, b, u)

@@ -1,23 +1,114 @@
-"""Package surface: the package imports, every exported name exists, only
-the budget ledger draws privacy noise, and the harness calls a synthesizer
-and the DP Mann-Whitney test in one place."""
+"""Package surface: the package imports, and loads scipy only for a config
+that needs it; a pool worker imports nothing on its first task; every
+exported name exists, only the budget ledger draws privacy noise, and the
+harness calls a synthesizer and the DP Mann-Whitney test in one place."""
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import dpsynth
+from dpsynth import harness, report
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(dpsynth.__path__))
+REPO = Path(__file__).resolve().parents[1]
+WORKLOADS = REPO / "perfbench" / "workloads"
+# Every grid config that the repository ships: the benchmark's and the experiments'.
+GRID_CONFIGS = sorted(WORKLOADS.glob("*/*.json")) + sorted((REPO / "configs").glob("*.json"))
 
 
-def test_package_imports_in_a_fresh_interpreter():
-    subprocess.run([sys.executable, "-c", "import dpsynth"], check=True)
+def run_python(code: str, *args: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that imports this dpsynth."""
+    path = os.pathsep.join(filter(None, [str(Path(dpsynth.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], check=True, capture_output=True, text=True, env=env).stdout
+
+
+SCIPY_AFTER = """
+import sys
+from dpsynth import cli, harness
+for path in sys.argv[2:]:
+    harness.load_configs(path)
+if sys.argv[1]:
+    assert cli.main(["report", "--reports", sys.argv[1], "--out", sys.argv[1] + ".out"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_modules_after(*configs, reports: Path | None = None) -> list[str]:
+    """The scipy modules loaded by importing dpsynth, loading ``configs`` and re-rendering ``reports``."""
+    out = run_python(SCIPY_AFTER, str(reports or ""), *map(str, configs)).splitlines()
+    return ast.literal_eval(out[-1])
+
+
+def test_package_imports_in_a_fresh_interpreter(tmp_path):
+    # MW-U, DP-MW and the histogram synthesizers need no scipy, and neither
+    # does re-rendering saved reports.
+    assert scipy_modules_after() == []
+    grids = [*WORKLOADS.glob("hist_grid/*.json"), *WORKLOADS.glob("dpmw_grid/*.json")]
+    grids += [REPO / "configs" / name for name in ("gaussian_perturbed_null.json", "gaussian_validity.json")]
+    config = harness.load_config(grids[0])
+    report.emit_report(harness.run_grid(replace(config, repetitions=2)), tmp_path, alpha=config.alpha)
+    assert scipy_modules_after(*grids, reports=tmp_path / "reports.json") == []
+
+
+@pytest.mark.parametrize(
+    "generator, test",
+    [("copula", "mw_u"), ("copula", "chi2"), ("gaussian", "t"), ("gaussian", "chi2"), ("gaussian", "median")],
+)
+def test_a_config_that_calls_scipy_loads_it_when_validated(tmp_path, generator, test):
+    payload = {"generator": {"kind": generator}, "synthesizer": "none", "epsilons": [1.0], "original_sizes": [50]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**payload, "test": test}), encoding="utf-8")
+    assert "scipy.special" in scipy_modules_after(path)
+
+
+WORKER_PROBE = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
+from dpsynth import harness
+
+def first_task(task):
+    before = set(sys.modules)
+    harness._chunk_task(task)
+    return sorted(set(sys.modules) - before)
+
+added = []
+for config in harness.load_configs(sys.argv[1]):
+    config = replace(config, repetitions=min(config.repetitions, 2))
+    cell = harness.grid_cells(config)[0]
+    task = (config, cell, 0, harness._load_source(config), range(config.repetitions))
+    with ProcessPoolExecutor(1) as pool:
+        added.append(pool.submit(first_task, task).result())
+print(added)
+"""
+
+
+@pytest.mark.parametrize("path", GRID_CONFIGS, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_a_fresh_workers_first_chunk_imports_nothing(path):
+    # A module that a worker imports on its first task costs every worker of
+    # every pool; numpy.random and numpy.ma are imported lazily by numpy.
+    added = ast.literal_eval(run_python(WORKER_PROBE, str(path)).splitlines()[-1])
+    assert added and all(modules == [] for modules in added)
+
+
+def test_only_special_imports_scipy():
+    importers = []
+    for path in sorted(Path(dpsynth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level else []
+            importers += [(path.name, name) for name in names if name.split(".")[0] == "scipy"]
+    assert importers == [("special.py", "scipy.special")]
 
 
 @pytest.mark.parametrize("name", MODULES)

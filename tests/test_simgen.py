@@ -1,7 +1,10 @@
 """Controlled generators: moments, marginal fidelity, label exchangeability."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from dpsynth.rng import RandomSource
@@ -83,6 +86,28 @@ class TestCountLaws:
             law = law + table.counts
             records = records + reference.counts
         assert homogeneity_p_value(law, records) > 1e-3
+
+    @pytest.mark.parametrize("mode", ["null", "signal"])
+    @pytest.mark.parametrize(
+        "binning", ["gaussian100", {"count": 8, "lo": 48, "hi": 52}], ids=["gaussian100", "narrow"]
+    )
+    def test_gaussian_table_bin_masses_match_scipy(self, mode, binning):
+        # The masses come from math.erfc and agree with scipy's ndtr masses to the last bits.
+        class Capture:
+            def multinomial(self, n, p, size=None):
+                self.p = p
+                return np.zeros((2, p.shape[1]), dtype=np.int64)
+
+        spec = resolve_binning(binning)
+        capture = Capture()
+        gaussian_table(1000, mode, spec, SimpleNamespace(generator=capture))
+        means, sigma = ((50.0, 50.0), 2.0) if mode == "null" else ((50.0, 51.0), 1.0)
+        edges = np.array(spec.edges)
+        edges[0], edges[-1] = -np.inf, np.inf
+        reference = np.diff(scipy.special.ndtr((edges - np.array(means)[:, None]) / sigma), axis=1)
+        assert capture.p.shape == (2, spec.bin_count)
+        assert np.all(capture.p >= 0) and np.allclose(capture.p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.max(np.abs(capture.p - reference)) <= 1e-15
 
     def test_subsample_table_matches_choice_subsampling(self):
         g = np.random.default_rng(5)
