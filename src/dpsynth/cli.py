@@ -267,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=1,
-        help="worker processes; the work is split by (grid cell, chunk of its repetitions)",
+        help="worker processes; 1 runs every chunk in this process, more start a pool; the work is split "
+        "by (grid cell, chunk of its repetitions)",
     )
     p.add_argument("--out", default="results")
     p.set_defaults(func=_cmd_experiment)

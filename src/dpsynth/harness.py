@@ -10,16 +10,17 @@ is drawn directly from its exact law, and copula records are counted by
 records at the tested variable's distinct values. :func:`run_test` runs the
 test on the (group, tested variable) marginal of every table of a stack.
 
-Every cell runs its repetitions in blocks of ``BLOCK[method]``, each drawn
-from one child stream of the cell's stream, ``child(block)``, by
-:func:`_block`: a synthesizer block draws its originals as one stack of
-tables, releases a stack and tests every table of it; a baseline block is
+Every cell runs its repetitions in blocks, each drawn from one child stream
+of the cell's stream, ``child(block)``, by :func:`_block`: a synthesizer
+block is ``BLOCK`` repetitions, whose originals it draws as one stack of
+tables, releases as a stack and tests table by table; a baseline block is
 one repetition, whose original comes from the block stream's ``child(0)``
 and DP-MW's noise from its ``child(1)``. :func:`run_grid` splits the work
-by (cell, repetition chunk), cutting a cell's chunks at block boundaries;
-each chunk returns its blocks' outcomes in repetition order, and a cell's
-report counts them once, so a full-grid run at any worker count and an
-isolated re-run of one cell all produce identical numbers.
+by (cell, repetition chunk), cutting a cell's chunks at block boundaries,
+and runs the chunks in the parent at one worker and in a process pool at
+more; each chunk returns its blocks' outcomes in repetition order, and a
+cell's report counts them once, so a full-grid run at any worker count and
+an isolated re-run of one cell all produce identical numbers.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -74,10 +73,9 @@ __all__ = [
 # the DP Mann-Whitney test on the original data.
 METHODS = ("none", *SYNTHESIZERS, "dp_mw_baseline")
 
-# Repetitions per block, whatever the worker count. A marginal fit of the
-# 24 000-cell copula joint takes up to about half a second, so its cells run
-# one per block and still split over workers.
-BLOCK = {"none": 1, "perturbed": 50, "smoothed": 50, "mwem": 50, "marginal_ipf": 1, "dp_mw_baseline": 1}
+# Repetitions per synthesizer block, whatever the worker count; a baseline
+# block is one repetition (see _block).
+BLOCK = 50
 
 
 class ConfigError(ValueError):
@@ -213,6 +211,12 @@ class ExperimentConfig:
             )
         if any(m < 1 for m in self.synthetic_sizes):
             raise ConfigError(f"synthetic_sizes entries must be at least 1, got {list(self.synthetic_sizes)}")
+        for name in ("epsilons", "original_sizes", "synthetic_sizes"):
+            # Two equal values would give two cells of one setting, on different streams.
+            values = list(getattr(self, name))
+            repeated = sorted({value for value in values if values.count(value) > 1})
+            if repeated:
+                raise ConfigError(f"field '{name}' repeats {repeated}; each value must be given once")
         if self.synthesizer == "mwem":
             # MWEM runs on the (group, binned value) table, one query per cell.
             [(_, spec)] = self.generator.table_axes()
@@ -361,18 +365,23 @@ def _block(
     return Outcomes.of([dp_mann_whitney(tested, cfg, rng.child(1))])
 
 
+def _block_size(config: ExperimentConfig) -> int:
+    """Repetitions per block: ``BLOCK`` for a synthesizer cell, one for a baseline cell."""
+    return BLOCK if config.synthesizer in SYNTHESIZERS else 1
+
+
 def _run_blocks(
     config: ExperimentConfig, cell: Cell, source: CountTable | GroupedDataset | None, rng: RandomSource, reps: range
 ) -> list[Outcomes]:
     """The outcomes of the repetitions ``reps`` of one cell, block by block in repetition order.
 
-    With ``k`` the method's ``BLOCK``, block ``b`` holds repetitions ``b*k``
-    up to ``(b+1)*k`` (or the cell's last) and draws only from
-    ``rng.child(b)``, so ``reps`` must start at a block boundary and end at
-    one or at the cell's last repetition. So the outcomes do not depend on
+    With ``k`` the cell's block size (:func:`_block_size`), block ``b`` holds
+    repetitions ``b*k`` up to ``(b+1)*k`` (or the cell's last) and draws only
+    from ``rng.child(b)``, so ``reps`` must start at a block boundary and end
+    at one or at the cell's last repetition. So the outcomes do not depend on
     how a cell's repetitions are split at those boundaries.
     """
-    block = BLOCK[config.synthesizer]
+    block = _block_size(config)
     return [
         _block(config, cell, source, min(block, reps.stop - start), rng.child(start // block))
         for start in range(reps.start, reps.stop, block)
@@ -460,23 +469,33 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> list[ErrorRateReport
     """Run every grid cell; results are identical for any worker count.
 
     The unit of work is a contiguous chunk of one cell's repetitions: each
-    cell is cut into ``min(blocks, workers)`` chunks of whole blocks, so a
-    grid of few or unevenly slow cells still keeps every worker busy. Each
-    chunk returns its blocks' outcomes in repetition order, and a cell's
-    report is built once from all of them. A csv source is read once here
-    and handed to every chunk.
+    cell is cut into ``min(blocks, workers)`` chunks of whole blocks. A
+    baseline cell thus splits into up to ``min(R, workers)`` chunks, but a
+    synthesizer cell into at most ``ceil(R / BLOCK)``, so a grid of fewer
+    synthesizer cells than workers, or ending on a slow one, leaves workers
+    idle. At one worker every chunk runs in this process; at more, in a pool
+    of ``min(workers, chunks)`` processes, even for a single chunk. The pool
+    is there for perfbench's ``peak_rss_mb``, the largest resident set
+    of any one process: a one-chunk grid would finish sooner here, and the
+    two processes together hold more memory than this one would alone.
+    Each chunk returns its blocks' outcomes in repetition order, and a
+    cell's report is built once from all of them. A csv source is read once
+    here and handed to every chunk.
     """
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     source = _load_source(config)
     cells = grid_cells(config)
-    chunks = _chunks(config.repetitions, workers, BLOCK[config.synthesizer])
+    chunks = _chunks(config.repetitions, workers, _block_size(config))
     tasks = [(config, cell, i, source, reps) for i, cell in enumerate(cells) for reps in chunks]
-    size = min(workers, len(tasks))
-    with ExitStack() as stack:
-        # Both maps return results in the order of their inputs: by cell, then by chunk.
-        mapper = stack.enter_context(ProcessPoolExecutor(max_workers=size)).map if size > 1 else map
-        results = list(mapper(_chunk_task, tasks))
+    # Both maps return results in the order of their inputs: by cell, then by chunk.
+    if workers == 1:
+        results = list(map(_chunk_task, tasks))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = list(pool.map(_chunk_task, tasks))
     k = len(chunks)
     return [
         _report(config, cell, [part for chunk in results[i * k : (i + 1) * k] for part in chunk])

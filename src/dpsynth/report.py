@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,20 +21,8 @@ from .harness import ErrorRateReport
 
 __all__ = ["emit_report", "load_reports_json", "render_figure"]
 
-_CSV_COLUMNS = [
-    "method",
-    "test",
-    "error_kind",
-    "epsilon",
-    "n_original",
-    "n_synthetic",
-    "repetitions",
-    "feasible_count",
-    "rejections",
-    "error_rate",
-    "suppressed",
-    "type1_context",
-]
+# Every report field but the failure counts, in field order.
+_CSV_COLUMNS = [f.name for f in fields(ErrorRateReport) if f.name != "failure_counts"]
 
 _PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#17becf"]
 

@@ -327,6 +327,22 @@ class TestExperimentCommand:
         assert "original_sizes" in capsys.readouterr().err
         assert not (out / "reports.json").exists() and not (out / "reports.csv").exists()
 
+    def test_repeated_epsilon_is_a_config_error_before_anything_is_written(self, tmp_path, capsys):
+        payload = {
+            "generator": {"kind": "gaussian"},
+            "synthesizer": "perturbed",
+            "epsilons": [1.0, 1.0],
+            "original_sizes": [50],
+            "repetitions": 2,
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "field 'epsilons' repeats [1.0]" in captured.err and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "generator, named",
         [

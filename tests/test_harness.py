@@ -1,7 +1,8 @@
 """Harness: grid construction, error accounting, determinism, report emission."""
 
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,24 @@ class TestConfigValidation:
     def test_unknown_synthesizer_rejected(self):
         with pytest.raises(ConfigError, match="synthesizer"):
             gaussian_config(synthesizer="dp_gan")
+
+    @pytest.mark.parametrize(
+        "name, overrides, repeated",
+        [
+            ("epsilons", {"epsilons": (1.0, 5.0, 1.0)}, "[1.0]"),
+            ("original_sizes", {"original_sizes": (100, 500, 100, 500)}, "[100, 500]"),
+            (
+                "synthetic_sizes",
+                {"synthesizer": "smoothed", "original_sizes": (100,), "synthetic_sizes": (50, 80, 50)},
+                "[50]",
+            ),
+        ],
+        ids=["epsilons", "original_sizes", "synthetic_sizes"],
+    )
+    def test_repeated_grid_value_named(self, name, overrides, repeated):
+        # Two equal cells would draw on different streams, and a figure keyed by epsilon would show one.
+        with pytest.raises(ConfigError, match=re.escape(f"field '{name}' repeats {repeated}")):
+            gaussian_config(**overrides)
 
     def test_unknown_config_field_named(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -461,20 +480,26 @@ class TestGrid:
         assert written[1] == written[2] == written[3]
 
     def test_failure_counts_merged_across_chunks(self):
+        from dpsynth.harness import BLOCK, _chunks
+
         # Two synthetic records can never pass chi2, whatever the fit, so
-        # each repetition fails, one per chunk.
+        # each repetition fails. One repetition past a block makes two
+        # chunks at two workers, a full block and a block of one.
+        repetitions = BLOCK + 1
+        assert _chunks(repetitions, 2, BLOCK) == [range(0, BLOCK), range(BLOCK, repetitions)]
         config = ExperimentConfig(
             generator=GeneratorSpec(kind="copula", mode="null", copula=default_prostate_spec(), variable="fiveari"),
             synthesizer="marginal_ipf",
             epsilons=(0.1,),
             original_sizes=(2,),
-            repetitions=2,
+            repetitions=repetitions,
             test="chi2",
             seed=3,
         )
         (serial,) = run_grid(config, workers=1)
         (parallel,) = run_grid(config, workers=2)
-        assert sum(serial.failure_counts.values()) == 2
+        assert serial.feasible_count == 0
+        assert sum(serial.failure_counts.values()) == repetitions
         assert parallel == serial
 
     def test_cell_rerun_in_isolation_matches_grid(self):
@@ -646,8 +671,8 @@ class TestGrid:
 
 
 class TestBatchedCells:
-    """Every cell runs its repetitions through ``harness._block`` in blocks of ``harness.BLOCK[method]``:
-    50 for perturbed, smoothed and MWEM, 1 for marginal IPF and the two baselines."""
+    """Every cell runs its repetitions through ``harness._block``: a synthesizer cell in blocks of
+    ``harness.BLOCK`` (50), a baseline cell in blocks of one."""
 
     @staticmethod
     def two_cells(synthesizer: str, repetitions: int) -> ExperimentConfig:
@@ -675,21 +700,24 @@ class TestBatchedCells:
         for index, cell in enumerate(grid_cells(config)):
             assert run_cell(config, cell, RandomSource(config.seed).child(index)) == runs[1][index]
 
-    @pytest.mark.parametrize("repetitions", [1, 25, 75, 200])
-    @pytest.mark.parametrize("synthesizer", ["perturbed", "smoothed", "mwem"])
+    @pytest.mark.parametrize(
+        "synthesizer, repetitions",
+        [(name, r) for name in ("perturbed", "smoothed", "mwem") for r in (1, 25, 75, 200)]
+        # A marginal fit costs more than a histogram release; R = 75 already ends in a partial block.
+        + [("marginal_ipf", r) for r in (1, 25, 75)],
+    )
     def test_reports_byte_identical_across_workers_and_alone(self, synthesizer, repetitions, tmp_path):
         self.assert_byte_identical_across_workers_and_alone(self.two_cells(synthesizer, repetitions), tmp_path)
 
-    @pytest.mark.parametrize("synthesizer", ["none", "dp_mw_baseline", "marginal_ipf"])
+    @pytest.mark.parametrize("synthesizer", ["none", "dp_mw_baseline"])
     def test_blocks_of_one_byte_identical_across_workers_and_alone(self, synthesizer, tmp_path):
         self.assert_byte_identical_across_workers_and_alone(self.two_cells(synthesizer, 3), tmp_path)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("repetitions", [1, 25, 50, 75, 200, 201])
     def test_chunks_cut_at_block_boundaries(self, repetitions, workers):
-        from dpsynth.harness import BLOCK, _chunks
+        from dpsynth.harness import BLOCK as block, _chunks
 
-        block = BLOCK["perturbed"]
         chunks = _chunks(repetitions, workers, block)
         assert len(chunks) == min(-(-repetitions // block), workers)
         assert [rep for chunk in chunks for rep in chunk] == list(range(repetitions))
@@ -698,6 +726,8 @@ class TestBatchedCells:
         assert max(blocks) - min(blocks) <= 1
 
     def test_only_batched_cells_are_chunked_by_block(self, monkeypatch):
+        import concurrent.futures
+
         from dpsynth import harness
 
         class SerialPool:
@@ -721,13 +751,38 @@ class TestBatchedCells:
             chunks.append(payload[-1])
             return task(payload)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(harness, "_chunk_task", recording)
         for repetitions in (200, 25):
             run_grid(gaussian_config(epsilons=(1.0,), original_sizes=(100,), repetitions=repetitions), workers=2)
-        # A marginal IPF cell of two repetitions still splits over two workers.
+        # A marginal IPF cell of two repetitions is one block, so one chunk;
+        # a baseline cell of two splits over two workers.
         run_grid(gaussian_config(synthesizer="marginal_ipf", epsilons=(10.0,), original_sizes=(100,), repetitions=2), 2)
-        assert chunks == [range(0, 100), range(100, 200), range(0, 25), range(0, 1), range(1, 2)]
+        run_grid(gaussian_config(synthesizer="none", epsilons=(10.0,), original_sizes=(100,), repetitions=2), 2)
+        assert chunks == [range(0, 100), range(100, 200), range(0, 25), range(0, 2), range(0, 1), range(1, 2)]
+
+    def test_more_than_one_worker_runs_even_a_single_chunk_in_a_pool(self, tmp_path, monkeypatch):
+        import os
+
+        from dpsynth import harness
+
+        # Each call appends its process id to a file, so calls in forked workers count too.
+        log = tmp_path / "pids.log"
+        run_blocks = harness._run_blocks
+
+        def recording(*args):
+            with log.open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return run_blocks(*args)
+
+        monkeypatch.setattr(harness, "_run_blocks", recording)
+        config = gaussian_config(synthesizer="marginal_ipf", epsilons=(10.0,), original_sizes=(100,), repetitions=2)
+        serial = run_grid(config, workers=1)
+        assert log.read_text().splitlines() == [str(os.getpid())]
+        log.unlink()
+        assert run_grid(config, workers=2) == serial
+        [pid] = log.read_text().splitlines()
+        assert pid != str(os.getpid())
 
     def test_each_block_draws_from_its_own_child_stream(self, monkeypatch):
         from dpsynth import harness
@@ -850,6 +905,11 @@ class TestEmitReport:
         paths = emit_report(reports, tmp_path, formats=("csv",))
         lines = paths[0].read_text().strip().splitlines()
         assert len(lines) == len(reports) + 1
+
+    def test_csv_header_is_the_report_fields_but_failure_counts(self, tmp_path):
+        paths = emit_report(self.make_reports(), tmp_path, formats=("csv",))
+        header = paths[0].read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in fields(ErrorRateReport) if f.name != "failure_counts"]
 
     def test_json_failure_breakdown_partitions(self, tmp_path):
         reports = self.make_reports()

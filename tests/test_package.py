@@ -1,7 +1,8 @@
 """Package surface: the package imports, and loads scipy only for a config
-that needs it; a pool worker imports nothing on its first task; every
-exported name exists, only the budget ledger draws privacy noise, and the
-harness calls a synthesizer and the DP Mann-Whitney test in one place."""
+that needs it; a one-worker run imports no process pool, and a pool worker
+imports nothing on its first task; every exported name exists, only the
+budget ledger draws privacy noise, and the harness calls a synthesizer and
+the DP Mann-Whitney test in one place."""
 
 import ast
 import importlib
@@ -69,6 +70,25 @@ def test_a_config_that_calls_scipy_loads_it_when_validated(tmp_path, generator, 
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**payload, "test": test}), encoding="utf-8")
     assert "scipy.special" in scipy_modules_after(path)
+
+
+POOL_PROBE = """
+import sys
+from dataclasses import replace
+import dpsynth
+from dpsynth import harness
+for path in sys.argv[1:]:
+    for config in harness.load_configs(path):
+        harness.run_grid(replace(config, repetitions=min(config.repetitions, 2)), workers=1)
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_a_one_worker_run_imports_no_pool():
+    # Only the MW-U and DP-MW grids: scipy imports concurrent.futures itself.
+    grids = [*WORKLOADS.glob("hist_grid/*.json"), *WORKLOADS.glob("dpmw_grid/*.json")]
+    assert len(grids) == 3
+    assert run_python(POOL_PROBE, *map(str, grids)).splitlines()[-1] == "False"
 
 
 WORKER_PROBE = """
